@@ -27,7 +27,6 @@ from .rasterstack import (
     GeoreferenceMismatchError,
     RasterGrid,
     SceneStack,
-    UnusablePixelError,
     read_grid,
     write_grid,
 )
@@ -78,21 +77,14 @@ def _as_stack(scenes) -> SceneStack:
 
 
 def _point_stacks(stack: SceneStack, points: Sequence[ReferencePoint], features):
-    """(x, y, kept, dropped): model inputs for every usable point."""
-    xs, ys, kept = [], [], []
-    dropped = 0
-    for pt in points:
-        try:
-            matrix, _ = stack.stack_at_cell(*stack.template.cell_index(pt.location), features)
-        except UnusablePixelError:
-            dropped += 1
-            continue
-        xs.append(matrix[None])
-        ys.append(pt.label)
-        kept.append(pt)
-    if not xs:
+    """(x, y, dropped): model inputs and labels of every usable point."""
+    cells = [stack.template.cell_index(pt.location) for pt in points]
+    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    matrix, _, usable = stack.fill_cells(rows, cols, features)
+    if not usable.any():
         raise DataValidationError("no usable reference points")
-    return np.stack(xs), np.array(ys, dtype=np.int64), kept, dropped
+    labels = np.array([pt.label for pt in points], dtype=np.int64)
+    return matrix[usable][:, None], labels[usable], int((~usable).sum())
 
 
 def _stratified_split(y: np.ndarray, val_fraction: float, seed: int):
@@ -146,7 +138,7 @@ def forward_select(
     if len(set(candidates)) != len(candidates):
         raise DataValidationError("candidate features must be unique")
     stack = _as_stack(scenes)
-    x_all, y, _, dropped = _point_stacks(stack, refpoints, candidates)
+    x_all, y, dropped = _point_stacks(stack, refpoints, candidates)
     train_idx, val_idx = _stratified_split(y, val_fraction, cfg.seed)
 
     enum_order = list(FeatureName)
@@ -214,7 +206,7 @@ def train_pixel_classifier(
                 f"class {name!r} has {n} reference points; need {MIN_POINTS_PER_CLASS}"
             )
     stack = _as_stack(scenes)
-    x, y, _, dropped = _point_stacks(stack, refpoints, features)
+    x, y, dropped = _point_stacks(stack, refpoints, features)
     train_idx, val_idx = _stratified_split(y, val_fraction, cfg.seed)
     if np.unique(y[train_idx]).size != len(taxonomy):
         raise DataValidationError("a class vanished from the training split")
@@ -261,20 +253,16 @@ def predict_crop_map(
     r0, r1 = rows[0], rows[-1]
     c0, c1 = cols[0], cols[-1]
     out = np.full((r1 - r0 + 1, c1 - c0 + 1), t.nodata)
-    stacks, cells = [], []
-    for r in range(r0, r1 + 1):
-        for c in range(c0, c1 + 1):
-            try:
-                matrix, _ = stack.stack_at_cell(r, c, features)
-            except UnusablePixelError:
-                continue
-            stacks.append(matrix[None])
-            cells.append((r - r0, c - c0))
-    if stacks:
-        x = np.stack(stacks)
-        labels, _ = neuralnet.predict_batch(net, x, batch_size=batch_size)
-        for (rr, cc), label in zip(cells, labels):
-            out[rr, cc] = float(label)
+    # row blocks of about one inference batch each bound the memory in use
+    block_rows = max(1, batch_size // out.shape[1])
+    for top in range(r0, r1 + 1, block_rows):
+        bottom = min(top + block_rows, r1 + 1)
+        matrix, _, usable = stack.fill_cells(slice(top, bottom), slice(c0, c1 + 1), features)
+        if usable.any():
+            labels, _ = neuralnet.predict_batch(
+                net, matrix[usable][:, None], batch_size=batch_size
+            )
+            out[top - r0 : bottom - r0][usable] = labels
     grid = RasterGrid(
         ncols=out.shape[1],
         nrows=out.shape[0],

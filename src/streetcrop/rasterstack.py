@@ -169,8 +169,22 @@ def write_grid(grid: RasterGrid, path: str | Path):
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
+def _header_value(path: Path, key: str, text: str) -> float:
+    try:
+        value = int(text) if key in ("ncols", "nrows") else float(text)
+    except ValueError:
+        raise GridFormatError(f"{path}: {key} {text!r} is not a valid value") from None
+    if not np.isfinite(value):
+        raise GridFormatError(f"{path}: {key} {text!r} is not finite")
+    return value
+
+
 def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
-    """Read a grid file; ``scale`` multiplies non-nodata values on ingest."""
+    """Read a grid file; ``scale`` multiplies non-nodata values on ingest.
+
+    ``ncols``/``nrows`` must be integers, every header value finite and
+    every body token a number; anything else is a :class:`GridFormatError`.
+    """
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"grid file not found: {path}")
@@ -181,25 +195,24 @@ def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
         parts = lines[idx].split()
         if len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS:
             raise GridFormatError(f"{path}: bad header line {idx + 1}: {lines[idx]!r}")
-        header[parts[0].lower()] = float(parts[1])
+        key = parts[0].lower()
+        header[key] = _header_value(path, key, parts[1])
         idx += 1
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise GridFormatError(f"{path}: missing header keys {missing}")
-    ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    rows = []
-    for rline in lines[idx:]:
-        if not rline.strip():
-            continue
-        tokens = rline.split()
+    ncols, nrows = header["ncols"], header["nrows"]
+    rows = [tokens for tokens in (line.split() for line in lines[idx:]) if tokens]
+    for n, tokens in enumerate(rows):
         if len(tokens) != ncols:
-            raise GridFormatError(
-                f"{path}: row {len(rows)} has {len(tokens)} values, expected {ncols}"
-            )
-        rows.append([float(t) for t in tokens])
+            raise GridFormatError(f"{path}: row {n} has {len(tokens)} values, expected {ncols}")
     if len(rows) != nrows:
         raise GridFormatError(f"{path}: found {len(rows)} rows, expected {nrows}")
-    values = np.array(rows, dtype=np.float64)
+    try:
+        values = np.array([t for tokens in rows for t in tokens], dtype=np.float64)
+    except ValueError as exc:
+        raise GridFormatError(f"{path}: {exc}") from None
+    values = values.reshape(nrows, ncols)
     nodata = header["nodata_value"]
     if scale is not None:
         values = np.where(values == nodata, nodata, values * scale)
@@ -216,8 +229,16 @@ def apply_qa_mask(band: RasterGrid, qa: RasterGrid) -> RasterGrid:
     return band.like(values)
 
 
-def _index_arrays(kind: FeatureName, b: Mapping[str, np.ndarray]):
-    """Per-cell index values plus a mask of usable denominators."""
+def _feature_arrays(kind: FeatureName, bands: Mapping[str, tuple[np.ndarray, np.ndarray]]):
+    """(values, valid) of one feature from (values, valid) arrays of its bands.
+
+    A cell is valid where every band the feature reads is valid and, for
+    an index, the denominator is usable. This is the one definition of
+    feature validity; :func:`compute_index` and :class:`SceneStack` share it.
+    """
+    if kind not in _INDEX_BANDS:
+        return bands[kind.value]
+    b = {name: bands[name][0] for name in _INDEX_BANDS[kind]}
     nir = b["NIR"]
     if kind == FeatureName.NDVI:
         num, den = nir - b["Red"], nir + b["Red"]
@@ -226,13 +247,11 @@ def _index_arrays(kind: FeatureName, b: Mapping[str, np.ndarray]):
     elif kind == FeatureName.ENDVI:
         s = nir + b["Green"]
         num, den = s - 2.0 * b["Blue"], s + 2.0 * b["Blue"]
-    elif kind == FeatureName.LSWI:
-        num, den = nir - b["SWIR1"], nir + b["SWIR1"]
     else:
-        raise MissingBandError(f"{kind.value} is not a computable index")
+        num, den = nir - b["SWIR1"], nir + b["SWIR1"]
     ok = np.abs(den) >= DENOMINATOR_EPS
     out = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-    return out, ok
+    return out, np.logical_and.reduce([ok] + [bands[name][1] for name in _INDEX_BANDS[kind]])
 
 
 def compute_index(kind: FeatureName, bands: Mapping[str, RasterGrid]) -> RasterGrid:
@@ -248,16 +267,13 @@ def compute_index(kind: FeatureName, bands: Mapping[str, RasterGrid]) -> RasterG
         if name not in bands:
             raise MissingBandError(f"{kind.value} requires band {name}")
     ref = bands[needed[0]]
-    arrays = {}
-    valid = np.ones(ref.values.shape, dtype=bool)
     for name in needed:
-        grid = bands[name]
-        if not grid.same_georef(ref):
+        if not bands[name].same_georef(ref):
             raise GeoreferenceMismatchError(f"band {name} is not co-registered")
-        arrays[name] = grid.values
-        valid &= grid.valid_mask()
-    out, ok = _index_arrays(kind, arrays)
-    return ref.like(np.where(valid & ok, out, ref.nodata))
+    out, valid = _feature_arrays(
+        kind, {name: (bands[name].values, bands[name].valid_mask()) for name in needed}
+    )
+    return ref.like(np.where(valid, out, ref.nodata))
 
 
 def sample_pixel(grid: RasterGrid, p: GeoPoint) -> float:
@@ -307,7 +323,10 @@ def read_manifest(path: str | Path) -> SceneManifest:
             raise GridFormatError(f"{path}: bad manifest line {n}: {line!r}")
         key, value = line.split("=", 1)
         if key == "date":
-            date = datetime.date.fromisoformat(value)
+            try:
+                date = datetime.date.fromisoformat(value)
+            except ValueError:
+                raise GridFormatError(f"{path}: line {n}: bad date {value!r}") from None
         elif key.startswith("band."):
             band_paths[key[len("band.") :]] = str((base / value))
         elif key == "qa":
@@ -335,14 +354,56 @@ class FeatureStack:
     valid_mask: np.ndarray
 
 
-class SceneStack:
-    """All scenes of a campaign loaded once, ready for repeated sampling."""
+def _gap_fill(x: np.ndarray, values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Fill the unobserved entries of series running along axis 0.
 
-    def __init__(self, dates, band_cubes, valid, template: RasterGrid):
-        self.dates = tuple(dates)
-        self.bands = band_cubes  # band name -> (T, nrows, ncols)
-        self.valid = valid  # (T, nrows, ncols) bool, QA-clear and all bands present
+    Each masked entry is interpolated linearly in ``x`` between the
+    nearest observed entries before and after it; before the first and
+    after the last observation the nearest observed value is held.
+    Observed entries are copied through, and series without any
+    observation are returned unchanged. Per series this equals
+    ``np.interp(x, x[valid], values[valid])`` bit for bit, given
+    strictly increasing ``x``.
+    """
+    T = values.shape[0]
+    steps = np.arange(T).reshape((T,) + (1,) * (values.ndim - 1))
+    prev = np.maximum.accumulate(np.where(valid, steps, -1), axis=0)
+    nxt = np.minimum.accumulate(np.where(valid, steps, T)[::-1], axis=0)[::-1]
+    gap = ~valid & (prev[-1] >= 0)
+    t, *cell = np.nonzero(gap)
+    lo, hi = prev[gap], nxt[gap]
+    lo = np.where(lo < 0, hi, lo)
+    hi = np.where(hi == T, lo, hi)
+    y0, y1 = values[(lo, *cell)], values[(hi, *cell)]
+    inner = lo != hi
+    x0 = x[lo[inner]]
+    slope = (y1[inner] - y0[inner]) / (x[hi[inner]] - x0)
+    y0[inner] = slope * (x[t[inner]] - x0) + y0[inner]
+    filled = values.copy()
+    filled[gap] = y0
+    return filled
+
+
+class SceneStack:
+    """All scenes of a campaign behind one gap-filling access path.
+
+    The QA grids are read up front; each band is read from its grids the
+    first time a feature needs it. A feature is observed in a cell where
+    the QA is clear (0), none of the feature's own bands is nodata and,
+    for an index, the denominator is usable.
+    """
+
+    def __init__(
+        self, manifests: Sequence[SceneManifest], template: RasterGrid,
+        clear: np.ndarray, scale: float | None = None,
+    ):
+        self.manifests = tuple(manifests)
+        self.dates = tuple(m.scene_date for m in self.manifests)
         self.template = template
+        self.clear = clear  # (T, nrows, ncols) bool, QA == 0
+        self.scale = scale
+        self._x = np.array([d.toordinal() for d in self.dates], dtype=np.float64)
+        self._bands: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._planes: dict[FeatureName, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -352,71 +413,73 @@ class SceneStack:
         if not manifests:
             raise DataValidationError("no scenes given")
         dates = [m.scene_date for m in manifests]
-        if any(later < earlier for earlier, later in zip(dates, dates[1:])):
-            raise DataValidationError("scenes must be sorted by date")
-        template = None
-        per_band = {b: [] for b in BAND_NAMES}
-        valid_planes = []
-        for manifest in manifests:
-            qa = read_grid(manifest.qa_path)
-            if template is None:
-                template = qa
-            elif not qa.same_georef(template):
-                raise GeoreferenceMismatchError("scene grids are not co-registered")
-            plane_valid = qa.values == 0
-            for band in BAND_NAMES:
-                grid = read_grid(manifest.band_paths[band], scale=scale)
-                if not grid.same_georef(template):
-                    raise GeoreferenceMismatchError(
-                        f"band {band} of {manifest.scene_date} is not co-registered"
-                    )
-                per_band[band].append(grid.values)
-                plane_valid &= grid.valid_mask()
-            valid_planes.append(plane_valid)
-        cubes = {b: np.stack(arrs) for b, arrs in per_band.items()}
-        return cls(dates, cubes, np.stack(valid_planes), template)
+        if any(later <= earlier for earlier, later in zip(dates, dates[1:])):
+            raise DataValidationError("scenes must be sorted by date, one scene per date")
+        qa = [read_grid(m.qa_path) for m in manifests]
+        if not all(grid.same_georef(qa[0]) for grid in qa):
+            raise GeoreferenceMismatchError("scene grids are not co-registered")
+        return cls(manifests, qa[0], np.stack([grid.values == 0 for grid in qa]), scale)
 
     @property
     def n_scenes(self) -> int:
         return len(self.dates)
 
+    def _band(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(values, not-nodata) cubes of one band, read on first use."""
+        if name not in self._bands:
+            grids = []
+            for manifest in self.manifests:
+                grid = read_grid(manifest.band_paths[name], scale=self.scale)
+                if not grid.same_georef(self.template):
+                    raise GeoreferenceMismatchError(
+                        f"band {name} of {manifest.scene_date} is not co-registered"
+                    )
+                grids.append(grid)
+            self._bands[name] = (
+                np.stack([g.values for g in grids]),
+                np.stack([g.valid_mask() for g in grids]),
+            )
+        return self._bands[name]
+
     def feature_plane(self, feature: FeatureName) -> tuple[np.ndarray, np.ndarray]:
-        """(values, valid) cubes of shape (T, nrows, ncols) for one feature."""
+        """(values, observed) cubes of shape (T, nrows, ncols) for one feature."""
         if feature not in self._planes:
-            if feature in _INDEX_BANDS:
-                out, ok = _index_arrays(feature, self.bands)
-                self._planes[feature] = (out, self.valid & ok)
-            else:
-                self._planes[feature] = (self.bands[feature.value], self.valid)
+            names = _INDEX_BANDS.get(feature, (feature.value,))
+            values, valid = _feature_arrays(feature, {n: self._band(n) for n in names})
+            self._planes[feature] = (values, valid & self.clear)
         return self._planes[feature]
+
+    def fill_cells(self, rows, cols, features: Sequence[FeatureName]):
+        """Gap-filled series of the cells ``[rows, cols]`` for ``features``.
+
+        ``rows`` and ``cols`` index the raster as in numpy: two ints, two
+        slices (a block) or two equal-length integer arrays (scattered
+        cells). Returns ``(matrix, observed, usable)``: ``matrix`` and
+        ``observed`` have shape ``cells + (T, F)``; ``usable`` (shape
+        ``cells``) is false where some feature has no observation in any
+        scene, and those cells' matrix entries are meaningless.
+        """
+        filled, observed = [], []
+        for feature in features:
+            values, valid = self.feature_plane(feature)
+            valid = valid[:, rows, cols]
+            filled.append(_gap_fill(self._x, values[:, rows, cols], valid))
+            observed.append(valid)
+        matrix = np.moveaxis(np.stack(filled, axis=-1), 0, -2)
+        observed = np.moveaxis(np.stack(observed, axis=-1), 0, -2)
+        return matrix, observed, observed.any(axis=-2).all(axis=-1)
 
     def stack_at_cell(
         self, row: int, col: int, features: Sequence[FeatureName]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Gap-filled (T, F) matrix and valid mask at one raster cell."""
-        T = self.n_scenes
-        F = len(features)
-        matrix = np.empty((T, F), dtype=np.float64)
-        mask = np.empty((T, F), dtype=bool)
-        x = np.array([d.toordinal() for d in self.dates], dtype=np.float64)
-        for j, feature in enumerate(features):
-            values, valid = self.feature_plane(feature)
-            col_values = values[:, row, col]
-            col_valid = valid[:, row, col]
-            if not col_valid.any():
-                raise UnusablePixelError(
-                    f"cell ({row}, {col}) has no valid {feature.value} observation"
-                )
-            if col_valid.all():
-                filled = col_values
-            else:
-                filled = np.interp(x, x[col_valid], col_values[col_valid])
-                # interp reconstructs observed samples exactly, but keep the
-                # originals so observed cells are untouched by construction
-                filled[col_valid] = col_values[col_valid]
-            matrix[:, j] = filled
-            mask[:, j] = col_valid
-        return matrix, mask
+        """Gap-filled (T, F) matrix and observed mask at one raster cell."""
+        matrix, observed, usable = self.fill_cells(row, col, features)
+        if not usable:
+            feature = features[int(np.argmin(observed.any(axis=0)))]
+            raise UnusablePixelError(
+                f"cell ({row}, {col}) has no valid {feature.value} observation"
+            )
+        return matrix, observed
 
     def stack_at(self, p: GeoPoint, features: Sequence[FeatureName]) -> FeatureStack:
         row, col = self.template.cell_index(p)

@@ -105,6 +105,27 @@ class TestExitCodes:
         assert code == 2
         assert "/nonexistent/scenes" in capsys.readouterr().err
 
+    def test_malformed_band_grid_is_data_error(self, mini_run, tmp_path, capsys):
+        import shutil
+
+        config, out = mini_run
+        scenes = tmp_path / "scenes"
+        shutil.copytree(out / "world" / "scenes", scenes)
+        bad_grid = sorted(scenes.glob("*_SWIR2.grid"))[0]
+        lines = bad_grid.read_text().splitlines()
+        lines[6] = "x " + lines[6].split(" ", 1)[1]  # first body token
+        bad_grid.write_text("\n".join(lines) + "\n")
+        refs = tmp_path / "refs.csv"
+        refs.write_text(
+            "lat,lon,label,source_image,confidence,shift_m,extra_steps\n"
+            "0.001,0.001,corn,img_a,,45.0,0\n"
+        )
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config.read_text() + f"paths.refs_csv = {refs}\npaths.scenes = {scenes}\n")
+        code = run_command(["select-features", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert bad_grid.name in capsys.readouterr().err
+
     def test_success_is_zero(self, mini_run):
         config, out = mini_run
         assert run_command(["grid", "--config", str(config), "--out", str(out)]) == 0

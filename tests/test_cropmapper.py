@@ -229,6 +229,14 @@ class TestPredictCropMap:
         for (row, col), label in zip(labels, pred):
             assert crop_map.grid.values[row, col] == float(label)
 
+    def test_row_blocks_do_not_change_the_map(self, il_pipeline):
+        world, stack, features, _, result = il_pipeline
+        whole = predict_crop_map(result.net, stack, features, world.cfg.extent, ILLINOIS)
+        blocks = predict_crop_map(
+            result.net, stack, features, world.cfg.extent, ILLINOIS, batch_size=7
+        )
+        np.testing.assert_array_equal(blocks.grid.values, whole.grid.values)
+
     def test_feature_mismatch_rejected(self, il_pipeline):
         world, stack, features, _, result = il_pipeline
         with pytest.raises(DataValidationError):
@@ -287,6 +295,35 @@ class TestPredictCropMap:
         extent = BoundingBox(0.0, n * 0.001, 0.0, n * 0.001)
         crop_map = predict_crop_map(result.net, scenes, [FeatureName.SWIR2], extent, TWO_CLASS)
         assert crop_map.grid.values[1, 1] == crop_map.grid.nodata
+        assert (crop_map.grid.values != crop_map.grid.nodata).sum() == n * n - 1
+
+
+    def test_nodata_in_unused_band_does_not_mask_pixel(self, tmp_path):
+        dates = [datetime.date(2013, 5, 1) + datetime.timedelta(days=15 * i) for i in range(3)]
+        n = 4
+        rng = np.random.default_rng(2)
+        scenes = []
+        for i, date in enumerate(dates):
+            bands = {
+                b: np.clip(rng.uniform(0.2, 0.5) + rng.normal(0, 0.01, (n, n)), 0, 1)
+                for b in BAND_NAMES
+            }
+            bands["SWIR2"][n // 2 :] += 0.3
+            bands["Blue"][1, 1] = -9999.0  # Blue feeds no selected feature
+            bands["SWIR2"][2, 2] = -9999.0
+            scenes.append(write_scene(tmp_path / f"m{i}", date, bands, np.zeros((n, n))))
+        truth_values = np.zeros((n, n))
+        truth_values[n // 2 :] = 1.0
+        truth = make_grid(truth_values, cellsize=0.001)
+        points = sample_class_points(truth, 0, 6, seed=1)
+        points += sample_class_points(truth, 1, 6, seed=2)
+        points = [p for p in points if truth.cell_index(p.location) != (2, 2)]
+        cfg = nn.TrainConfig(epochs=5, seed=0)
+        result = train_pixel_classifier([FeatureName.SWIR2], points, scenes, TWO_CLASS, cfg)
+        extent = BoundingBox(0.0, n * 0.001, 0.0, n * 0.001)
+        crop_map = predict_crop_map(result.net, scenes, [FeatureName.SWIR2], extent, TWO_CLASS)
+        assert crop_map.grid.values[1, 1] != crop_map.grid.nodata
+        assert crop_map.grid.values[2, 2] == crop_map.grid.nodata
         assert (crop_map.grid.values != crop_map.grid.nodata).sum() == n * n - 1
 
 

@@ -1,7 +1,11 @@
 import datetime
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_grid, write_scene
 from streetcrop.errors import DataValidationError
@@ -94,6 +98,32 @@ class TestGridIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataValidationError):
             read_grid(tmp_path / "absent.grid")
+
+    HEADER = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 0.001\nNODATA_value -9999\n"
+
+    def read_text(self, tmp_path, text):
+        path = tmp_path / "bad.grid"
+        path.write_text(text)
+        return read_grid(path)
+
+    def test_non_numeric_body_token_rejected(self, tmp_path):
+        with pytest.raises(GridFormatError):
+            self.read_text(tmp_path, self.HEADER + "0.5 x\n")
+
+    def test_fractional_ncols_rejected(self, tmp_path):
+        text = self.HEADER.replace("ncols 2", "ncols 2.5")
+        with pytest.raises(GridFormatError):
+            self.read_text(tmp_path, text + "0.5 0.25\n")
+
+    def test_non_numeric_header_value_rejected(self, tmp_path):
+        text = self.HEADER.replace("xllcorner 0", "xllcorner abc")
+        with pytest.raises(GridFormatError):
+            self.read_text(tmp_path, text + "0.5 0.25\n")
+
+    def test_non_finite_header_value_rejected(self, tmp_path):
+        text = self.HEADER.replace("cellsize 0.001", "cellsize nan")
+        with pytest.raises(GridFormatError):
+            self.read_text(tmp_path, text + "0.5 0.25\n")
 
 
 class TestQaMask:
@@ -233,6 +263,16 @@ class TestManifests:
         with pytest.raises(DataValidationError):
             SceneManifest(datetime.date(2013, 4, 13), {"Red": "r.grid"}, "qa.grid")
 
+    def test_bad_date_rejected(self, tmp_path):
+        manifest = SceneManifest(
+            datetime.date(2013, 4, 13), {b: f"{b}.grid" for b in BAND_NAMES}, "qa.grid"
+        )
+        path = tmp_path / "scene.manifest"
+        write_manifest(manifest, path)
+        path.write_text(path.read_text().replace("date=2013-04-13", "date=2013-13-06"))
+        with pytest.raises(GridFormatError):
+            read_manifest(path)
+
 
 def uniform_scene(tmp_path, date, value, qa=0, shape=(2, 2)):
     bands = {b: np.full(shape, value) for b in BAND_NAMES}
@@ -289,13 +329,80 @@ class TestFeatureStack:
         with pytest.raises(UnusablePixelError):
             extract_feature_stack(scenes, [FeatureName.NIR], GeoPoint(0.001, 0.001))
 
+    def test_nodata_in_unused_band_keeps_feature_observed(self, tmp_path):
+        dates = self.dates(2)
+        scenes = []
+        for date in dates:
+            bands = {b: np.full((1, 2), 0.3) for b in BAND_NAMES}
+            bands["Blue"][0, 0] = -9999.0
+            scenes.append(write_scene(tmp_path / date.isoformat(), date, bands, np.zeros((1, 2))))
+        stack = SceneStack.from_manifests(scenes)
+        _, observed, usable = stack.fill_cells(0, slice(None), [FeatureName.NDVI])
+        assert observed.all() and usable.all()
+        _, observed, usable = stack.fill_cells(0, slice(None), [FeatureName.EVI])
+        assert not observed[0].any() and observed[1].all()
+        assert usable.tolist() == [False, True]
+
     def test_unsorted_scenes_rejected(self, tmp_path):
         dates = self.dates(2)
         scenes = [uniform_scene(tmp_path, d, 0.5) for d in dates]
         with pytest.raises(DataValidationError):
             SceneStack.from_manifests(list(reversed(scenes)))
 
+    def test_duplicate_dates_rejected(self, tmp_path):
+        date = self.dates(1)[0]
+        scenes = [uniform_scene(tmp_path / str(i), date, 0.5) for i in range(2)]
+        with pytest.raises(DataValidationError):
+            SceneStack.from_manifests(scenes)
+
     def test_empty_feature_list_rejected(self, tmp_path):
         scenes = [uniform_scene(tmp_path, d, 0.5) for d in self.dates(3)]
         with pytest.raises(DataValidationError):
             extract_feature_stack(scenes, [], GeoPoint(0.001, 0.001))
+
+
+@st.composite
+def masked_series(draw):
+    """Strictly increasing day numbers plus NIR values and QA flags on a 2 x 3 grid."""
+    n = draw(st.integers(1, 8))
+    days = np.cumsum(draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))).tolist()
+    unit = st.floats(0.0, 1.0, allow_nan=False, width=64)
+    values = np.array(draw(st.lists(unit, min_size=6 * n, max_size=6 * n))).reshape(n, 2, 3)
+    flags = draw(st.lists(st.booleans(), min_size=6 * n, max_size=6 * n))
+    return days, values, np.array(flags).reshape(n, 2, 3)
+
+
+class TestGapFillOracle:
+    """The whole-block gap fill against per-series ``np.interp``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_series())
+    def test_matches_interp_per_series(self, case):
+        days, nir, clear = case
+        start = datetime.date(2013, 1, 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            scenes = []
+            for t, day in enumerate(days):
+                date = start + datetime.timedelta(days=day)
+                bands = {b: np.full((2, 3), 0.5) for b in BAND_NAMES}
+                bands["NIR"] = nir[t]
+                qa = np.where(clear[t], 0.0, 1.0)
+                scenes.append(write_scene(Path(tmp) / str(t), date, bands, qa))
+            stack = SceneStack.from_manifests(scenes)
+            matrix, observed, usable = stack.fill_cells(
+                slice(None), slice(None), [FeatureName.NIR]
+            )
+        x = np.array([start.toordinal() + d for d in days], dtype=np.float64)
+        np.testing.assert_array_equal(observed[..., 0], np.moveaxis(clear, 0, -1))
+        np.testing.assert_array_equal(usable, clear.any(axis=0))
+        for r in range(2):
+            for c in range(3):
+                ok, series, got = clear[:, r, c], nir[:, r, c], matrix[r, c, :, 0]
+                if not ok.any():
+                    continue
+                expected = np.interp(x, x[ok], series[ok])
+                np.testing.assert_array_equal(got, expected)
+                np.testing.assert_array_equal(got[ok], series[ok])  # observed untouched
+                first, last = np.flatnonzero(ok)[[0, -1]]
+                assert (got[:first] == series[first]).all()  # ends hold the nearest
+                assert (got[last:] == series[last]).all()

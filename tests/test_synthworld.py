@@ -79,7 +79,7 @@ class TestScenes:
         stack = SceneStack.from_manifests(manifests)
         doy = manifests[0].scene_date.timetuple().tm_yday
         corn_cells = world.truth.values == ILLINOIS.index("corn")
-        nir = stack.bands["NIR"][0][corn_cells]
+        nir = stack.feature_plane(FeatureName.NIR)[0][0][corn_cells]
         np.testing.assert_allclose(nir, sw.phenology_value("corn", "NIR", doy))
 
     def test_noiseless_ndvi_matches_analytic(self, tmp_path):
@@ -98,7 +98,7 @@ class TestScenes:
         world = small_world(cloud_fraction=0.2)
         manifests = sw.synthesize_scenes(world, tmp_path / "scenes")
         stack = SceneStack.from_manifests(manifests)
-        masked = 1.0 - stack.valid.mean()
+        masked = 1.0 - stack.clear.mean()
         assert abs(masked - 0.2) < 0.02
 
     def test_band_values_clipped_to_unit_interval(self, tmp_path):
@@ -106,8 +106,9 @@ class TestScenes:
         manifests = sw.synthesize_scenes(world, tmp_path / "scenes")
         stack = SceneStack.from_manifests(manifests)
         for band in BAND_NAMES:
-            assert stack.bands[band].min() >= 0.0
-            assert stack.bands[band].max() <= 1.0
+            values, _ = stack.feature_plane(FeatureName(band))
+            assert values.min() >= 0.0
+            assert values.max() <= 1.0
 
     def test_same_seed_identical_scene_files(self, tmp_path):
         world = small_world()
