@@ -7,6 +7,16 @@ Softmax. Training is SGD with momentum over seeded shuffled
 mini-batches, so a (spec, seed, data) triple always reproduces the same
 weights on one platform.
 
+Inside a network the activations sit batch-last in memory, ``(c, h, w,
+n)`` for spatial layers and ``(units, n)`` for dense ones: a conv is one
+2-D GEMM over an im2col column matrix each way, MaxPool is a maximum over
+strided slices. Every layer still takes and returns arrays shaped ``(n,
+...)``; a network hands them free transposed views, and a C-ordered input
+is copied once. Only a train-mode forward stores what ``backward`` needs,
+so ``backward`` needs a train-mode forward first. Against the previous
+batch-first engine, probabilities, gradients and trained weights agree
+to about 1e-15 relative, because BLAS sums in another order.
+
 Everything runs in double precision; gradient correctness is checked
 against central finite differences (:func:`gradient_check`).
 """
@@ -14,6 +24,7 @@ against central finite differences (:func:`gradient_check`).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
@@ -136,14 +147,61 @@ class TrainConfig:
 
 
 # --------------------------------------------------------------------------
-# Layer implementations: forward caches whatever backward needs.
-# ``stats`` (when given) collects the smallest margin to a gradient
+# Layer implementations over batch-last activations (see the module
+# docstring); with the batch last, im2col copies run over ``ow * n``-long
+# rows. ``stats`` (when given) collects the smallest margin to a gradient
 # discontinuity, used by the gradient checker to steer clear of kinks.
 # --------------------------------------------------------------------------
 
 
-class _ConvLayer:
-    def __init__(self, spec: Conv2D, in_shape, rng):
+def _batch_last_view(x):
+    """The ``(..., n)`` view of an ``(n, ...)`` array."""
+    return x.transpose(*range(1, x.ndim), 0)
+
+
+def _batch_last(x):
+    """C-contiguous ``(..., n)`` array of an ``(n, ...)`` one; free for a view."""
+    return np.ascontiguousarray(_batch_last_view(x))
+
+
+def _batch_first(a):
+    """The ``(n, ...)`` view of a batch-last array."""
+    return a.transpose(a.ndim - 1, *range(a.ndim - 1))
+
+
+def _saved(cache):
+    if cache is None:
+        raise RuntimeError("backward needs a train-mode forward first")
+    return cache
+
+
+class _Layer:
+    def params(self):
+        return []
+
+    def param_grads(self, dout):
+        """Parameter gradients alone, for a layer whose input gradient nobody reads."""
+        return []
+
+
+class _ParamLayer(_Layer):
+    """A layer with weights ``w`` of shape ``w_shape`` and one bias per row.
+
+    Construction only checks shapes; :func:`build_network` or
+    :func:`deserialize_model` sets ``w`` and ``b``.
+    """
+
+    def __init__(self, w_shape):
+        self.w_shape = w_shape
+        self.w = self.b = None
+        self._cache = None
+
+    def params(self):
+        return [self.w, self.b]
+
+
+class _ConvLayer(_ParamLayer):
+    def __init__(self, spec: Conv2D, in_shape):
         c, h, w = in_shape
         self.spec = spec
         self.stride = spec.stride
@@ -163,74 +221,78 @@ class _ConvLayer:
             self.pads = (0, 0, 0, 0)
         if oh < 1 or ow < 1:
             raise ShapeMismatchError(f"conv output collapsed to {oh}x{ow}")
+        self.in_shape = in_shape
         self.out_shape = (spec.filters, oh, ow)
-        fan_in = c * spec.kernel_h * spec.kernel_w
-        limit = np.sqrt(6.0 / fan_in)
-        self.w = rng.uniform(-limit, limit, size=(spec.filters, c, spec.kernel_h, spec.kernel_w))
-        self.b = np.zeros(spec.filters)
-        self._cache = None
+        super().__init__((spec.filters, c, spec.kernel_h, spec.kernel_w))
 
-    def params(self):
-        return [self.w, self.b]
+    def _padded_shape(self, n):
+        c, h, w = self.in_shape
+        pt, pb, pl, pr = self.pads
+        return (c, h + pt + pb, w + pl + pr, n)
 
-    def _im2col(self, xp, oh, ow):
-        n, c, _, _ = xp.shape
+    def _windows(self, xp):
+        """The strided view of a padded batch-last array under each kernel tap."""
+        _, oh, ow = self.out_shape
         kh, kw, s = self.spec.kernel_h, self.spec.kernel_w, self.stride
-        cols = np.empty((n, c, kh, kw, oh, ow))
         for i in range(kh):
             for j in range(kw):
-                cols[:, :, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
-        return cols.reshape(n, c * kh * kw, oh * ow)
+                yield i, j, xp[:, i : i + s * oh : s, j : j + s * ow : s]
 
     def forward(self, x, train, rng, stats):
-        pt, pb, pl, pr = self.pads
-        xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if any(self.pads) else x
+        c, h, w = self.in_shape
+        n = x.shape[0]
+        pt, _, pl, _ = self.pads
+        if any(self.pads):
+            xp = np.zeros(self._padded_shape(n))
+            xp[:, pt : pt + h, pl : pl + w] = _batch_last_view(x)
+        else:
+            xp = _batch_last(x)
         f, oh, ow = self.out_shape
-        cols = self._im2col(xp, oh, ow)
-        wm = self.w.reshape(f, -1)
-        out = np.matmul(wm, cols) + self.b[:, None]
-        self._cache = (cols, xp.shape)
-        return out.reshape(x.shape[0], f, oh, ow)
+        cols = np.empty((c, self.spec.kernel_h, self.spec.kernel_w, oh, ow, n))
+        for i, j, window in self._windows(xp):
+            cols[:, i, j] = window
+        cols = cols.reshape(-1, oh * ow * n)
+        out = self.w.reshape(f, -1) @ cols
+        out += self.b[:, None]
+        self._cache = cols if train else None
+        return _batch_first(out.reshape(f, oh, ow, n))
+
+    def param_grads(self, dout):
+        cols = _saved(self._cache)
+        dm = _batch_last(dout).reshape(self.w_shape[0], -1)
+        return [(dm @ cols.T).reshape(self.w_shape), dm.sum(axis=1)]
 
     def backward(self, dout):
-        cols, xp_shape = self._cache
+        dob = _batch_last(dout)
+        grads = self.param_grads(_batch_first(dob))
         n = dout.shape[0]
-        f, oh, ow = self.out_shape
-        dm = dout.reshape(n, f, oh * ow)
-        db = dm.sum(axis=(0, 2))
-        dw = np.matmul(dm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
-        dcols = np.matmul(self.w.reshape(f, -1).T, dm)
-        kh, kw, s = self.spec.kernel_h, self.spec.kernel_w, self.stride
-        dc = dcols.reshape(n, -1, kh, kw, oh, ow)
-        dxp = np.zeros(xp_shape)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += dc[:, :, i, j]
-        pt, pb, pl, pr = self.pads
-        h, w = xp_shape[2] - pt - pb, xp_shape[3] - pl - pr
-        dx = dxp[:, :, pt : pt + h, pl : pl + w]
-        return dx, [dw, db]
+        dcols = self.w.reshape(self.w_shape[0], -1).T @ dob.reshape(self.w_shape[0], -1)
+        dc = dcols.reshape(self.w_shape[1:] + self.out_shape[1:] + (n,))
+        dxp = np.zeros(self._padded_shape(n))
+        for i, j, window in self._windows(dxp):
+            window += dc[:, i, j]
+        _, h, w = self.in_shape
+        pt, _, pl, _ = self.pads
+        return _batch_first(dxp[:, pt : pt + h, pl : pl + w]), grads
 
 
-class _ReLULayer:
+class _ReLULayer(_Layer):
     def __init__(self, in_shape):
         self.out_shape = in_shape
         self._mask = None
 
-    def params(self):
-        return []
-
     def forward(self, x, train, rng, stats):
         if stats is not None:
             stats.append(float(np.abs(x).min()))
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if train else None
+        return x * mask
 
     def backward(self, dout):
-        return dout * self._mask, []
+        return dout * _saved(self._mask), []
 
 
-class _MaxPoolLayer:
+class _MaxPoolLayer(_Layer):
     def __init__(self, spec: MaxPool, in_shape):
         if len(in_shape) != 3:
             raise ShapeMismatchError("MaxPool needs a (channels, h, w) input")
@@ -239,57 +301,60 @@ class _MaxPoolLayer:
         oh, ow = h // spec.size, w // spec.size
         if oh < 1 or ow < 1:
             raise ShapeMismatchError(f"pool size {spec.size} exceeds {h}x{w} input")
+        self.in_shape = in_shape
         self.out_shape = (c, oh, ow)
         self._cache = None
 
-    def params(self):
-        return []
-
-    def _windows(self, x):
-        n, c, _, _ = x.shape
+    def _offsets(self, xb):
+        """One strided view of a batch-last array per window offset, row-major."""
         _, oh, ow = self.out_shape
         s = self.size
-        xr = x[:, :, : oh * s, : ow * s].reshape(n, c, oh, s, ow, s)
-        return xr.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, s * s)
+        return [xb[:, i : oh * s : s, j : ow * s : s] for i in range(s) for j in range(s)]
 
     def forward(self, x, train, rng, stats):
-        win = self._windows(x)
-        idx = win.argmax(axis=-1)
-        if stats is not None and win.shape[-1] > 1:
-            top2 = np.sort(win, axis=-1)[..., -2:]
+        views = self._offsets(_batch_last_view(x))
+        out = views[0]
+        for view in views[1:]:
+            out = np.maximum(out, view)
+        if stats is not None and len(views) > 1:
+            top2 = np.sort(np.stack(views, axis=-1), axis=-1)[..., -2:]
             stats.append(float((top2[..., 1] - top2[..., 0]).min()))
-        self._cache = (idx, x.shape)
-        return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+        self._cache = None
+        if train:
+            # each window's gradient goes to its first maximum, as argmax picks
+            routed = np.zeros(out.shape, dtype=bool)
+            self._cache = []
+            for view in views:
+                first = (view == out) & ~routed
+                routed |= first
+                self._cache.append(first)
+        return _batch_first(out)
 
     def backward(self, dout):
-        idx, x_shape = self._cache
-        n, c, oh, ow = dout.shape
-        s = self.size
-        buf = np.zeros((n, c, oh, ow, s * s))
-        np.put_along_axis(buf, idx[..., None], dout[..., None], axis=-1)
-        blocks = buf.reshape(n, c, oh, ow, s, s).transpose(0, 1, 2, 4, 3, 5)
-        dx = np.zeros(x_shape)
-        dx[:, :, : oh * s, : ow * s] = blocks.reshape(n, c, oh * s, ow * s)
-        return dx, []
+        firsts = _saved(self._cache)
+        dob = _batch_last_view(dout)
+        dx = np.zeros(self.in_shape + (dout.shape[0],))
+        for view, first in zip(self._offsets(dx), firsts):
+            np.multiply(dob, first, out=view)
+        return _batch_first(dx), []
 
 
-class _DropoutLayer:
+class _DropoutLayer(_Layer):
     def __init__(self, spec: Dropout, in_shape):
         self.rate = spec.rate
         self.out_shape = in_shape
         self._mask = None
 
-    def params(self):
-        return []
-
     def forward(self, x, train, rng, stats):
+        self._mask = None
         if not train or self.rate == 0.0:
-            self._mask = None
             return x
         if rng is None:
             raise DataValidationError("train-mode forward through Dropout needs an rng")
+        # drawn in (n, ...) order so the stream does not depend on the layout
         keep = rng.random(x.shape) >= self.rate
-        self._mask = keep / (1.0 - self.rate)
+        self._mask = np.empty_like(x)
+        np.divide(keep, 1.0 - self.rate, out=self._mask)
         return x * self._mask
 
     def backward(self, dout):
@@ -298,32 +363,32 @@ class _DropoutLayer:
         return dout * self._mask, []
 
 
-class _DenseLayer:
-    def __init__(self, spec: Dense, in_shape, rng):
-        fan_in = int(np.prod(in_shape))
+class _DenseLayer(_ParamLayer):
+    def __init__(self, spec: Dense, in_shape):
+        self.in_shape = in_shape
         self.out_shape = (spec.units,)
-        limit = np.sqrt(6.0 / fan_in)
-        self.w = rng.uniform(-limit, limit, size=(spec.units, fan_in))
-        self.b = np.zeros(spec.units)
-        self._cache = None
-
-    def params(self):
-        return [self.w, self.b]
+        super().__init__((spec.units, math.prod(in_shape)))
 
     def forward(self, x, train, rng, stats):
-        flat = x.reshape(x.shape[0], -1)
-        self._cache = (flat, x.shape)
-        return flat @ self.w.T + self.b
+        flat = _batch_last(x).reshape(self.w_shape[1], -1)
+        out = self.w @ flat
+        out += self.b[:, None]
+        self._cache = flat if train else None
+        return _batch_first(out)
+
+    def param_grads(self, dout):
+        flat = _saved(self._cache)
+        dob = _batch_last(dout)
+        return [dob @ flat.T, dob.sum(axis=1)]
 
     def backward(self, dout):
-        flat, x_shape = self._cache
-        dw = dout.T @ flat
-        db = dout.sum(axis=0)
-        dx = (dout @ self.w).reshape(x_shape)
-        return dx, [dw, db]
+        dob = _batch_last(dout)
+        grads = self.param_grads(_batch_first(dob))
+        dx = (self.w.T @ dob).reshape(self.in_shape + (dob.shape[1],))
+        return _batch_first(dx), grads
 
 
-class _SoftmaxLayer:
+class _SoftmaxLayer(_Layer):
     def __init__(self, in_shape, n_classes):
         if len(in_shape) != 1 or in_shape[0] != n_classes:
             raise ShapeMismatchError(
@@ -332,17 +397,15 @@ class _SoftmaxLayer:
         self.out_shape = in_shape
         self._probs = None
 
-    def params(self):
-        return []
-
     def forward(self, x, train, rng, stats):
         shifted = x - x.max(axis=1, keepdims=True)
         e = np.exp(shifted)
-        self._probs = e / e.sum(axis=1, keepdims=True)
-        return self._probs
+        probs = e / e.sum(axis=1, keepdims=True)
+        self._probs = probs if train else None
+        return probs
 
     def backward(self, dout):
-        p = self._probs
+        p = _saved(self._probs)
         inner = (dout * p).sum(axis=1, keepdims=True)
         return p * (dout - inner), []
 
@@ -380,10 +443,11 @@ class Network:
 
     def backward_batch(self, dout):
         grads = []
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             dout, layer_grads = layer.backward(dout)
             grads = layer_grads + grads
-        return grads
+        # nothing reads the network's input gradient, so the first layer skips it
+        return self.layers[0].param_grads(dout) + grads
 
     def kink_margin(self, x) -> float:
         """Smallest distance to a ReLU zero or MaxPool argmax tie for ``x``."""
@@ -392,19 +456,15 @@ class Network:
         return min(stats) if stats else np.inf
 
 
-def build_network(spec: NetworkSpec, seed: int) -> Network:
-    """Instantiate a network with fan-in-scaled uniform weights.
-
-    The same (spec, seed) pair always yields identical weights.
-    """
-    rng = np.random.default_rng(seed)
+def _runtime_layers(spec: NetworkSpec) -> list:
+    """Shape-checked runtime layers for ``spec``, weights not yet set."""
     shape = spec.input_shape
     layers = []
     for ls in spec.layers:
         if isinstance(ls, Conv2D):
             if len(shape) != 3:
                 raise ShapeMismatchError(f"Conv2D needs a 3-d input, got {shape}")
-            layer = _ConvLayer(ls, shape, rng)
+            layer = _ConvLayer(ls, shape)
         elif isinstance(ls, ReLU):
             layer = _ReLULayer(shape)
         elif isinstance(ls, MaxPool):
@@ -412,13 +472,28 @@ def build_network(spec: NetworkSpec, seed: int) -> Network:
         elif isinstance(ls, Dropout):
             layer = _DropoutLayer(ls, shape)
         elif isinstance(ls, Dense):
-            layer = _DenseLayer(ls, shape, rng)
+            layer = _DenseLayer(ls, shape)
         elif isinstance(ls, Softmax):
             layer = _SoftmaxLayer(shape, spec.n_classes)
         else:
             raise DataValidationError(f"unknown layer spec {ls!r}")
         shape = layer.out_shape
         layers.append(layer)
+    return layers
+
+
+def build_network(spec: NetworkSpec, seed: int) -> Network:
+    """Instantiate a network with fan-in-scaled uniform weights.
+
+    The same (spec, seed) pair always yields identical weights.
+    """
+    rng = np.random.default_rng(seed)
+    layers = _runtime_layers(spec)
+    for layer in layers:
+        if isinstance(layer, _ParamLayer):
+            limit = np.sqrt(6.0 / math.prod(layer.w_shape[1:]))
+            layer.w = rng.uniform(-limit, limit, size=layer.w_shape)
+            layer.b = np.zeros(layer.w_shape[0])
     return Network(spec, layers)
 
 
@@ -434,6 +509,13 @@ def forward(net: Network, x: np.ndarray, mode: str = "infer", rng=None) -> np.nd
         rng = np.random.default_rng(0)
     probs = net.forward_batch(np.asarray(x)[None], train=(mode == "train"), rng=rng)
     return probs[0]
+
+
+def _cross_entropy(probs, labels):
+    """(mean clamped cross-entropy, label probabilities, clamped label probabilities)."""
+    p_label = probs[np.arange(labels.shape[0]), labels]
+    clamped = np.maximum(p_label, PROB_FLOOR)
+    return float(-np.mean(np.log(clamped))), p_label, clamped
 
 
 def loss_and_gradients(net: Network, batch, rng=None):
@@ -454,9 +536,7 @@ def loss_and_gradients(net: Network, batch, rng=None):
     if labels.min() < 0 or labels.max() >= net.spec.n_classes:
         raise DataValidationError("label outside [0, n_classes)")
     probs = net.forward_batch(x, train=True, rng=rng)
-    p_label = probs[np.arange(n), labels]
-    clamped = np.maximum(p_label, PROB_FLOOR)
-    loss = float(-np.mean(np.log(clamped)))
+    loss, p_label, clamped = _cross_entropy(probs, labels)
     dprobs = np.zeros_like(probs)
     dprobs[np.arange(n), labels] = np.where(p_label > PROB_FLOOR, -1.0 / (n * clamped), 0.0)
     grads = net.backward_batch(dprobs)
@@ -495,8 +575,8 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
     Returns ``(net, history)`` where ``history`` holds the validation
     accuracy after each epoch (length = ``cfg.epochs``). Raises
     :class:`TrainingDivergedError` the moment the loss stops being
-    finite. If ``cfg.dropout_rate`` is set it overrides the rate of
-    every Dropout layer (the sweep knob).
+    finite. Dropout layers keep the rates of ``net.spec``; the
+    classifiers build that spec from ``cfg.dropout_rate``.
     """
     x_train, y_train = train_set
     x_val, y_val = val_set
@@ -504,9 +584,6 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
     y_train = np.asarray(y_train)
     if x_train.shape[0] == 0 or np.asarray(x_val).shape[0] == 0:
         raise DataValidationError("training and validation sets must be nonempty")
-    if cfg.dropout_rate is not None:
-        for layer in net.dropout_layers():
-            layer.rate = cfg.dropout_rate
     rng = np.random.default_rng(cfg.seed)
     params = net.parameters()
     velocity = [np.zeros_like(p) for p in params]
@@ -557,23 +634,31 @@ def gradient_check(net: Network, sample, eps: float = 1e-5, nudge_kinks: bool = 
                     break
                 jitter = np.random.default_rng(1000 + attempt).uniform(-1, 1, size=x.shape)
                 x = x + 64.0 * eps * jitter
-        batch = (x[None], np.array([label]))
-        _, grads = loss_and_gradients(net, batch)
+        labels = np.array([label])
+        _, grads = loss_and_gradients(net, (x[None], labels))
+        # a probe of layer k's parameters changes no activation before layer
+        # k, so each probe runs an inference forward from layer k's input
+        inputs = [x[None]]
+        for layer in net.layers[:-1]:
+            inputs.append(layer.forward(inputs[-1], False, None, None))
 
-        def batch_loss():
-            loss, _ = loss_and_gradients(net, batch)
-            return loss
+        def probe_loss(k):
+            out = inputs[k]
+            for layer in net.layers[k:]:
+                out = layer.forward(out, False, None, None)
+            return _cross_entropy(out, labels)[0]
 
         worst = 0.0
-        for p, g in zip(net.parameters(), grads):
+        probed = [(k, p) for k, layer in enumerate(net.layers) for p in layer.params()]
+        for (k, p), g in zip(probed, grads):
             flat_p = p.reshape(-1)
             flat_g = g.reshape(-1)
             for i in range(flat_p.size):
                 orig = flat_p[i]
                 flat_p[i] = orig + eps
-                up = batch_loss()
+                up = probe_loss(k)
                 flat_p[i] = orig - eps
-                down = batch_loss()
+                down = probe_loss(k)
                 flat_p[i] = orig
                 numeric = (up - down) / (2.0 * eps)
                 analytic = flat_g[i]
@@ -615,25 +700,27 @@ def _spec_lines(spec: NetworkSpec):
 
 
 def _parse_spec_line(line: str) -> LayerSpec:
-    parts = line.split()
-    kind = parts[1]
+    kind, *args = line.split()[1:] or [""]
     try:
         if kind == "conv2d":
-            f, kh, kw, s, same = parts[2:]
-            return Conv2D(int(f), int(kh), int(kw), int(s), bool(int(same)))
-        if kind == "relu":
+            f, kh, kw, s, same = args
+            if same not in ("0", "1"):
+                raise ValueError(f"same-padding flag {same!r} is not 0 or 1")
+            return Conv2D(int(f), int(kh), int(kw), int(s), same == "1")
+        if kind == "relu" and not args:
             return ReLU()
-        if kind == "maxpool":
-            return MaxPool(int(parts[2]))
-        if kind == "dropout":
-            return Dropout(float(parts[2]))
-        if kind == "dense":
-            return Dense(int(parts[2]))
-        if kind == "softmax":
+        if kind == "softmax" and not args:
             return Softmax()
-    except (ValueError, IndexError) as exc:
+        (value,) = args
+        if kind == "maxpool":
+            return MaxPool(int(value))
+        if kind == "dropout":
+            return Dropout(float(value))
+        if kind == "dense":
+            return Dense(int(value))
+    except ValueError as exc:
         raise SerializationError(f"bad layer line {line!r}: {exc}") from exc
-    raise SerializationError(f"unknown layer kind {kind!r}")
+    raise SerializationError(f"bad layer line {line!r}")
 
 
 def serialize_model(net: Network, path: str | Path):
@@ -657,32 +744,37 @@ def deserialize_model(path: str | Path) -> Network:
     input_shape = None
     n_classes = None
     layers: list[LayerSpec] = []
-    count = None
     while True:
         raw = buf.readline()
         if not raw:
             raise SerializationError(f"{path}: truncated header")
         line = raw.rstrip(b"\n").decode("ascii", errors="replace")
-        if line.startswith("input "):
-            input_shape = tuple(int(t) for t in line.split()[1:])
-        elif line.startswith("classes "):
-            n_classes = int(line.split()[1])
-        elif line.startswith("layer "):
-            layers.append(_parse_spec_line(line))
-        elif line.startswith("weights "):
-            count = int(line.split()[1])
-            break
-        else:
-            raise SerializationError(f"{path}: unexpected header line {line!r}")
+        key, _, rest = line.partition(" ")
+        try:
+            if key == "input":
+                input_shape = tuple(int(t) for t in rest.split())
+            elif key == "classes":
+                n_classes = int(rest)
+            elif key == "layer":
+                layers.append(_parse_spec_line(line))
+            elif key == "weights":
+                count = int(rest)
+                break
+            else:
+                raise SerializationError(f"{path}: unexpected header line {line!r}")
+        except ValueError as exc:
+            raise SerializationError(f"{path}: bad header line {line!r}: {exc}") from exc
     if input_shape is None or n_classes is None:
         raise SerializationError(f"{path}: header missing input/classes lines")
     try:
         spec = NetworkSpec(tuple(layers), input_shape, n_classes)
-        net = build_network(spec, seed=0)
+        runtime = _runtime_layers(spec)
     except DataValidationError as exc:
         raise SerializationError(f"{path}: inconsistent spec: {exc}") from exc
-    params = net.parameters()
-    expected = sum(p.size for p in params)
+    # sizes come from the spec alone, so a corrupt header allocates nothing
+    weighted = [layer for layer in runtime if isinstance(layer, _ParamLayer)]
+    sizes = [(math.prod(layer.w_shape), layer.w_shape[0]) for layer in weighted]
+    expected = sum(nw + nb for nw, nb in sizes)
     if count != expected:
         raise SerializationError(f"{path}: header says {count} weights, spec needs {expected}")
     payload = buf.read()
@@ -690,12 +782,13 @@ def deserialize_model(path: str | Path) -> Network:
         raise SerializationError(
             f"{path}: payload is {len(payload)} bytes, expected {8 * expected}"
         )
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     offset = 0
-    for p in params:
-        flat = np.frombuffer(payload, dtype="<f8", count=p.size, offset=offset)
-        p[...] = flat.reshape(p.shape)
-        offset += 8 * p.size
-    return net
+    for layer, (nw, nb) in zip(weighted, sizes):
+        layer.w = values[offset : offset + nw].reshape(layer.w_shape)
+        layer.b = values[offset + nw : offset + nw + nb]
+        offset += nw + nb
+    return Network(spec, runtime)
 
 
 # --------------------------------------------------------------------------

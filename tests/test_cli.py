@@ -126,6 +126,16 @@ class TestExitCodes:
         assert code == 2
         assert bad_grid.name in capsys.readouterr().err
 
+    def test_corrupt_pixel_model_is_data_error(self, mini_run, tmp_path, capsys):
+        config, _ = mini_run
+        model = tmp_path / "pixel_model.rtnn"
+        model.write_bytes(b"RTNN1\ninput abc\nclasses 7\nlayer softmax\nweights 0\n")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config.read_text() + f"paths.pixel_model = {model}\n")
+        code = run_command(["map", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert "input abc" in capsys.readouterr().err
+
     def test_success_is_zero(self, mini_run):
         config, out = mini_run
         assert run_command(["grid", "--config", str(config), "--out", str(out)]) == 0

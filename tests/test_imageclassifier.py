@@ -132,6 +132,24 @@ class TestTrainImageClassifier:
         assert len(history) == 12
         assert history[-1] == 1.0
 
+    def test_saved_header_records_trained_dropout_rate(self, tmp_path):
+        items = self.tiny_taxonomy_set()
+        spec = nn.NetworkSpec(
+            (nn.Conv2D(4, 3, 3), nn.ReLU(), nn.MaxPool(2), nn.Dropout(0.1), nn.Dense(3),
+             nn.Softmax()),
+            (3, 8, 8),
+            3,
+        )
+        net, _ = train_image_classifier(
+            items, items, ILLINOIS, net_spec=spec,
+            cfg=nn.TrainConfig(epochs=1, dropout_rate=0.4, seed=0),
+        )
+        assert [layer.rate for layer in net.dropout_layers()] == [0.4]
+        path = tmp_path / "model.rtnn"
+        nn.serialize_model(net, path)
+        assert b"\nlayer dropout 0.4\n" in path.read_bytes()
+        assert nn.deserialize_model(path).spec == net.spec
+
 
 class TestClassifyImages:
     def small_net(self, size=8):

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from streetcrop import neuralnet as nn
 from streetcrop.errors import DataValidationError
@@ -184,7 +190,7 @@ class TestMaxPoolRouting:
         for _ in range(10):
             x = rng.normal(size=(1, 2, 4, 4))
             layer = nn._MaxPoolLayer(MaxPool(2), (2, 4, 4))
-            layer.forward(x, False, None, None)
+            layer.forward(x, True, None, None)
             dout = rng.normal(size=(1, 2, 2, 2))
             dx, _ = layer.backward(dout)
             expected = self.brute_force_pool_backward(x[0], dout[0], 2)
@@ -193,9 +199,101 @@ class TestMaxPoolRouting:
     def test_ties_route_to_first_position(self):
         x = np.full((1, 1, 2, 2), 3.0)
         layer = nn._MaxPoolLayer(MaxPool(2), (1, 2, 2))
-        layer.forward(x, False, None, None)
+        layer.forward(x, True, None, None)
         dx, _ = layer.backward(np.ones((1, 1, 1, 1)))
         np.testing.assert_array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+
+def batch_last_view(x):
+    """An (n, ...) view of a batch-last copy of ``x``, as a network passes it."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+
+
+def loop_conv(x, w, b, stride, pads, dout):
+    """Forward output and (dw, db, dx) of a convolution, by direct loops."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    pt, pb, pl, pr = pads
+    xp = np.zeros((n, c, h + pt + pb, wd + pl + pr))
+    xp[:, :, pt : pt + h, pl : pl + wd] = x
+    oh = (xp.shape[2] - kh) // stride + 1
+    ow = (xp.shape[3] - kw) // stride + 1
+    out = np.zeros((n, f, oh, ow))
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for ni in range(n):
+        for fi in range(f):
+            for i in range(oh):
+                for j in range(ow):
+                    rows = slice(i * stride, i * stride + kh)
+                    cols = slice(j * stride, j * stride + kw)
+                    out[ni, fi, i, j] = (xp[ni, :, rows, cols] * w[fi]).sum() + b[fi]
+                    dw[fi] += dout[ni, fi, i, j] * xp[ni, :, rows, cols]
+                    dxp[ni, :, rows, cols] += dout[ni, fi, i, j] * w[fi]
+    db = dout.sum(axis=(0, 2, 3))
+    return out, (dw, db, dxp[:, :, pt : pt + h, pl : pl + wd])
+
+
+class TestConvOracle:
+    # (spec, input shape, (top, bottom, left, right) padding)
+    CASES = [
+        (Conv2D(3, 3, 3), (2, 6, 5), (0, 0, 0, 0)),
+        (Conv2D(3, 3, 2, stride=2), (2, 7, 6), (0, 0, 0, 0)),
+        (Conv2D(3, 3, 3, same_padding=True), (2, 5, 4), (1, 1, 1, 1)),
+        (Conv2D(3, 2, 4, same_padding=True), (2, 5, 4), (0, 1, 1, 2)),
+        (Conv2D(3, 3, 3, stride=2, same_padding=True), (2, 8, 7), (0, 1, 1, 1)),
+    ]
+
+    @pytest.mark.parametrize("spec,in_shape,pads", CASES)
+    @pytest.mark.parametrize("layout", ["c_order", "batch_last"])
+    def test_matches_direct_loops(self, spec, in_shape, pads, layout):
+        rng = np.random.default_rng(31)
+        layer = nn._ConvLayer(spec, in_shape)
+        layer.w = rng.normal(size=layer.w_shape)
+        layer.b = rng.normal(size=layer.w_shape[0])
+        x = rng.normal(size=(5,) + in_shape)
+        dout = rng.normal(size=(5,) + layer.out_shape)
+        expected_out, expected_grads = loop_conv(x, layer.w, layer.b, spec.stride, pads, dout)
+        if layout == "batch_last":
+            x, dout = batch_last_view(x), batch_last_view(dout)
+        out = layer.forward(x, True, None, None)
+        dx, (dw, db) = layer.backward(dout)
+        np.testing.assert_allclose(out, expected_out, rtol=0, atol=1e-12)
+        for got, want in zip((dw, db, dx), expected_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestInference:
+    def mixed_net(self):
+        spec = NetworkSpec(
+            (
+                Conv2D(3, 3, 3, same_padding=True), ReLU(), MaxPool(2),
+                Dropout(0.3), Dense(5), ReLU(), Dense(3), Softmax(),
+            ),
+            (2, 6, 6),
+            3,
+        )
+        return nn.build_network(spec, seed=12)
+
+    def test_predict_batch_independent_of_batch_size(self):
+        net = self.mixed_net()
+        x = np.random.default_rng(13).normal(size=(40, 2, 6, 6))
+        labels, confs = nn.predict_batch(net, x, batch_size=256)
+        for size in (1, 7):
+            other_labels, other_confs = nn.predict_batch(net, x, batch_size=size)
+            np.testing.assert_array_equal(other_labels, labels)
+            np.testing.assert_allclose(other_confs, confs, rtol=0, atol=1e-12)
+
+    def test_inference_forward_leaves_no_cache(self):
+        net = self.mixed_net()
+        x = np.random.default_rng(14).normal(size=(4, 2, 6, 6))
+        nn.loss_and_gradients(net, (x, np.array([0, 1, 2, 0])), rng=np.random.default_rng(0))
+        net.forward_batch(x)
+        for layer in net.layers:
+            for attr in ("_cache", "_mask", "_probs"):
+                assert getattr(layer, attr, None) is None, (type(layer).__name__, attr)
+        with pytest.raises(RuntimeError):
+            net.layers[0].backward(np.ones((4, 3, 6, 6)))
 
 
 class TestDropout:
@@ -284,13 +382,6 @@ class TestTrain:
             nn.train(net, (x, y), (x, y), cfg)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_dropout_override_applies(self):
-        spec = NetworkSpec((Dense(4), Dropout(0.1), Dense(2), Softmax()), (2,), 2)
-        net = nn.build_network(spec, seed=0)
-        x, y = toy_separable(n=10)
-        nn.train(net, (x, y), (x, y), TrainConfig(epochs=1, dropout_rate=0.4, seed=0))
-        assert net.dropout_layers()[0].rate == 0.4
-
 
 class TestPredict:
     def crafted_net(self, probs):
@@ -370,6 +461,42 @@ class TestSerialization:
             nn.deserialize_model(path)
 
 
+    @pytest.mark.parametrize(
+        "old,new", [("input 3", "input abc"), ("classes 2", "classes x"), ("weights 8", "weights zz")]
+    )
+    def test_malformed_header_value(self, tmp_path, old, new):
+        path = tmp_path / "model.rtnn"
+        nn.serialize_model(nn.build_network(dense_spec(), seed=0), path)
+        data = path.read_bytes()
+        assert data.count(old.encode()) == 1
+        path.write_bytes(data.replace(old.encode(), new.encode()))
+        with pytest.raises(SerializationError):
+            nn.deserialize_model(path)
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10_000), st.binary(max_size=3)), min_size=1, max_size=4
+        )
+    )
+    def test_mutated_header_raises_only_data_errors(self, tmp_path, edits):
+        path = tmp_path / "model.rtnn"
+        nn.serialize_model(nn.build_network(small_conv_spec(), seed=0), path)
+        data = path.read_bytes()
+        end = data.index(b"\n", data.index(b"\nweights ") + 1) + 1
+        header, payload = bytearray(data[:end]), data[end:]
+        for position, replacement in edits:
+            at = position % len(header)
+            header[at : at + 1] = replacement
+        path.write_bytes(bytes(header) + payload)
+        try:
+            nn.deserialize_model(path)
+        except DataValidationError:
+            pass
+
+
 class TestDefaultSpecs:
     def test_image_spec_builds_on_32px_input(self):
         spec = nn.default_image_spec((3, 32, 32), 7)
@@ -388,3 +515,15 @@ class TestDefaultSpecs:
         clone = nn.clone_spec_with_dropout(spec, 0.5)
         rates = [ls.rate for ls in clone.layers if isinstance(ls, Dropout)]
         assert rates == [0.5]
+
+
+def test_engine_demo_runs(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / "03_cnn_engine.py")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "predictions identical: True" in proc.stdout
