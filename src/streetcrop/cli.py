@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,7 +33,7 @@ from pathlib import Path
 from . import cropmapper, imageclassifier, metrics, neuralnet, refgen, synthworld
 from .errors import DataValidationError, UsageError
 from .geocore import BoundingBox, GeoPoint, Heading, ShiftParams, make_sampling_grid
-from .imageclassifier import TAXONOMIES, LabelTaxonomy
+from .imageclassifier import TAXONOMIES, LabeledImage, LabelTaxonomy
 from .imagery import FixtureIndex, FixtureNotFoundError, StreetRequest
 from .rasterstack import FeatureName, SceneStack, read_grid, read_manifest, write_grid
 
@@ -108,6 +107,13 @@ class RunConfig:
             return tuple(default)
         return tuple(t.strip() for t in raw.split(",") if t.strip())
 
+    def get_floats(self, key: str, default=()) -> tuple[float, ...]:
+        try:
+            return tuple(float(t) for t in self.get_list(key, default))
+        except ValueError:
+            raw = self.values[key]
+            raise UsageError(f"config key {key} is not a list of numbers: {raw!r}") from None
+
     def path(self, key: str) -> Path | None:
         raw = self.values.get(key)
         if raw is None:
@@ -119,10 +125,9 @@ class RunConfig:
     def seed(self) -> int:
         if self._seed_override is not None:
             return int(self._seed_override)
-        raw = self.values.get("seed")
-        if raw is None:
+        if "seed" not in self.values:
             raise UsageError("seed is mandatory: set 'seed =' in the config or pass --seed")
-        return int(raw)
+        return self.get_int("seed", 0)
 
     @property
     def taxonomy(self) -> LabelTaxonomy:
@@ -132,10 +137,9 @@ class RunConfig:
         return TAXONOMIES[region]
 
     def bbox(self) -> BoundingBox | None:
-        raw = self.values.get("bbox")
-        if raw is None:
+        if "bbox" not in self.values:
             return None
-        parts = [float(t) for t in raw.split(",")]
+        parts = self.get_floats("bbox")
         if len(parts) != 4:
             raise UsageError("bbox must be min_lat,max_lat,min_lon,max_lon")
         return BoundingBox(*parts)
@@ -222,6 +226,15 @@ def _truth(run: _Run):
     return read_grid(run.input_path("paths.truth", "world/truth.grid", "truth raster"))
 
 
+def _labeled_catalog(run: _Run, key: str, default_name: str, what: str) -> list[LabeledImage]:
+    path = run.input_path(key, default_name, what)
+    labeled = imageclassifier.read_catalog(path, run.cfg.taxonomy)
+    for li in labeled:
+        if li.label is None:
+            raise DataValidationError(f"{path}: image {li.record.id!r} has no label")
+    return labeled
+
+
 def _selected_features(run: _Run) -> tuple[FeatureName, ...]:
     configured = run.cfg.features("features.selected")
     if configured:
@@ -248,7 +261,7 @@ def _selected_features(run: _Run) -> tuple[FeatureName, ...]:
 def _cmd_synth(run: _Run):
     cfg = run.cfg
     mix = cfg.get_list("synth.class_mix", cfg.taxonomy.class_names)
-    props = [float(t) for t in cfg.get_list("synth.proportions", ())] or None
+    props = list(cfg.get_floats("synth.proportions")) or None
     world_cfg = synthworld.square_world_config(
         cfg.taxonomy,
         parcels_per_side=cfg.get_int("synth.parcels_per_side", 22),
@@ -326,7 +339,9 @@ def _cmd_fetch(run: _Run):
     index = FixtureIndex(fixtures)
     out = run.output_path("paths.campaign_catalog", "campaign.csv")
     size = run.cfg.get_int("fetch.image_px", 640)
-    records, paths, misses = [], [], 0
+    # a fixture can satisfy several nearby grid points; keep the first hit
+    unique: dict[str, LabeledImage] = {}
+    hits = misses = 0
     with open(grid_csv, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
@@ -337,41 +352,21 @@ def _cmd_fetch(run: _Run):
                 except FixtureNotFoundError:
                     misses += 1
                     continue
-                records.append(rec)
-                paths.append(rec.id + ".ppm")
-    # a fixture can satisfy several nearby grid points; keep the first hit
-    seen = set()
-    unique_records, unique_paths = [], []
-    for rec, p in zip(records, paths):
-        if rec.id not in seen:
-            seen.add(rec.id)
-            unique_records.append(rec)
-            unique_paths.append(p)
-    imageclassifier.write_record_catalog(
-        unique_records,
-        [str(Path(_relative_to(fixtures / p, out.parent))) for p in unique_paths],
-        out,
-    )
+                hits += 1
+                unique.setdefault(rec.id, LabeledImage(rec))
+    imageclassifier.write_catalog(unique.values(), run.cfg.taxonomy, out)
     print(
-        f"fetched {len(unique_records)} images "
-        f"({len(records) - len(unique_records)} duplicate hits, {misses} misses) -> {out}"
+        f"fetched {len(unique)} images "
+        f"({hits - len(unique)} duplicate hits, {misses} misses) -> {out}"
     )
-
-
-def _relative_to(path: Path, base: Path) -> str:
-    try:
-        return str(path.resolve().relative_to(base.resolve()))
-    except ValueError:
-        return os.path.relpath(path.resolve(), base.resolve())
 
 
 def _cmd_train_images(run: _Run):
     cfg = run.cfg
-    catalog = run.input_path(
-        "paths.training_catalog", "world/training/catalog.csv", "training catalog"
+    labeled = _labeled_catalog(
+        run, "paths.training_catalog", "world/training/catalog.csv", "training catalog"
     )
-    labeled = imageclassifier.read_catalog(catalog, cfg.taxonomy)
-    ratios = tuple(float(t) for t in cfg.get_list("split.ratios", ("0.6", "0.2", "0.2")))
+    ratios = cfg.get_floats("split.ratios", (0.6, 0.2, 0.2))
     train_set, val_set, test_set = imageclassifier.split_dataset(labeled, ratios, cfg.seed)
     tcfg = cfg.train_config(default_epochs=30)
     net, history = imageclassifier.train_image_classifier(
@@ -402,10 +397,10 @@ def _cmd_classify_images(run: _Run):
     model_path = run.input_path("paths.image_model", "image_model.rtnn", "image model")
     catalog = run.input_path("paths.campaign_catalog", "campaign.csv", "campaign catalog")
     net = neuralnet.deserialize_model(model_path)
-    records, image_paths = imageclassifier.read_record_catalog(catalog)
+    records = [li.record for li in imageclassifier.read_catalog(catalog, cfg.taxonomy)]
     labeled = imageclassifier.classify_images(net, records)
     out = run.output_path("paths.classified_catalog", "classified.csv")
-    imageclassifier.write_catalog(labeled, image_paths, cfg.taxonomy, out)
+    imageclassifier.write_catalog(labeled, cfg.taxonomy, out)
     per_class = {name: 0 for name in cfg.taxonomy.class_names}
     for li in labeled:
         per_class[cfg.taxonomy.class_names[li.label]] += 1
@@ -416,8 +411,9 @@ def _cmd_classify_images(run: _Run):
 
 def _cmd_qc(run: _Run):
     cfg = run.cfg
-    classified = run.input_path("paths.classified_catalog", "classified.csv", "classified catalog")
-    labeled = imageclassifier.read_catalog(classified, cfg.taxonomy)
+    labeled = _labeled_catalog(
+        run, "paths.classified_catalog", "classified.csv", "classified catalog"
+    )
     rejection_path = cfg.path("qc.rejection_list")
     rejection_ids = set()
     if rejection_path is not None:
@@ -429,29 +425,15 @@ def _cmd_qc(run: _Run):
         min_confidence=cfg.get_float("qc.min_confidence", 0.5),
         rejection_ids=rejection_ids,
     )
-    base = Path(classified).parent
-    paths_by_id = _image_paths_by_id(classified)
     for subset, key, name in ((kept, "paths.kept_catalog", "kept.csv"),
                               (dropped, "paths.dropped_catalog", "dropped.csv")):
-        out = run.output_path(key, name)
-        imageclassifier.write_catalog(
-            subset,
-            [_relative_to(base / paths_by_id[li.record.id], out.parent) for li in subset],
-            cfg.taxonomy,
-            out,
-        )
+        imageclassifier.write_catalog(subset, cfg.taxonomy, run.output_path(key, name))
     print(f"kept {len(kept)}, dropped {len(dropped)} (others/low-confidence/rejected)")
-
-
-def _image_paths_by_id(catalog_path: Path) -> dict[str, str]:
-    with open(catalog_path, newline="") as fh:
-        return {row["id"]: row["path"] for row in csv.DictReader(fh)}
 
 
 def _cmd_make_refs(run: _Run):
     cfg = run.cfg
-    kept_catalog = run.input_path("paths.kept_catalog", "kept.csv", "kept catalog")
-    kept = imageclassifier.read_catalog(kept_catalog, cfg.taxonomy)
+    kept = _labeled_catalog(run, "paths.kept_catalog", "kept.csv", "kept catalog")
     result = refgen.generate_reference_points(
         kept, cfg.shift_params(), min_per_class=cfg.get_int("refs.min_per_class", 0)
     )
@@ -522,7 +504,7 @@ def _cmd_train_mapper(run: _Run):
     stack = _scenes(run)
     features = _selected_features(run)
     base_cfg = cfg.train_config(default_epochs=20)
-    sweep = [float(t) for t in cfg.get_list("net.dropout_grid", ())]
+    sweep = cfg.get_floats("net.dropout_grid")
     if sweep:
         results = []
         for rate in sweep:

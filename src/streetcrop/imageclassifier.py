@@ -8,23 +8,34 @@ it because an ``others`` image cannot source a crop reference point.
 The human quality-control step is captured as data: a confidence
 threshold plus an externally edited rejection-list file of image ids,
 so a re-run reproduces the same decisions.
+
+Every stage hands images on through one catalog codec:
+:func:`write_catalog` and :func:`read_catalog`. A row names the image
+file relative to the catalog; an empty label marks an image nobody has
+labeled yet (the fetched campaign). Reading a catalog decodes nothing:
+each record keeps its file's path and decodes it the first time
+``record.image`` is read, so stages that only filter or shift images
+never touch pixels.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import functools
+import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import neuralnet
 from .errors import DataValidationError
 from .geocore import GeoPoint, Heading
-from .imagery import ImageTensor, StreetImageRecord, decode_image
+from .imagery import StreetImageRecord
 from .neuralnet import Network, NetworkSpec, TrainConfig
 
 
@@ -64,7 +75,7 @@ TAXONOMIES = {t.region: t for t in (CALIFORNIA, ILLINOIS)}
 @dataclass(frozen=True)
 class LabeledImage:
     record: StreetImageRecord
-    label: int
+    label: int | None = None  # None: nobody has labeled the image yet
     confidence: float | None = None
 
 
@@ -192,122 +203,107 @@ def qc_filter(
 
 # --------------------------------------------------------------------------
 # Catalog files: one CSV row per image. Image paths are stored relative
-# to the catalog so output directories stay relocatable.
+# to the catalog so output directories stay relocatable; an empty label
+# (and confidence) marks an image nobody has labeled yet.
 # --------------------------------------------------------------------------
 
 CATALOG_HEADER = ["id", "path", "label", "confidence", "lat", "lon", "heading", "date"]
 
+_CATALOG_DATE = re.compile(r"(\d{4})-(\d{2})")
 
-def write_catalog(
-    labeled: Sequence[LabeledImage],
-    image_paths: Sequence[str],
-    taxonomy: LabelTaxonomy,
-    path: str | Path,
-):
+
+def write_catalog(labeled: Iterable[LabeledImage], taxonomy: LabelTaxonomy, path: str | Path):
+    """One row per image, pointing at the record's image file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    base = path.parent.resolve()
+
+    @functools.lru_cache(maxsize=None)
+    def relative_folder(folder: str) -> str:  # one realpath per folder, not per image
+        rel = os.path.relpath(os.path.realpath(folder), base)
+        return "" if rel == os.curdir else rel
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CATALOG_HEADER)
-        for li, img_path in zip(labeled, image_paths):
+        for li in labeled:
             rec = li.record
-            date = "" if rec.capture_date is None else f"{rec.capture_date:%Y-%m}"
+            if rec.path is None:
+                raise DataValidationError(f"image {rec.id!r} has no file for {path}")
+            folder, name = os.path.split(rec.path)
             writer.writerow(
                 [
                     rec.id,
-                    img_path,
-                    taxonomy.class_names[li.label],
+                    os.path.join(relative_folder(folder), name),
+                    "" if li.label is None else taxonomy.class_names[li.label],
                     "" if li.confidence is None else f"{li.confidence:.6f}",
                     repr(rec.capture_point.lat_deg),
                     repr(rec.capture_point.lon_deg),
                     int(rec.heading),
-                    date,
+                    "" if rec.capture_date is None else f"{rec.capture_date:%Y-%m}",
                 ]
             )
 
 
 def read_catalog(path: str | Path, taxonomy: LabelTaxonomy) -> list[LabeledImage]:
-    """Load a catalog, decoding each referenced image file."""
+    """Load a catalog without decoding any image.
+
+    Each record carries its image file's path and decodes it on first use
+    of ``record.image``; a row whose file does not exist is an error.
+    """
+    base = Path(path).parent.absolute()
+
+    def parse(row) -> LabeledImage:
+        image_path = base / row["path"]
+        if not image_path.is_file():
+            raise DataValidationError(f"image file not found: {image_path}")
+        date = None
+        if row["date"]:
+            match = _CATALOG_DATE.fullmatch(row["date"])
+            if match is None:
+                raise ValueError(f"date {row['date']!r} is not YYYY-MM")
+            date = datetime.date(int(match[1]), int(match[2]), 1)
+        record = StreetImageRecord(
+            id=row["id"],
+            capture_point=GeoPoint(float(row["lat"]), float(row["lon"])),
+            heading=Heading(int(row["heading"])),
+            capture_date=date,
+            path=image_path,
+        )
+        confidence = None
+        if row["confidence"]:
+            confidence = float(row["confidence"])
+            if not 0.0 <= confidence <= 1.0:
+                raise ValueError(f"confidence {confidence} outside [0, 1]")
+        label = taxonomy.index(row["label"]) if row["label"] else None
+        return LabeledImage(record, label, confidence)
+
+    return read_csv_rows(path, CATALOG_HEADER, parse, "catalog")
+
+
+def read_csv_rows(path: str | Path, header: list[str], parse_row, what: str) -> list:
+    """``parse_row`` applied to each row of a CSV file with the given header.
+
+    A malformed row (a short or long row, or one ``parse_row`` rejects
+    with a ``ValueError`` or ``DataValidationError``) raises a
+    ``DataValidationError`` that names the file and the line.
+    """
     path = Path(path)
     if not path.exists():
-        raise DataValidationError(f"catalog not found: {path}")
-    base = path.parent
-    out = []
+        raise DataValidationError(f"{what} not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != CATALOG_HEADER:
-            raise DataValidationError(f"{path}: unexpected catalog columns {reader.fieldnames}")
-        for row in reader:
-            image = decode_image((base / row["path"]).read_bytes())
-            date = None
-            if row["date"]:
-                year, month = row["date"].split("-")
-                date = datetime.date(int(year), int(month), 1)
-            record = StreetImageRecord(
-                id=row["id"],
-                capture_point=GeoPoint(float(row["lat"]), float(row["lon"])),
-                heading=Heading(int(row["heading"])),
-                image=ImageTensor(image.values),
-                capture_date=date,
-            )
-            confidence = float(row["confidence"]) if row["confidence"] else None
-            out.append(LabeledImage(record, taxonomy.index(row["label"]), confidence))
-    return out
-
-
-def write_record_catalog(
-    records: Sequence[StreetImageRecord], image_paths: Sequence[str], path: str | Path
-):
-    """Catalog of unlabeled records (label/confidence columns left empty)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CATALOG_HEADER)
-        for rec, img_path in zip(records, image_paths):
-            date = "" if rec.capture_date is None else f"{rec.capture_date:%Y-%m}"
-            writer.writerow(
-                [
-                    rec.id,
-                    img_path,
-                    "",
-                    "",
-                    repr(rec.capture_point.lat_deg),
-                    repr(rec.capture_point.lon_deg),
-                    int(rec.heading),
-                    date,
-                ]
-            )
-
-
-def read_record_catalog(path: str | Path):
-    """Load an unlabeled catalog; returns (records, image path strings)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"catalog not found: {path}")
-    base = path.parent
-    records, paths = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CATALOG_HEADER:
-            raise DataValidationError(f"{path}: unexpected catalog columns {reader.fieldnames}")
-        for row in reader:
-            image = decode_image((base / row["path"]).read_bytes())
-            date = None
-            if row["date"]:
-                year, month = row["date"].split("-")
-                date = datetime.date(int(year), int(month), 1)
-            records.append(
-                StreetImageRecord(
-                    id=row["id"],
-                    capture_point=GeoPoint(float(row["lat"]), float(row["lon"])),
-                    heading=Heading(int(row["heading"])),
-                    image=image,
-                    capture_date=date,
-                )
-            )
-            paths.append(row["path"])
-    return records, paths
+        try:
+            if reader.fieldnames != header:
+                raise DataValidationError(f"unexpected {what} columns {reader.fieldnames}")
+            rows = []
+            for row in reader:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(header)} cells")
+                rows.append(parse_row(row))
+            return rows
+        except (ValueError, csv.Error, DataValidationError) as exc:
+            raise DataValidationError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def read_rejection_list(path: str | Path) -> set[str]:

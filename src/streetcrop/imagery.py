@@ -91,13 +91,40 @@ class StreetRequest:
             raise DataValidationError(f"image size {self.size_px} outside 1..{MAX_IMAGE_PX}")
 
 
+class _ImageField:
+    """A record's ``image``: held in memory, or decoded from its ``path``
+    on first read and kept from then on."""
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            return None  # the field's default: no image in memory
+        image = rec.__dict__.get("_image")
+        if image is None:
+            image = rec.__dict__["_image"] = decode_image(rec.path.read_bytes())
+        return image
+
+    def __set__(self, rec, image):
+        rec.__dict__["_image"] = image
+
+
 @dataclass(frozen=True)
 class StreetImageRecord:
+    """One street image and where it was taken.
+
+    ``path`` is the image file a record was read from (a catalog row or a
+    fixture); a record built in memory may have no file.
+    """
+
     id: str
     capture_point: GeoPoint
     heading: Heading
-    image: ImageTensor
+    image: ImageTensor = _ImageField()
     capture_date: datetime.date | None = None
+    path: Path | None = None
+
+    def __post_init__(self):
+        if self.__dict__["_image"] is None and self.path is None:
+            raise DataValidationError(f"image {self.id!r} has neither pixels nor a file")
 
 
 def build_street_request(p: GeoPoint, h: Heading, size_px: tuple[int, int]) -> str:
@@ -257,6 +284,7 @@ class FixtureIndex:
             heading=req.heading,
             image=decode_image(path.read_bytes()),
             capture_date=_read_sidecar_date(path),
+            path=path,
         )
 
 

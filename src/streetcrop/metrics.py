@@ -135,16 +135,19 @@ class AgreementReport:
         return sum(self.matching) / total
 
 
-def agreement_report(points, truth: RasterGrid, class_names: Sequence[str]) -> AgreementReport:
+def agreement_report(points, truth: RasterGrid, class_names: Sequence[str]) -> tuple:
     """Fraction of labeled points whose class matches the truth raster.
 
     ``points`` is any iterable of objects with ``location`` (GeoPoint)
-    and ``label`` (class index). Classes with zero points are omitted.
-    A point outside the truth extent is an error.
+    and ``label`` (class index). Returns the :class:`AgreementReport`
+    (classes with zero points omitted) and the list of points whose cell
+    does not match, each cell sampled once. A point outside the truth
+    extent is an error.
     """
     k = len(class_names)
     matching = [0] * k
     totals = [0] * k
+    disagreeing = []
     for pt in points:
         label = int(pt.label)
         if not (0 <= label < k):
@@ -153,12 +156,15 @@ def agreement_report(points, truth: RasterGrid, class_names: Sequence[str]) -> A
         totals[label] += 1
         if value != truth.nodata and int(value) == label:
             matching[label] += 1
+        else:
+            disagreeing.append(pt)
     keep = [i for i in range(k) if totals[i] > 0]
-    return AgreementReport(
+    report = AgreementReport(
         tuple(class_names[i] for i in keep),
         tuple(matching[i] for i in keep),
         tuple(totals[i] for i in keep),
     )
+    return report, disagreeing
 
 
 def area_counts(class_map: RasterGrid) -> dict[int, int]:

@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DataValidationError
 from .geocore import GeoPoint, ShiftParams, shift_to_parcel
-from .imageclassifier import LabeledImage, LabelTaxonomy
+from .imageclassifier import LabeledImage, LabelTaxonomy, read_csv_rows
 from .metrics import AgreementReport, agreement_report
-from .rasterstack import RasterGrid, sample_pixel
+from .rasterstack import RasterGrid
 
 #: Augmentation never walks beyond this many extra pixel-steps.
 MAX_EXTRA_STEPS = 3
@@ -125,13 +125,7 @@ def validate_reference_points(
     points: Sequence[ReferencePoint], truth: RasterGrid, taxonomy: LabelTaxonomy
 ) -> tuple[AgreementReport, list[ReferencePoint]]:
     """Agreement against a truth raster plus the disagreeing points."""
-    report = agreement_report(points, truth, taxonomy.class_names)
-    disagreeing = []
-    for pt in points:
-        value = sample_pixel(truth, pt.location)
-        if value == truth.nodata or int(value) != pt.label:
-            disagreeing.append(pt)
-    return report, disagreeing
+    return agreement_report(points, truth, taxonomy.class_names)
 
 
 # --------------------------------------------------------------------------
@@ -164,23 +158,14 @@ def write_reference_csv(
 
 
 def read_reference_csv(path: str | Path, taxonomy: LabelTaxonomy) -> list[ReferencePoint]:
-    path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"reference CSV not found: {path}")
-    points = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != REFERENCE_HEADER:
-            raise DataValidationError(f"{path}: unexpected columns {reader.fieldnames}")
-        for row in reader:
-            points.append(
-                ReferencePoint(
-                    location=GeoPoint(float(row["lat"]), float(row["lon"])),
-                    label=taxonomy.index(row["label"]),
-                    source_image_id=row["source_image"],
-                    shift_m=float(row["shift_m"]),
-                    extra_steps=int(row["extra_steps"]),
-                    confidence=float(row["confidence"]) if row["confidence"] else None,
-                )
-            )
-    return points
+    def parse(row) -> ReferencePoint:
+        return ReferencePoint(
+            location=GeoPoint(float(row["lat"]), float(row["lon"])),
+            label=taxonomy.index(row["label"]),
+            source_image_id=row["source_image"],
+            shift_m=float(row["shift_m"]),
+            extra_steps=int(row["extra_steps"]),
+            confidence=float(row["confidence"]) if row["confidence"] else None,
+        )
+
+    return read_csv_rows(path, REFERENCE_HEADER, parse, "reference CSV")

@@ -462,16 +462,20 @@ def synthesize_scenes(world: World, out_dir: str | Path) -> list[SceneManifest]:
 # --------------------------------------------------------------------------
 
 
-def _camera_record(world: World, row: int, col: int, h: Heading, seed: int):
+def _camera_record(world: World, row: int, col: int, h: Heading, seed: int, images_dir: Path):
+    """Render one view and store it as ``images_dir/<id>.ppm``."""
     point = world.truth.cell_center(row, col)
     image = render_street_image(world, point, h, seed=seed)
     rec_id = f"{point.lat_deg:.6f}_{point.lon_deg:.6f}_{int(h)}"
+    path = images_dir / f"{rec_id}.ppm"
+    path.write_bytes(encode_image(image))
     return StreetImageRecord(
         id=rec_id,
         capture_point=point,
         heading=h,
         image=image,
         capture_date=world.cfg.scene_dates[len(world.cfg.scene_dates) // 2],
+        path=path,
     )
 
 
@@ -497,7 +501,6 @@ def build_training_catalog(
             buckets[facing_class(world, point, h)].append((row, col, h))
     rng = np.random.default_rng([world.cfg.seed, seed, 0xCA7])
     labeled = []
-    paths = []
     for label in range(len(world.taxonomy)):
         candidates = buckets[label]
         if len(candidates) < n_per_class:
@@ -508,13 +511,10 @@ def build_training_catalog(
         picks = rng.permutation(len(candidates))[:n_per_class]
         for k in picks:
             row, col, h = candidates[k]
-            record = _camera_record(world, row, col, h, seed)
-            filename = f"{record.id}.ppm"
-            (images_dir / filename).write_bytes(encode_image(record.image))
-            labeled.append(LabeledImage(record, label, confidence=None))
-            paths.append(f"images/{filename}")
+            record = _camera_record(world, row, col, h, seed, images_dir)
+            labeled.append(LabeledImage(record, label))
     catalog = out_dir / "catalog.csv"
-    write_catalog(labeled, paths, world.taxonomy, catalog)
+    write_catalog(labeled, world.taxonomy, catalog)
     return catalog
 
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,20 @@ def world_shift_params(world) -> ShiftParams:
     return ShiftParams(
         road_width_y_m=world.cfg.road_width_m, pixel_size_x_m=world.cfg.cell_m
     )
+
+
+def mutate_csv_cell(path, row, column, value):
+    """Rewrite one data row of a CSV file: ``value`` replaces cell ``column``,
+    an empty ``value`` deletes that cell, and a ``column`` past the last
+    cell appends ``value`` as one cell too many."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    cells = rows[1 + row]
+    if column == len(cells):
+        cells.append(value)
+    elif value == "":
+        del cells[column]
+    else:
+        cells[column] = value
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -1,3 +1,6 @@
+import shutil
+
+import numpy as np
 import pytest
 
 from streetcrop.cli import RunConfig, run_command
@@ -215,3 +218,131 @@ class TestPipelineChain:
         lines = (sweep_out / "dropout_sweep.csv").read_text().splitlines()
         assert lines[0] == "dropout_rate,val_accuracy"
         assert len(lines) == 3
+
+
+def _tiny_catalog(tmp_path, **cells):
+    """A one-row classified catalog with a real image file; ``cells`` override fields."""
+    from streetcrop.imagery import ImageTensor, encode_image
+
+    image = tmp_path / "img.ppm"
+    image.write_bytes(encode_image(ImageTensor(np.zeros((2, 2, 3)))))
+    row = {"id": "img", "path": "img.ppm", "label": "corn", "confidence": "0.900000",
+           "lat": "0.001", "lon": "0.002", "heading": "90", "date": "2013-07", **cells}
+    catalog = tmp_path / "classified.csv"
+    catalog.write_text(
+        "id,path,label,confidence,lat,lon,heading,date\n" + ",".join(row.values()) + "\n"
+    )
+    return catalog
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text("region = illinois\nseed = 1\n" + text)
+    return path
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("lat", "abc"), ("heading", "45"), ("date", "2013-13"), ("date", "2013"),
+         ("confidence", "x"), ("confidence", "1.5")],
+    )
+    def test_bad_catalog_field_is_data_error(self, tmp_path, capsys, field, value):
+        catalog = _tiny_catalog(tmp_path, **{field: value})
+        config = _config(tmp_path, f"paths.classified_catalog = {catalog}\n")
+        assert run_command(["qc", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert f"{catalog}:2" in capsys.readouterr().err
+
+    def test_short_catalog_row_is_data_error(self, tmp_path, capsys):
+        catalog = _tiny_catalog(tmp_path)
+        catalog.write_text(catalog.read_text().replace(",2013-07\n", "\n"))
+        config = _config(tmp_path, f"paths.classified_catalog = {catalog}\n")
+        assert run_command(["qc", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert f"{catalog}:2" in capsys.readouterr().err
+
+    def test_missing_image_file_is_data_error(self, tmp_path, capsys):
+        catalog = _tiny_catalog(tmp_path, path="absent.ppm")
+        config = _config(tmp_path, f"paths.classified_catalog = {catalog}\n")
+        assert run_command(["qc", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert "absent.ppm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("lon", "x"), ("extra_steps", "1.5")])
+    def test_bad_reference_field_is_data_error(self, tmp_path, capsys, field, value):
+        row = {"lat": "0.001", "lon": "0.001", "label": "corn", "source_image": "img_a",
+               "confidence": "", "shift_m": "45.0", "extra_steps": "0", field: value}
+        refs = tmp_path / "refs.csv"
+        refs.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        config = _config(tmp_path, f"paths.refs_csv = {refs}\n")
+        assert run_command(["validate-refs", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert f"{refs}:2" in capsys.readouterr().err
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("grid", "seed = abc\nbbox = 0.0,0.01,0.0,0.01\n"),
+            ("grid", "bbox = 0.0,north,0.0,0.01\n"),
+            ("synth", "synth.proportions = 0.5,x,0.25\n"),
+            ("train-images", "split.ratios = 0.6,0.2,y\n"),
+        ],
+        ids=["seed", "bbox", "synth.proportions", "split.ratios"],
+    )
+    def test_non_numeric_value_is_usage_error(self, tmp_path, capsys, command, text):
+        catalog = _tiny_catalog(tmp_path)
+        config = _config(tmp_path, f"paths.training_catalog = {catalog}\n" + text)
+        assert run_command([command, "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert "is not a" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(mini_run):
+    """mini_run plus an image model in its --out."""
+    config, out = mini_run
+    assert run_command(["train-images", "--config", str(config), "--out", str(out)]) == 0
+    return config, out
+
+
+class TestLazyImages:
+    def test_qc_and_make_refs_read_no_pixels(self, trained, tmp_path):
+        config, out = trained
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(out / "world" / "fixtures", fixtures)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            config.read_text()
+            + f"paths.fixtures = {fixtures}\npaths.grid_csv = {out / 'grid.csv'}\n"
+            + f"paths.image_model = {out / 'image_model.rtnn'}\n"
+            + f"paths.truth = {out / 'world' / 'truth.grid'}\n"
+        )
+        run_dir = tmp_path / "run"
+        names = ("kept.csv", "dropped.csv", "refs.csv")
+        for command in ("fetch", "classify-images", "qc", "make-refs"):
+            assert run_command([command, "--config", str(cfg), "--out", str(run_dir)]) == 0
+        intact = {name: (run_dir / name).read_bytes() for name in names}
+        assert intact["kept.csv"].count(b"\n") > 1
+        for ppm in fixtures.glob("*.ppm"):
+            ppm.write_bytes(ppm.read_bytes()[:15])
+        for command in ("qc", "make-refs"):
+            assert run_command([command, "--config", str(cfg), "--out", str(run_dir)]) == 0
+        assert {name: (run_dir / name).read_bytes() for name in names} == intact
+
+    def test_classified_catalog_in_another_directory(self, trained, tmp_path):
+        config, out = trained
+        shared = (
+            config.read_text()
+            + f"paths.campaign_catalog = {out / 'campaign.csv'}\n"
+            + f"paths.image_model = {out / 'image_model.rtnn'}\n"
+            + f"paths.truth = {out / 'world' / 'truth.grid'}\n"
+        )
+        results = {}
+        for layout, extra in (("flat", ""), ("nested", "paths.classified_catalog = a/b/c.csv\n")):
+            cfg = tmp_path / f"{layout}.cfg"
+            cfg.write_text(shared + extra)
+            run_dir = tmp_path / layout
+            for command in ("classify-images", "qc", "make-refs"):
+                code = run_command([command, "--config", str(cfg), "--out", str(run_dir)])
+                assert code == 0, (layout, command)
+            results[layout] = [(run_dir / n).read_bytes() for n in ("kept.csv", "refs.csv")]
+        assert (tmp_path / "a" / "b" / "c.csv").exists()
+        assert results["nested"] == results["flat"]

@@ -1,11 +1,21 @@
+import datetime
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import mutate_csv_cell
 from streetcrop import neuralnet as nn
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import GeoPoint, Heading
 from streetcrop.imageclassifier import (
     CALIFORNIA,
+    CATALOG_HEADER,
     ILLINOIS,
     LabeledImage,
     LabelTaxonomy,
@@ -17,7 +27,7 @@ from streetcrop.imageclassifier import (
     train_image_classifier,
     write_catalog,
 )
-from streetcrop.imagery import ImageTensor, StreetImageRecord
+from streetcrop.imagery import ImageDecodeError, ImageTensor, StreetImageRecord, encode_image
 
 
 def fake_image(seed, size=8):
@@ -37,6 +47,22 @@ def fake_labeled(n, label, start=0, confidence=None, size=8):
         )
         items.append(LabeledImage(rec, label, confidence))
     return items
+
+
+def write_two_row_catalog(tmp_path):
+    """A labeled two-image catalog at tmp_path/catalog.csv, images in tmp_path/images."""
+    items = []
+    for i, label in enumerate((0, 1)):
+        path = tmp_path / "images" / f"img_{i}.ppm"
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(encode_image(fake_image(i)))
+        rec = StreetImageRecord(
+            f"img_{i}", GeoPoint(0.001 * i, 0.002), Heading.EAST, path=path,
+            capture_date=datetime.date(2013, 7, 1),
+        )
+        items.append(LabeledImage(rec, label, 0.75))
+    write_catalog(items, ILLINOIS, tmp_path / "catalog.csv")
+    return tmp_path / "catalog.csv"
 
 
 class TestTaxonomy:
@@ -237,6 +263,7 @@ class TestCatalogIO:
                     li.record.heading,
                     li.record.image,
                     capture_date=datetime.date(2013, 7, 1),
+                    path=tmp_path / "images" / f"{li.record.id}.ppm",
                 ),
                 li.label,
                 li.confidence,
@@ -244,12 +271,9 @@ class TestCatalogIO:
             for li in items
         ]
         (tmp_path / "images").mkdir()
-        paths = []
         for li in items:
-            p = tmp_path / "images" / f"{li.record.id}.ppm"
-            p.write_bytes(encode_image(li.record.image))
-            paths.append(f"images/{li.record.id}.ppm")
-        write_catalog(items, paths, ILLINOIS, tmp_path / "catalog.csv")
+            li.record.path.write_bytes(encode_image(li.record.image))
+        write_catalog(items, ILLINOIS, tmp_path / "catalog.csv")
         back = read_catalog(tmp_path / "catalog.csv", ILLINOIS)
         assert len(back) == 3
         for orig, loaded in zip(items, back):
@@ -265,9 +289,65 @@ class TestCatalogIO:
         with pytest.raises(DataValidationError):
             read_catalog(tmp_path / "absent.csv", ILLINOIS)
 
+    def test_read_decodes_on_first_use_only(self, tmp_path):
+        catalog = write_two_row_catalog(tmp_path)
+        ppm = tmp_path / "images" / "img_0.ppm"
+        intact = ppm.read_bytes()
+        ppm.write_bytes(intact[:20])
+        labeled = read_catalog(catalog, ILLINOIS)
+        assert labeled[0].record.path.resolve() == ppm.resolve()
+        with pytest.raises(ImageDecodeError):
+            labeled[0].record.image
+        ppm.write_bytes(intact)
+        image = labeled[0].record.image
+        assert image is labeled[0].record.image
+        np.testing.assert_array_equal(image.values, fake_image(0).values)
+
+    def test_unlabeled_rows_round_trip(self, tmp_path):
+        catalog = write_two_row_catalog(tmp_path)
+        unlabeled = [LabeledImage(li.record) for li in read_catalog(catalog, ILLINOIS)]
+        write_catalog(unlabeled, ILLINOIS, tmp_path / "sub" / "campaign.csv")
+        rows = (tmp_path / "sub" / "campaign.csv").read_text().splitlines()
+        assert rows[1].split(",")[1:4] == ["../images/img_0.ppm", "", ""]
+        back = read_catalog(tmp_path / "sub" / "campaign.csv", ILLINOIS)
+        assert [li.label for li in back] == [None, None]
+        assert [li.record.path.resolve() for li in back] == [li.record.path for li in unlabeled]
+
+    def test_record_without_file_cannot_be_written(self, tmp_path):
+        with pytest.raises(DataValidationError, match="no file"):
+            write_catalog(fake_labeled(1, 0), ILLINOIS, tmp_path / "catalog.csv")
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        row=st.integers(0, 1),
+        column=st.integers(0, len(CATALOG_HEADER)),
+        value=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    )
+    def test_mutated_rows_raise_only_data_errors(self, tmp_path, row, column, value):
+        catalog = write_two_row_catalog(tmp_path)
+        mutate_csv_cell(catalog, row, column, value)
+        try:
+            read_catalog(catalog, ILLINOIS)
+        except DataValidationError as exc:
+            assert str(catalog) in str(exc)
+
 
 class TestRejectionList:
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "reject.txt"
         path.write_text("# header comment\nimg_1\n\nimg_2  # trailing\n")
         assert read_rejection_list(path) == {"img_1", "img_2"}
+
+
+def test_street_images_demo_runs(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / "04_street_images.py")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "held-out accuracy" in proc.stdout

@@ -186,13 +186,13 @@ class TestAgreementReport:
 
     def test_all_matching(self):
         pts = [self.point(0, 0, 0), self.point(0, 1, 1), self.point(1, 0, 1)]
-        report = agreement_report(pts, self.truth_grid(), ("a", "b"))
+        report, _ = agreement_report(pts, self.truth_grid(), ("a", "b"))
         assert report.overall_fraction == 1.0
         assert report.fraction("a") == 1.0
 
     def test_empty_class_omitted(self):
         pts = [self.point(0, 0, 0)]
-        report = agreement_report(pts, self.truth_grid(), ("a", "b"))
+        report, _ = agreement_report(pts, self.truth_grid(), ("a", "b"))
         assert report.class_names == ("a",)
 
     def test_out_of_extent_point(self):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import kept_images_from_world, make_grid, world_shift_params
+from conftest import kept_images_from_world, make_grid, mutate_csv_cell, world_shift_params
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import GeoPoint, Heading, ShiftParams, geo_distance
 from streetcrop.imageclassifier import ILLINOIS, LabeledImage
 from streetcrop.imagery import ImageTensor, StreetImageRecord
 from streetcrop.refgen import (
+    REFERENCE_HEADER,
     generate_reference_points,
     read_reference_csv,
     sample_class_points,
@@ -151,3 +154,24 @@ class TestReferenceCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataValidationError):
             read_reference_csv(tmp_path / "absent.csv", ILLINOIS)
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        row=st.integers(0, 1),
+        column=st.integers(0, len(REFERENCE_HEADER)),
+        value=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    )
+    def test_mutated_rows_raise_only_data_errors(self, tmp_path, row, column, value):
+        images = [
+            image_at(GeoPoint(0.001, 0.002), Heading.EAST, 0, idx=0),
+            image_at(GeoPoint(0.003, 0.004), Heading.WEST, 1, idx=1),
+        ]
+        path = tmp_path / "refs.csv"
+        write_reference_csv(generate_reference_points(images, SP).points, ILLINOIS, path)
+        mutate_csv_cell(path, row, column, value)
+        try:
+            read_reference_csv(path, ILLINOIS)
+        except DataValidationError as exc:
+            assert str(path) in str(exc)
