@@ -3,9 +3,10 @@ Vegetation indices, QA masking and temporal gap filling
 =======================================================
 
 Pixel classification feeds on per-date band values and four indices
-derived from them. This demo computes the indices on a toy grid, knocks
-out cells with a QA mask, and shows how a per-pixel time series is
-gap-filled before it reaches the model.
+derived from them. This demo computes the indices on a toy grid, then
+builds a ``SceneStack`` over three scenes and shows how the QA grid masks
+cells and how each per-pixel time series is gap-filled before it reaches
+the model.
 """
 
 import datetime
@@ -18,14 +19,12 @@ from streetcrop.rasterstack import (
     BAND_NAMES,
     FeatureName,
     RasterGrid,
-    apply_qa_mask,
+    SceneManifest,
+    SceneStack,
     compute_index,
-    extract_feature_stack,
     write_grid,
     write_manifest,
-    SceneManifest,
 )
-from streetcrop.geocore import GeoPoint
 
 
 def grid(values):
@@ -44,20 +43,15 @@ print("  NDVI:\n", ndvi.values)
 print("  EVI:\n", evi.values)
 
 print()
-print("QA masking (0 = clear, anything else drops the cell)")
+print("Per-pixel temporal stacks: QA masking and gap filling")
 print("-----------------------------------------------------")
-qa = grid([[0, 1], [0, 0]])
-masked = apply_qa_mask(nir, qa)
-print("  NIR after masking:\n", masked.values)
-
-print()
-print("Per-pixel temporal stacks with gap filling")
-print("------------------------------------------")
-# Three scenes; the middle one is fully cloudy, so its values are
-# interpolated from the neighbors before the model sees them.
+# Three scenes. QA 0 is clear and anything else masks the cell: the
+# middle scene is cloudy (QA 1) except in its top-right cell, so the
+# other cells' values are interpolated from the neighboring dates before
+# the model sees them.
 workdir = Path(tempfile.mkdtemp())
 dates = [datetime.date(2013, 5, 1) + datetime.timedelta(days=30 * i) for i in range(3)]
-nir_by_date = [0.2, 0.9, 0.4]  # the 0.9 is hidden behind clouds
+nir_by_date = [0.2, 0.9, 0.4]  # the 0.9 is clouded over in three of four cells
 manifests = []
 for date, nir_value in zip(dates, nir_by_date):
     band_paths = {}
@@ -66,7 +60,9 @@ for date, nir_value in zip(dates, nir_by_date):
         name = f"{date.isoformat()}_{band}.grid"
         write_grid(grid(np.full((2, 2), value)), workdir / name)
         band_paths[band] = name
-    qa_values = np.full((2, 2), 1.0 if date == dates[1] else 0.0)
+    qa_values = np.zeros((2, 2))
+    if date == dates[1]:
+        qa_values = np.array([[1.0, 0.0], [1.0, 1.0]])
     write_grid(grid(qa_values), workdir / f"{date.isoformat()}_qa.grid")
     manifest = SceneManifest(date, band_paths, f"{date.isoformat()}_qa.grid")
     write_manifest(manifest, workdir / f"{date.isoformat()}.manifest")
@@ -78,7 +74,13 @@ for date, nir_value in zip(dates, nir_by_date):
         )
     )
 
-stack = extract_feature_stack(manifests, [FeatureName.NIR, FeatureName.NDVI], GeoPoint(0.001, 0.001))
-print("  dates:     ", [d.isoformat() for d in stack.dates])
-print("  NIR series:", np.round(stack.matrix[:, 0], 3), "(middle value interpolated)")
-print("  observed?  ", stack.valid_mask[:, 0])
+stack = SceneStack.from_manifests(manifests)
+print("  dates:", [d.isoformat() for d in stack.dates])
+print("  clear (QA == 0) in the middle scene:\n", stack.clear[1])
+matrix, observed, usable = stack.fill_cells(
+    slice(None), slice(None), [FeatureName.NIR, FeatureName.NDVI]
+)
+for row, col in ((0, 0), (0, 1)):
+    print(f"  cell ({row}, {col}) NIR series:", np.round(matrix[row, col, :, 0], 3),
+          "observed:", observed[row, col, :, 0])
+print("  every cell usable:", bool(usable.all()))

@@ -50,9 +50,10 @@ print("----------------------------------")
 path = Path(tempfile.mkdtemp()) / "toy.rtnn"
 nn.serialize_model(net, path)
 loaded = nn.deserialize_model(path)
-probe = rng.normal(size=8)
-same = np.array_equal(nn.forward(net, probe), nn.forward(loaded, probe))
+probes = rng.normal(size=(5, 8))
+same = np.array_equal(net.forward_batch(probes), loaded.forward_batch(probes))
 print(f"  {path.name}: {path.stat().st_size} bytes, predictions identical: {same}")
 
-label, confidence = nn.predict(loaded, probe)
-print(f"  prediction for a random probe: class {label} at confidence {confidence:.3f}")
+labels, confidences = nn.predict_batch(loaded, probes)
+print(f"  predictions for {len(probes)} random probes: classes {labels.tolist()}")
+print(f"  at confidences {np.round(confidences, 3).tolist()}")

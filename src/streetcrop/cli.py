@@ -73,8 +73,12 @@ class RunConfig:
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
         raw = path.read_bytes()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: config is not UTF-8 text: {exc}") from None
         values: dict[str, str] = {}
-        for n, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+        for n, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -83,9 +87,6 @@ class RunConfig:
             key, value = stripped.split("=", 1)
             values[key.strip()] = value.strip()
         return cls(values, path.parent.resolve(), raw, seed=seed)
-
-    def get(self, key: str, default=None) -> str | None:
-        return self.values.get(key, default)
 
     def get_float(self, key: str, default: float) -> float:
         raw = self.values.get(key)
@@ -157,7 +158,7 @@ class RunConfig:
             learning_rate=self.get_float("net.learning_rate", 0.01),
             momentum=self.get_float("net.momentum", 0.9),
             batch_size=self.get_int("net.batch_size", 32),
-            dropout_rate=self.get_float("net.dropout_rate", 0.2),
+            dropout_rate=self.get_float("net.dropout_rate", neuralnet.TrainConfig.dropout_rate),
             seed=self.seed,
         )
 
@@ -242,12 +243,12 @@ def _selected_features(run: _Run) -> tuple[FeatureName, ...]:
     selection_csv = run.cfg.path("paths.selection") or (run.out / "selection.csv")
     if selection_csv.exists():
         run.inputs.append(selection_csv)
-        names = [
-            line.strip()
-            for line in selection_csv.read_text().splitlines()[1:]
-            if line.strip()
-        ]
-        return tuple(FeatureName(n) for n in names)
+        return tuple(
+            imageclassifier.read_csv_rows(
+                selection_csv, ["feature"], lambda row: FeatureName(row["feature"]),
+                "feature selection",
+            )
+        )
     raise UsageError(
         "no feature list: set features.selected or run select-features first"
     )
@@ -339,21 +340,22 @@ def _cmd_fetch(run: _Run):
     index = FixtureIndex(fixtures)
     out = run.output_path("paths.campaign_catalog", "campaign.csv")
     size = run.cfg.get_int("fetch.image_px", 640)
+    points = imageclassifier.read_csv_rows(
+        grid_csv, ["lat", "lon"], lambda row: GeoPoint(float(row["lat"]), float(row["lon"])),
+        "sampling grid",
+    )
     # a fixture can satisfy several nearby grid points; keep the first hit
     unique: dict[str, LabeledImage] = {}
     hits = misses = 0
-    with open(grid_csv, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            point = GeoPoint(float(row["lat"]), float(row["lon"]))
-            for heading in Heading:
-                try:
-                    rec = index.fetch(StreetRequest(point, heading, (size, size)))
-                except FixtureNotFoundError:
-                    misses += 1
-                    continue
-                hits += 1
-                unique.setdefault(rec.id, LabeledImage(rec))
+    for point in points:
+        for heading in Heading:
+            try:
+                rec = index.fetch(StreetRequest(point, heading, (size, size)))
+            except FixtureNotFoundError:
+                misses += 1
+                continue
+            hits += 1
+            unique.setdefault(rec.id, LabeledImage(rec))
     imageclassifier.write_catalog(unique.values(), run.cfg.taxonomy, out)
     print(
         f"fetched {len(unique)} images "

@@ -35,6 +35,9 @@ from .refgen import ReferencePoint
 #: Minimum reference points per class before pixel training is allowed.
 MIN_POINTS_PER_CLASS = 5
 
+#: Share of each class's usable points held out for validation.
+VAL_FRACTION = 0.2
+
 
 @dataclass(frozen=True)
 class FeatureSelectionResult:
@@ -70,12 +73,6 @@ class MapEvaluation:
     truth_area_counts: dict[int, int]
 
 
-def _as_stack(scenes) -> SceneStack:
-    if isinstance(scenes, SceneStack):
-        return scenes
-    return SceneStack.from_manifests(scenes)
-
-
 def _point_stacks(stack: SceneStack, points: Sequence[ReferencePoint], features):
     """(x, y, dropped): model inputs and labels of every usable point."""
     cells = [stack.template.cell_index(pt.location) for pt in points]
@@ -87,7 +84,7 @@ def _point_stacks(stack: SceneStack, points: Sequence[ReferencePoint], features)
     return matrix[usable][:, None], labels[usable], int((~usable).sum())
 
 
-def _stratified_split(y: np.ndarray, val_fraction: float, seed: int):
+def _stratified_split(y: np.ndarray, seed: int):
     """Index split keeping at least one sample of every class per side."""
     rng = np.random.default_rng(seed)
     train_idx, val_idx = [], []
@@ -98,15 +95,14 @@ def _stratified_split(y: np.ndarray, val_fraction: float, seed: int):
                 f"class {int(label)} has {members.size} usable points; cannot split"
             )
         order = members[rng.permutation(members.size)]
-        n_val = min(members.size - 1, max(1, int(round(members.size * val_fraction))))
+        n_val = min(members.size - 1, max(1, int(round(members.size * VAL_FRACTION))))
         val_idx.extend(order[:n_val])
         train_idx.extend(order[n_val:])
     return np.array(sorted(train_idx)), np.array(sorted(val_idx))
 
 
 def _train_once(x, y, train_idx, val_idx, n_classes: int, cfg: TrainConfig):
-    rate = 0.2 if cfg.dropout_rate is None else cfg.dropout_rate
-    spec = neuralnet.default_pixel_spec(x.shape[2], x.shape[3], n_classes, dropout_rate=rate)
+    spec = neuralnet.default_pixel_spec(x.shape[2], x.shape[3], n_classes, cfg.dropout_rate)
     net = neuralnet.build_network(spec, seed=cfg.seed)
     net, history = neuralnet.train(
         net, (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx]), cfg
@@ -117,10 +113,9 @@ def _train_once(x, y, train_idx, val_idx, n_classes: int, cfg: TrainConfig):
 def forward_select(
     candidates: Sequence[FeatureName],
     refpoints: Sequence[ReferencePoint],
-    scenes,
+    stack: SceneStack,
     taxonomy: LabelTaxonomy,
     cfg: TrainConfig = TrainConfig(epochs=20),
-    val_fraction: float = 0.2,
 ) -> FeatureSelectionResult:
     """Greedy forward selection of model input features.
 
@@ -137,9 +132,8 @@ def forward_select(
         raise DataValidationError("forward selection needs at least 2 candidates")
     if len(set(candidates)) != len(candidates):
         raise DataValidationError("candidate features must be unique")
-    stack = _as_stack(scenes)
     x_all, y, dropped = _point_stacks(stack, refpoints, candidates)
-    train_idx, val_idx = _stratified_split(y, val_fraction, cfg.seed)
+    train_idx, val_idx = _stratified_split(y, cfg.seed)
 
     enum_order = list(FeatureName)
     remaining = sorted(candidates, key=enum_order.index)
@@ -183,10 +177,9 @@ def forward_select(
 def train_pixel_classifier(
     features: Sequence[FeatureName],
     refpoints: Sequence[ReferencePoint],
-    scenes,
+    stack: SceneStack,
     taxonomy: LabelTaxonomy,
     cfg: TrainConfig = TrainConfig(epochs=20),
-    val_fraction: float = 0.2,
 ) -> PixelTrainResult:
     """Train the pixel network on reference-point stacks.
 
@@ -196,8 +189,6 @@ def train_pixel_classifier(
     below ``MIN_POINTS_PER_CLASS``, is an error.
     """
     features = list(features)
-    if not features:
-        raise DataValidationError("feature list must be nonempty")
     labels = np.array([pt.label for pt in refpoints], dtype=np.int64)
     for idx, name in enumerate(taxonomy.class_names):
         n = int((labels == idx).sum()) if labels.size else 0
@@ -205,9 +196,8 @@ def train_pixel_classifier(
             raise DataValidationError(
                 f"class {name!r} has {n} reference points; need {MIN_POINTS_PER_CLASS}"
             )
-    stack = _as_stack(scenes)
     x, y, dropped = _point_stacks(stack, refpoints, features)
-    train_idx, val_idx = _stratified_split(y, val_fraction, cfg.seed)
+    train_idx, val_idx = _stratified_split(y, cfg.seed)
     if np.unique(y[train_idx]).size != len(taxonomy):
         raise DataValidationError("a class vanished from the training split")
     net, history = _train_once(x, y, train_idx, val_idx, len(taxonomy), cfg)
@@ -218,7 +208,7 @@ def train_pixel_classifier(
 
 def predict_crop_map(
     net: Network,
-    scenes,
+    stack: SceneStack,
     features: Sequence[FeatureName],
     extent: BoundingBox,
     taxonomy: LabelTaxonomy,
@@ -230,7 +220,6 @@ def predict_crop_map(
     nodata. The output grid keeps the scenes' cell size and alignment.
     """
     features = list(features)
-    stack = _as_stack(scenes)
     expected = (1, stack.n_scenes, len(features))
     if tuple(net.spec.input_shape) != expected:
         raise DataValidationError(
@@ -314,22 +303,23 @@ def write_crop_map(crop_map: CropMap, path: str | Path) -> Path:
     return legend
 
 
-def read_crop_map(path: str | Path, taxonomy: LabelTaxonomy | None = None) -> CropMap:
+def read_crop_map(path: str | Path, taxonomy: LabelTaxonomy) -> CropMap:
+    """A crop map whose ``index=name`` legend must list ``taxonomy``'s classes."""
     grid = read_grid(path)
     legend = Path(str(path) + ".legend")
     if not legend.exists():
         raise DataValidationError(f"legend sidecar not found: {legend}")
     names = []
-    for line in legend.read_text().splitlines():
+    for n, line in enumerate(legend.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        idx, name = line.split("=", 1)
-        if int(idx) != len(names):
-            raise DataValidationError(f"{legend}: legend indices must be dense and ordered")
+        idx, _, name = line.partition("=")
+        if idx != str(len(names)):
+            raise DataValidationError(
+                f"{legend}:{n}: expected '{len(names)}=<class name>', got {line!r}"
+            )
         names.append(name)
-    if taxonomy is None:
-        taxonomy = LabelTaxonomy("custom", tuple(names))
-    elif taxonomy.class_names != tuple(names):
+    if taxonomy.class_names != tuple(names):
         raise DataValidationError("legend does not match the provided taxonomy")
     return CropMap(grid, taxonomy)
 

@@ -74,12 +74,6 @@ class BoundingBox:
         if self.min_lat_deg >= self.max_lat_deg or self.min_lon_deg >= self.max_lon_deg:
             raise DataValidationError("degenerate bounding box (zero or negative extent)")
 
-    def contains(self, p: GeoPoint) -> bool:
-        return (
-            self.min_lat_deg <= p.lat_deg <= self.max_lat_deg
-            and self.min_lon_deg <= p.lon_deg <= self.max_lon_deg
-        )
-
     @property
     def mid_lat_deg(self) -> float:
         return 0.5 * (self.min_lat_deg + self.max_lat_deg)

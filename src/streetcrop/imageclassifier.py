@@ -141,8 +141,8 @@ def train_image_classifier(
 ):
     """Train the street-image network; returns (net, validation history).
 
-    A set ``cfg.dropout_rate`` becomes the rate of every Dropout layer of
-    the spec, so the trained network's spec records the rate it used.
+    ``cfg.dropout_rate`` becomes the rate of every Dropout layer of the
+    spec, so the trained network's spec records the rate it used.
     """
     present = {li.label for li in train_images}
     missing = [n for i, n in enumerate(taxonomy.class_names) if i not in present]
@@ -152,8 +152,7 @@ def train_image_classifier(
     x_val, y_val = images_to_arrays(val_images)
     if net_spec is None:
         net_spec = neuralnet.default_image_spec(x_train.shape[1:], len(taxonomy))
-    if cfg.dropout_rate is not None:
-        net_spec = neuralnet.clone_spec_with_dropout(net_spec, cfg.dropout_rate)
+    net_spec = neuralnet.clone_spec_with_dropout(net_spec, cfg.dropout_rate)
     if net_spec.n_classes != len(taxonomy):
         raise DataValidationError("network class count does not match the taxonomy")
     net = neuralnet.build_network(net_spec, seed=cfg.seed)

@@ -73,10 +73,6 @@ class ImageTensor:
     def width(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def channels(self) -> int:
-        return 3
-
 
 @dataclass(frozen=True)
 class StreetRequest:
@@ -247,14 +243,9 @@ class FixtureIndex:
         if not self.directory.is_dir():
             raise DataValidationError(f"fixture directory not found: {self.directory}")
         self._buckets: dict[tuple[int, int, int], list] = {}
-        self._count = 0
         for path, point, heading_deg in _scan_fixtures(self.directory):
             key = self._key(point, heading_deg)
             self._buckets.setdefault(key, []).append((path, point))
-            self._count += 1
-
-    def __len__(self) -> int:
-        return self._count
 
     def _key(self, p: GeoPoint, heading_deg: int):
         return (

@@ -130,7 +130,8 @@ class TrainConfig:
     learning_rate: float = 0.01
     momentum: float = 0.9
     batch_size: int = 32
-    dropout_rate: float | None = None
+    #: The one dropout default: every network the classifiers train uses it.
+    dropout_rate: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -142,7 +143,7 @@ class TrainConfig:
             raise DataValidationError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise DataValidationError("batch size must be >= 1")
-        if self.dropout_rate is not None and not (0.0 <= self.dropout_rate < 1.0):
+        if not (0.0 <= self.dropout_rate < 1.0):
             raise DataValidationError("dropout rate must be in [0, 1)")
 
 
@@ -432,6 +433,11 @@ class Network:
         return [layer for layer in self.layers if isinstance(layer, _DropoutLayer)]
 
     def forward_batch(self, x, train=False, rng=None, stats=None):
+        """Class probabilities ``(n, n_classes)`` for inputs ``(n, *input_shape)``.
+
+        Dropout fires only when ``train`` (inverted scaling, so inference
+        needs no rescale) and then draws its masks from ``rng``.
+        """
         if x.shape[1:] != self.spec.input_shape:
             raise ShapeMismatchError(
                 f"input shape {x.shape[1:]} != expected {self.spec.input_shape}"
@@ -497,20 +503,6 @@ def build_network(spec: NetworkSpec, seed: int) -> Network:
     return Network(spec, layers)
 
 
-def forward(net: Network, x: np.ndarray, mode: str = "infer", rng=None) -> np.ndarray:
-    """Class-probability vector for one input tensor.
-
-    Dropout fires only in ``train`` mode (inverted scaling, so inference
-    needs no rescale).
-    """
-    if mode not in ("train", "infer"):
-        raise DataValidationError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if mode == "train" and rng is None:
-        rng = np.random.default_rng(0)
-    probs = net.forward_batch(np.asarray(x)[None], train=(mode == "train"), rng=rng)
-    return probs[0]
-
-
 def _cross_entropy(probs, labels):
     """(mean clamped cross-entropy, label probabilities, clamped label probabilities)."""
     p_label = probs[np.arange(labels.shape[0]), labels]
@@ -543,18 +535,9 @@ def loss_and_gradients(net: Network, batch, rng=None):
     return loss, grads
 
 
-def predict(net: Network, x: np.ndarray) -> tuple[int, float]:
-    """(label, confidence): argmax of infer-mode probabilities.
-
-    Exact ties resolve to the lowest class index.
-    """
-    probs = forward(net, x, mode="infer")
-    label = int(np.argmax(probs))
-    return label, float(probs[label])
-
-
 def predict_batch(net: Network, x: np.ndarray, batch_size: int = 256):
-    """Vectorized prediction; returns (labels, confidences) arrays."""
+    """(labels, confidences) arrays: the argmax of the inference-mode
+    probabilities and its probability; exact ties take the lowest class."""
     labels = np.empty(x.shape[0], dtype=np.int64)
     confs = np.empty(x.shape[0])
     for start in range(0, x.shape[0], batch_size):
@@ -611,14 +594,14 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
 # --------------------------------------------------------------------------
 
 
-def gradient_check(net: Network, sample, eps: float = 1e-5, nudge_kinks: bool = True) -> float:
+def gradient_check(net: Network, sample, eps: float = 1e-5) -> float:
     """Max relative error between backprop and central finite differences.
 
     ``sample`` is ``(x, label)``. Dropout is disabled for the check so
-    the result is deterministic. With ``nudge_kinks`` the input is
-    perturbed (deterministically) until no ReLU pre-activation or
-    MaxPool window sits within ``10 * eps`` of a gradient
-    discontinuity, where finite differences would be meaningless.
+    the result is deterministic. The input is first perturbed
+    (deterministically) until no ReLU pre-activation or MaxPool window
+    sits within ``10 * eps`` of a gradient discontinuity, where finite
+    differences would be meaningless.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise DataValidationError(f"eps {eps} outside [1e-7, 1e-3]")
@@ -628,12 +611,11 @@ def gradient_check(net: Network, sample, eps: float = 1e-5, nudge_kinks: bool = 
     for layer, _ in saved_rates:
         layer.rate = 0.0
     try:
-        if nudge_kinks:
-            for attempt in range(16):
-                if net.kink_margin(x) > 10.0 * eps:
-                    break
-                jitter = np.random.default_rng(1000 + attempt).uniform(-1, 1, size=x.shape)
-                x = x + 64.0 * eps * jitter
+        for attempt in range(16):
+            if net.kink_margin(x) > 10.0 * eps:
+                break
+            jitter = np.random.default_rng(1000 + attempt).uniform(-1, 1, size=x.shape)
+            x = x + 64.0 * eps * jitter
         labels = np.array([label])
         _, grads = loss_and_gradients(net, (x[None], labels))
         # a probe of layer k's parameters changes no activation before layer
@@ -798,7 +780,9 @@ def deserialize_model(path: str | Path) -> Network:
 
 
 def default_image_spec(
-    input_shape: tuple[int, int, int], n_classes: int, dropout_rate: float = 0.2
+    input_shape: tuple[int, int, int],
+    n_classes: int,
+    dropout_rate: float = TrainConfig.dropout_rate,
 ) -> NetworkSpec:
     """Three conv/pool blocks then a dense head, for street images."""
     return NetworkSpec(
@@ -824,7 +808,10 @@ def default_image_spec(
 
 
 def default_pixel_spec(
-    n_scenes: int, n_features: int, n_classes: int, dropout_rate: float = 0.2
+    n_scenes: int,
+    n_features: int,
+    n_classes: int,
+    dropout_rate: float = TrainConfig.dropout_rate,
 ) -> NetworkSpec:
     """Two same-padded conv layers over a (1, T, F) temporal stack."""
     return NetworkSpec(
@@ -867,9 +854,7 @@ __all__ = [
     "TrainingDivergedError",
     "SerializationError",
     "build_network",
-    "forward",
     "loss_and_gradients",
-    "predict",
     "predict_batch",
     "accuracy",
     "train",

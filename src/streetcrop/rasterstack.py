@@ -75,8 +75,6 @@ class FeatureName(str, Enum):
     SWIR2 = "SWIR2"
 
 
-INDEX_FEATURES = (FeatureName.NDVI, FeatureName.EVI, FeatureName.ENDVI, FeatureName.LSWI)
-
 _INDEX_BANDS = {
     FeatureName.NDVI: ("NIR", "Red"),
     FeatureName.EVI: ("NIR", "Red", "Blue"),
@@ -176,7 +174,17 @@ def _header_value(path: Path, key: str, text: str) -> float:
         raise GridFormatError(f"{path}: {key} {text!r} is not a valid value") from None
     if not np.isfinite(value):
         raise GridFormatError(f"{path}: {key} {text!r} is not finite")
+    if key in ("ncols", "nrows") and value < 1:
+        raise GridFormatError(f"{path}: {key} {text!r} is not a positive count")
     return value
+
+
+def _text_lines(path: Path) -> list[str]:
+    """Lines of a grid or manifest file; bytes that are not UTF-8 are a format error."""
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
@@ -188,7 +196,7 @@ def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"grid file not found: {path}")
-    lines = path.read_text().splitlines()
+    lines = _text_lines(path)
     header: dict[str, float] = {}
     idx = 0
     while idx < len(lines) and len(header) < len(_HEADER_KEYS):
@@ -219,14 +227,6 @@ def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
     return RasterGrid(
         ncols, nrows, header["xllcorner"], header["yllcorner"], header["cellsize"], nodata, values
     )
-
-
-def apply_qa_mask(band: RasterGrid, qa: RasterGrid) -> RasterGrid:
-    """Keep cells where QA is 0 (clear); everything else becomes nodata."""
-    if not band.same_georef(qa):
-        raise GeoreferenceMismatchError("band and QA grids are not co-registered")
-    values = np.where(qa.values == 0, band.values, band.nodata)
-    return band.like(values)
 
 
 def _feature_arrays(kind: FeatureName, bands: Mapping[str, tuple[np.ndarray, np.ndarray]]):
@@ -315,7 +315,7 @@ def read_manifest(path: str | Path) -> SceneManifest:
     date = None
     band_paths: dict[str, str] = {}
     qa_path = None
-    for n, line in enumerate(path.read_text().splitlines(), start=1):
+    for n, line in enumerate(_text_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -336,22 +336,6 @@ def read_manifest(path: str | Path) -> SceneManifest:
     if date is None or qa_path is None:
         raise GridFormatError(f"{path}: manifest needs date= and qa= lines")
     return SceneManifest(date, band_paths, qa_path)
-
-
-@dataclass(frozen=True)
-class FeatureStack:
-    """Gap-filled T x F feature matrix for one point.
-
-    ``valid_mask`` records which cells were actually observed; masked
-    cells hold values linearly interpolated over time (nearest valid
-    value at the boundaries).
-    """
-
-    point: GeoPoint
-    features: tuple[FeatureName, ...]
-    dates: tuple[datetime.date, ...]
-    matrix: np.ndarray
-    valid_mask: np.ndarray
 
 
 def _gap_fill(x: np.ndarray, values: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -394,22 +378,18 @@ class SceneStack:
     """
 
     def __init__(
-        self, manifests: Sequence[SceneManifest], template: RasterGrid,
-        clear: np.ndarray, scale: float | None = None,
+        self, manifests: Sequence[SceneManifest], template: RasterGrid, clear: np.ndarray
     ):
         self.manifests = tuple(manifests)
         self.dates = tuple(m.scene_date for m in self.manifests)
         self.template = template
         self.clear = clear  # (T, nrows, ncols) bool, QA == 0
-        self.scale = scale
         self._x = np.array([d.toordinal() for d in self.dates], dtype=np.float64)
         self._bands: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._planes: dict[FeatureName, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
-    def from_manifests(
-        cls, manifests: Sequence[SceneManifest], scale: float | None = None
-    ) -> "SceneStack":
+    def from_manifests(cls, manifests: Sequence[SceneManifest]) -> "SceneStack":
         if not manifests:
             raise DataValidationError("no scenes given")
         dates = [m.scene_date for m in manifests]
@@ -418,7 +398,7 @@ class SceneStack:
         qa = [read_grid(m.qa_path) for m in manifests]
         if not all(grid.same_georef(qa[0]) for grid in qa):
             raise GeoreferenceMismatchError("scene grids are not co-registered")
-        return cls(manifests, qa[0], np.stack([grid.values == 0 for grid in qa]), scale)
+        return cls(manifests, qa[0], np.stack([grid.values == 0 for grid in qa]))
 
     @property
     def n_scenes(self) -> int:
@@ -429,7 +409,7 @@ class SceneStack:
         if name not in self._bands:
             grids = []
             for manifest in self.manifests:
-                grid = read_grid(manifest.band_paths[name], scale=self.scale)
+                grid = read_grid(manifest.band_paths[name])
                 if not grid.same_georef(self.template):
                     raise GeoreferenceMismatchError(
                         f"band {name} of {manifest.scene_date} is not co-registered"
@@ -459,6 +439,8 @@ class SceneStack:
         ``cells``) is false where some feature has no observation in any
         scene, and those cells' matrix entries are meaningless.
         """
+        if not features:
+            raise DataValidationError("feature list must be nonempty")
         filled, observed = [], []
         for feature in features:
             values, valid = self.feature_plane(feature)
@@ -480,24 +462,3 @@ class SceneStack:
                 f"cell ({row}, {col}) has no valid {feature.value} observation"
             )
         return matrix, observed
-
-    def stack_at(self, p: GeoPoint, features: Sequence[FeatureName]) -> FeatureStack:
-        row, col = self.template.cell_index(p)
-        matrix, mask = self.stack_at_cell(row, col, features)
-        return FeatureStack(p, tuple(features), self.dates, matrix, mask)
-
-
-def extract_feature_stack(
-    scenes: Sequence[SceneManifest],
-    features: Sequence[FeatureName],
-    p: GeoPoint,
-    scale: float | None = None,
-) -> FeatureStack:
-    """Per-point temporal feature matrix straight from scene manifests.
-
-    Convenience wrapper over :class:`SceneStack`; batch callers should
-    build the stack once and reuse it.
-    """
-    if not features:
-        raise DataValidationError("feature list must be nonempty")
-    return SceneStack.from_manifests(scenes, scale=scale).stack_at(p, features)

@@ -92,7 +92,7 @@ def generate_reference_points(
 
 
 def sample_class_points(
-    truth: RasterGrid, label: int, count: int, seed: int, id_prefix: str = "raster"
+    truth: RasterGrid, label: int, count: int, seed: int
 ) -> list[ReferencePoint]:
     """Reference points sampled straight off a truth raster's cells.
 
@@ -113,7 +113,7 @@ def sample_class_points(
             ReferencePoint(
                 location=truth.cell_center(row, col),
                 label=label,
-                source_image_id=f"{id_prefix}_{row}_{col}",
+                source_image_id=f"raster_{row}_{col}",
                 shift_m=0.0,
                 extra_steps=0,
             )

@@ -93,15 +93,14 @@ class WorldConfig:
 def square_world_config(
     taxonomy: LabelTaxonomy,
     parcels_per_side: int = 22,
-    anchor: GeoPoint = GeoPoint(0.0, 0.0),
     class_mix: Sequence[str] | None = None,
     proportions: Sequence[float] | None = None,
     **kwargs,
 ) -> WorldConfig:
     """Config whose extent tiles exactly: roads border every parcel row.
 
-    The anchor is the south-west corner; keep it near the equator so a
-    meter is the same fraction of a degree east as north.
+    The south-west corner sits at (0, 0): on the equator a meter is the
+    same fraction of a degree east as north.
     """
     if class_mix is None:
         class_mix = taxonomy.class_names
@@ -116,12 +115,7 @@ def square_world_config(
     )
     ncells = parcels_per_side * probe.period_cells + probe.road_cells
     span = ncells * probe.cellsize_deg
-    extent = BoundingBox(
-        anchor.lat_deg,
-        anchor.lat_deg + span,
-        anchor.lon_deg,
-        anchor.lon_deg + span,
-    )
+    extent = BoundingBox(0.0, span, 0.0, span)
     return WorldConfig(
         taxonomy,
         extent,
@@ -214,21 +208,6 @@ def phenology_value(class_name: str, band: str, doy) -> np.ndarray:
     xs = np.array([p[0] for p in curve], dtype=np.float64)
     ys = np.array([p[1] for p in curve], dtype=np.float64)
     return np.interp(np.asarray(doy, dtype=np.float64), xs, ys)
-
-
-def phenology_separation(classes: Sequence[str], dates: Sequence[datetime.date]) -> float:
-    """Worst-case class-pair separation: min over pairs of the largest
-    per-band per-date reflectance difference."""
-    doys = [d.timetuple().tm_yday for d in dates]
-    worst = np.inf
-    for i, a in enumerate(classes):
-        for b in classes[i + 1 :]:
-            best = 0.0
-            for band in BAND_NAMES:
-                diff = np.abs(phenology_value(a, band, doys) - phenology_value(b, band, doys))
-                best = max(best, float(diff.max()))
-            worst = min(worst, best)
-    return worst
 
 
 # --------------------------------------------------------------------------
@@ -357,15 +336,15 @@ def _image_rng(cfg_seed: int, seed: int, p: GeoPoint, h: Heading) -> np.random.G
     return np.random.default_rng(zlib.crc32(key.encode("ascii")))
 
 
-def facing_class(world: World, p: GeoPoint, h: Heading, max_range_m: float | None = None) -> int:
+def facing_class(world: World, p: GeoPoint, h: Heading) -> int:
     """Class of the first parcel cell along the view direction.
 
-    Falls back to "others" when the ray runs out of range (looking down
-    the road axis) or leaves the world.
+    Falls back to "others" when the ray runs out of range (the road
+    width plus two cells, as when looking down the road axis) or leaves
+    the world.
     """
     cfg = world.cfg
-    if max_range_m is None:
-        max_range_m = cfg.road_width_m + 2.0 * cfg.cell_m
+    max_range_m = cfg.road_width_m + 2.0 * cfg.cell_m
     x, y = world.to_local(p)
     dx = {Heading.EAST: 1.0, Heading.WEST: -1.0}.get(h, 0.0)
     dy = {Heading.SOUTH: 1.0, Heading.NORTH: -1.0}.get(h, 0.0)
@@ -381,15 +360,14 @@ def facing_class(world: World, p: GeoPoint, h: Heading, max_range_m: float | Non
     return world.taxonomy.others_index
 
 
-def render_street_image(
-    world: World, p: GeoPoint, h: Heading, size_px: int | None = None, seed: int = 0
-) -> ImageTensor:
-    """Procedural roadside view: sky band over the facing class texture."""
+def render_street_image(world: World, p: GeoPoint, h: Heading, seed: int = 0) -> ImageTensor:
+    """Procedural roadside view, ``cfg.image_px`` square: sky band over the
+    facing class texture."""
     cfg = world.cfg
     row_mask, col_mask = world.truth.cell_index(p)
     if world.road_mask.values[row_mask, col_mask] != 1:
         raise DataValidationError("camera point is not on a road cell")
-    size = cfg.image_px if size_px is None else size_px
+    size = cfg.image_px
     cls = facing_class(world, p, h)
     base, freq, speckle = TEXTURES[world.taxonomy.class_names[cls]]
     rng = _image_rng(cfg.seed, seed, p, h)

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from streetcrop.geocore import Heading, ShiftParams
 from streetcrop.imageclassifier import ILLINOIS, LabeledImage
@@ -80,6 +81,23 @@ def world_shift_params(world) -> ShiftParams:
     return ShiftParams(
         road_width_y_m=world.cfg.road_width_m, pixel_size_x_m=world.cfg.cell_m
     )
+
+
+#: Up to four byte edits for :func:`mutate_bytes`.
+BYTE_EDITS = st.lists(
+    st.tuples(st.integers(0, 10_000), st.binary(max_size=3)), min_size=1, max_size=4
+)
+
+
+def mutate_bytes(data, edits):
+    """``data`` with each ``(position, replacement)`` edit applied in turn: the
+    byte at ``position`` (modulo the length) becomes ``replacement``, so one
+    edit substitutes, deletes or inserts bytes."""
+    data = bytearray(data)
+    for position, replacement in edits:
+        at = position % len(data)
+        data[at : at + 1] = replacement
+    return bytes(data)
 
 
 def mutate_csv_cell(path, row, column, value):

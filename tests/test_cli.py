@@ -266,6 +266,33 @@ class TestMalformedRows:
         assert run_command(["qc", "--config", str(config), "--out", str(tmp_path)]) == 2
         assert "absent.ppm" in capsys.readouterr().err
 
+    def test_bad_grid_point_is_data_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("lat,lon\n0.001,0.002\nx,0.002\n")
+        (tmp_path / "fixtures").mkdir()
+        config = _config(
+            tmp_path, f"paths.grid_csv = {grid}\npaths.fixtures = {tmp_path / 'fixtures'}\n"
+        )
+        assert run_command(["fetch", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert f"{grid}:3" in capsys.readouterr().err
+
+    def test_unknown_selected_feature_is_data_error(self, mini_run, tmp_path, capsys):
+        _, out = mini_run
+        refs = tmp_path / "refs.csv"
+        refs.write_text(
+            "lat,lon,label,source_image,confidence,shift_m,extra_steps\n"
+            "0.001,0.001,corn,img_a,,45.0,0\n"
+        )
+        selection = tmp_path / "selection.csv"
+        selection.write_text("feature\nEVI\nFOO\n")
+        config = _config(
+            tmp_path,
+            f"paths.refs_csv = {refs}\npaths.scenes = {out / 'world' / 'scenes'}\n"
+            f"paths.selection = {selection}\n",
+        )
+        assert run_command(["train-mapper", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert f"{selection}:3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value", [("lon", "x"), ("extra_steps", "1.5")])
     def test_bad_reference_field_is_data_error(self, tmp_path, capsys, field, value):
         row = {"lat": "0.001", "lon": "0.001", "label": "corn", "source_image": "img_a",
@@ -293,6 +320,12 @@ class TestConfigValues:
         config = _config(tmp_path, f"paths.training_catalog = {catalog}\n" + text)
         assert run_command([command, "--config", str(config), "--out", str(tmp_path)]) == 1
         assert "is not a" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"region = illinois\nseed = 1\ngrid.spacing_m = 3\xff0\n")
+        assert run_command(["grid", "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

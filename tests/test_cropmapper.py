@@ -33,7 +33,7 @@ TWO_CLASS = LabelTaxonomy("toy", ("cropA", "others"))
 
 
 def planted_scenes(tmp_path, n_dates=6, n=8, informative="SWIR2"):
-    """Scenes where exactly one band separates two classes.
+    """A SceneStack over scenes where exactly one band separates two classes.
 
     Class 0 occupies the top half of an n x n grid, class 1 the bottom.
     Every band is identical between classes except ``informative``.
@@ -52,35 +52,35 @@ def planted_scenes(tmp_path, n_dates=6, n=8, informative="SWIR2"):
                 values[n // 2 :] += 0.3
             bands[band] = np.clip(values, 0, 1)
         scenes.append(write_scene(tmp_path / f"s{i}", date, bands, np.zeros((n, n))))
-    return scenes, make_grid(truth, cellsize=0.001)
+    return SceneStack.from_manifests(scenes), make_grid(truth, cellsize=0.001)
 
 
 def planted_points(truth):
-    pts = sample_class_points(truth, 0, 28, seed=1, id_prefix="a")
-    pts += sample_class_points(truth, 1, 28, seed=2, id_prefix="b")
+    pts = sample_class_points(truth, 0, 28, seed=1)
+    pts += sample_class_points(truth, 1, 28, seed=2)
     return pts
 
 
 class TestForwardSelect:
     def test_informative_feature_selected_noise_rejected(self, tmp_path):
-        scenes, truth = planted_scenes(tmp_path, informative="SWIR2")
+        stack, truth = planted_scenes(tmp_path, informative="SWIR2")
         points = planted_points(truth)
         # Red precedes SWIR2 in the tie-break order, so winning on order
         # alone is impossible: SWIR2 must win on accuracy.
         result = forward_select(
-            [FeatureName.Red, FeatureName.SWIR2], points, scenes, TWO_CLASS, FAST_CFG
+            [FeatureName.Red, FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG
         )
         assert result.selected[0] == FeatureName.SWIR2
         assert FeatureName.Red not in result.selected
         assert result.stopping_reason == "no_improvement"
 
     def test_incumbent_history_strictly_increasing(self, tmp_path):
-        scenes, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path)
         points = planted_points(truth)
         result = forward_select(
             [FeatureName.Red, FeatureName.Blue, FeatureName.SWIR2],
             points,
-            scenes,
+            stack,
             TWO_CLASS,
             FAST_CFG,
         )
@@ -88,42 +88,42 @@ class TestForwardSelect:
         assert all(b > a for a, b in zip(hist, hist[1:]))
 
     def test_model_count_bounded_by_triangular_number(self, tmp_path):
-        scenes, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path)
         points = planted_points(truth)
         candidates = [FeatureName.Red, FeatureName.Green, FeatureName.Blue, FeatureName.SWIR2]
-        result = forward_select(candidates, points, scenes, TWO_CLASS, FAST_CFG)
+        result = forward_select(candidates, points, stack, TWO_CLASS, FAST_CFG)
         k = len(candidates)
         assert result.models_trained <= k * (k + 1) // 2
 
     def test_selected_beats_best_single_feature(self, tmp_path):
-        scenes, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path)
         points = planted_points(truth)
         result = forward_select(
-            [FeatureName.Red, FeatureName.SWIR2], points, scenes, TWO_CLASS, FAST_CFG
+            [FeatureName.Red, FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG
         )
         best_single = max(result.step_accuracies[0].values())
         assert result.incumbent_history[-1] >= best_single
 
     def test_fewer_than_two_candidates_rejected(self, tmp_path):
-        scenes, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path)
         with pytest.raises(DataValidationError):
-            forward_select([FeatureName.NDVI], planted_points(truth), scenes, TWO_CLASS, FAST_CFG)
+            forward_select([FeatureName.NDVI], planted_points(truth), stack, TWO_CLASS, FAST_CFG)
 
     def test_duplicate_candidates_rejected(self, tmp_path):
-        scenes, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path)
         with pytest.raises(DataValidationError):
             forward_select(
                 [FeatureName.NDVI, FeatureName.NDVI],
                 planted_points(truth),
-                scenes,
+                stack,
                 TWO_CLASS,
                 FAST_CFG,
             )
 
     def test_report_text(self, tmp_path):
-        scenes, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path)
         result = forward_select(
-            [FeatureName.Red, FeatureName.SWIR2], planted_points(truth), scenes, TWO_CLASS, FAST_CFG
+            [FeatureName.Red, FeatureName.SWIR2], planted_points(truth), stack, TWO_CLASS, FAST_CFG
         )
         report = selection_report_text(result)
         assert "MODEL INPUT" in report
@@ -133,30 +133,31 @@ class TestForwardSelect:
 
 class TestTrainPixelClassifier:
     def test_single_class_rejected(self, tmp_path):
-        scenes, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path)
         points = sample_class_points(truth, 0, 20, seed=1)
         with pytest.raises(DataValidationError):
-            train_pixel_classifier([FeatureName.SWIR2], points, scenes, TWO_CLASS, FAST_CFG)
+            train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG)
 
     def test_minimum_points_per_class(self, tmp_path):
-        scenes, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path)
         points = sample_class_points(truth, 0, 20, seed=1)
         points += sample_class_points(truth, 1, 3, seed=2)
         with pytest.raises(DataValidationError):
-            train_pixel_classifier([FeatureName.SWIR2], points, scenes, TWO_CLASS, FAST_CFG)
+            train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG)
 
     def test_learns_planted_separation(self, tmp_path):
-        scenes, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path)
         result = train_pixel_classifier(
-            [FeatureName.SWIR2], planted_points(truth), scenes, TWO_CLASS, FAST_CFG
+            [FeatureName.SWIR2], planted_points(truth), stack, TWO_CLASS, FAST_CFG
         )
         assert overall_accuracy(result.confusion) >= 0.9
+        assert [layer.rate for layer in result.net.dropout_layers()] == [FAST_CFG.dropout_rate]
 
     def test_same_seed_identical_confusion(self, tmp_path):
-        scenes, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path)
         points = planted_points(truth)
-        a = train_pixel_classifier([FeatureName.SWIR2], points, scenes, TWO_CLASS, FAST_CFG)
-        b = train_pixel_classifier([FeatureName.SWIR2], points, scenes, TWO_CLASS, FAST_CFG)
+        a = train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG)
+        b = train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG)
         np.testing.assert_array_equal(a.confusion.counts, b.confusion.counts)
 
     def test_unusable_points_dropped_with_count(self, tmp_path):
@@ -176,15 +177,15 @@ class TestTrainPixelClassifier:
         truth_values = np.zeros((n, n))
         truth_values[n // 2 :] = 1.0
         truth = make_grid(truth_values, cellsize=0.001)
-        points = sample_class_points(truth, 0, 15, seed=1, id_prefix="a")
-        points += sample_class_points(truth, 1, 15, seed=2, id_prefix="b")
+        points = sample_class_points(truth, 0, 15, seed=1)
+        points += sample_class_points(truth, 1, 15, seed=2)
         # exactly one reference point sits on the always-cloudy cell (0, 0)
         from dataclasses import replace
 
         points = [p for p in points if truth.cell_index(p.location) != (0, 0)]
         points.append(replace(points[0], location=truth.cell_center(0, 0)))
         result = train_pixel_classifier(
-            [FeatureName.SWIR2], points, scenes, TWO_CLASS, FAST_CFG
+            [FeatureName.SWIR2], points, SceneStack.from_manifests(scenes), TWO_CLASS, FAST_CFG
         )
         assert result.dropped_unusable == 1
 
@@ -254,17 +255,16 @@ class TestPredictCropMap:
         kept = kept_images_from_world(world, stride=3)
         points = generate_reference_points(kept, wsp(world)).points
         points += sample_class_points(world.truth, ILLINOIS.others_index, 60, seed=9)
-        points += sample_class_points(
-            world.truth, ILLINOIS.index("corn"), 5, seed=10, id_prefix="pad"
-        )
+        points += sample_class_points(world.truth, ILLINOIS.index("corn"), 5, seed=10)
         # soybean never occurs in this world; pad it so training is legal
-        soy = sample_class_points(world.truth, ILLINOIS.others_index, 5, seed=11, id_prefix="soy")
+        soy = sample_class_points(world.truth, ILLINOIS.others_index, 5, seed=11)
         from dataclasses import replace
 
         points += [replace(p, label=ILLINOIS.index("soybean")) for p in soy]
         features = [FeatureName.EVI, FeatureName.SWIR2]
-        result = train_pixel_classifier(features, points, scenes, ILLINOIS, FAST_CFG)
-        crop_map = predict_crop_map(result.net, scenes, features, cfg.extent, ILLINOIS)
+        stack = SceneStack.from_manifests(scenes)
+        result = train_pixel_classifier(features, points, stack, ILLINOIS, FAST_CFG)
+        crop_map = predict_crop_map(result.net, stack, features, cfg.extent, ILLINOIS)
         parcel_cells = world.road_mask.values == 0
         mapped = crop_map.grid.values[parcel_cells]
         corn = ILLINOIS.index("corn")
@@ -291,9 +291,10 @@ class TestPredictCropMap:
         points += sample_class_points(truth, 1, 6, seed=2)
         points = [p for p in points if truth.cell_index(p.location) != (1, 1)]
         cfg = nn.TrainConfig(epochs=5, seed=0)
-        result = train_pixel_classifier([FeatureName.SWIR2], points, scenes, TWO_CLASS, cfg)
+        stack = SceneStack.from_manifests(scenes)
+        result = train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, cfg)
         extent = BoundingBox(0.0, n * 0.001, 0.0, n * 0.001)
-        crop_map = predict_crop_map(result.net, scenes, [FeatureName.SWIR2], extent, TWO_CLASS)
+        crop_map = predict_crop_map(result.net, stack, [FeatureName.SWIR2], extent, TWO_CLASS)
         assert crop_map.grid.values[1, 1] == crop_map.grid.nodata
         assert (crop_map.grid.values != crop_map.grid.nodata).sum() == n * n - 1
 
@@ -319,9 +320,10 @@ class TestPredictCropMap:
         points += sample_class_points(truth, 1, 6, seed=2)
         points = [p for p in points if truth.cell_index(p.location) != (2, 2)]
         cfg = nn.TrainConfig(epochs=5, seed=0)
-        result = train_pixel_classifier([FeatureName.SWIR2], points, scenes, TWO_CLASS, cfg)
+        stack = SceneStack.from_manifests(scenes)
+        result = train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, cfg)
         extent = BoundingBox(0.0, n * 0.001, 0.0, n * 0.001)
-        crop_map = predict_crop_map(result.net, scenes, [FeatureName.SWIR2], extent, TWO_CLASS)
+        crop_map = predict_crop_map(result.net, stack, [FeatureName.SWIR2], extent, TWO_CLASS)
         assert crop_map.grid.values[1, 1] != crop_map.grid.nodata
         assert crop_map.grid.values[2, 2] == crop_map.grid.nodata
         assert (crop_map.grid.values != crop_map.grid.nodata).sum() == n * n - 1
@@ -360,3 +362,12 @@ class TestCropMapIO:
         write_crop_map(CropMap(grid, ILLINOIS), path)
         with pytest.raises(DataValidationError):
             read_crop_map(path, TWO_CLASS)
+
+    @pytest.mark.parametrize("line", ["corn", "x=corn", "1=corn"])
+    def test_malformed_legend_line_rejected(self, tmp_path, line):
+        grid = make_grid(np.zeros((1, 1)), cellsize=0.001)
+        path = tmp_path / "map.grid"
+        legend = write_crop_map(CropMap(grid, ILLINOIS), path)
+        legend.write_text(legend.read_text().replace("0=corn", line))
+        with pytest.raises(DataValidationError, match="legend:1"):
+            read_crop_map(path, ILLINOIS)

@@ -184,7 +184,8 @@ class TestSamplingGrid:
     def test_all_points_inside_bbox(self):
         bbox = BoundingBox(35.0, 35.013, -119.0, -118.985)
         for p in make_sampling_grid(bbox, 47.0):
-            assert bbox.contains(p)
+            assert bbox.min_lat_deg <= p.lat_deg <= bbox.max_lat_deg
+            assert bbox.min_lon_deg <= p.lon_deg <= bbox.max_lon_deg
 
     def test_adjacent_spacing_matches(self):
         bbox = BoundingBox(35.0, 35.01, -119.0, -118.99)

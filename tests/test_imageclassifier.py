@@ -1,8 +1,4 @@
 import datetime
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,15 +335,3 @@ class TestRejectionList:
         path = tmp_path / "reject.txt"
         path.write_text("# header comment\nimg_1\n\nimg_2  # trailing\n")
         assert read_rejection_list(path) == {"img_1", "img_2"}
-
-
-def test_street_images_demo_runs(tmp_path):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, TMPDIR=str(tmp_path))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "demos" / "04_street_images.py")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "held-out accuracy" in proc.stdout

@@ -1,14 +1,10 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
+from conftest import BYTE_EDITS, mutate_bytes
 from streetcrop import neuralnet as nn
 from streetcrop.errors import DataValidationError
 from streetcrop.neuralnet import (
@@ -75,36 +71,37 @@ class TestBuild:
 class TestForward:
     def test_probabilities_sum_to_one(self):
         net = nn.build_network(small_conv_spec(), seed=3)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            probs = nn.forward(net, rng.normal(size=(2, 6, 6)))
-            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-            assert (probs >= 0).all()
+        probs = net.forward_batch(np.random.default_rng(0).normal(size=(5, 2, 6, 6)))
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        assert (probs >= 0).all()
 
     def test_dropout_rate_zero_train_equals_infer(self):
         spec = NetworkSpec((Dense(4), ReLU(), Dropout(0.0), Dense(2), Softmax()), (3,), 2)
         net = nn.build_network(spec, seed=1)
-        x = np.array([0.5, -0.2, 1.0])
+        x = np.array([[0.5, -0.2, 1.0]])
         np.testing.assert_array_equal(
-            nn.forward(net, x, mode="train"), nn.forward(net, x, mode="infer")
+            net.forward_batch(x, train=True, rng=np.random.default_rng(0)),
+            net.forward_batch(x),
         )
 
     def test_zero_weights_give_uniform(self):
         net = nn.build_network(NetworkSpec((Dense(7), Softmax()), (4,), 7), seed=0)
         for p in net.parameters():
             p[...] = 0.0
-        probs = nn.forward(net, np.ones(4))
+        probs = net.forward_batch(np.ones((1, 4)))
         np.testing.assert_allclose(probs, 1.0 / 7, atol=1e-12)
 
     def test_shape_mismatch(self):
         net = nn.build_network(dense_spec(), seed=0)
         with pytest.raises(ShapeMismatchError):
-            nn.forward(net, np.zeros(5))
+            net.forward_batch(np.zeros((1, 5)))
 
     def test_bad_mode(self):
-        net = nn.build_network(dense_spec(), seed=0)
+        # a train-mode forward draws dropout masks, so it needs an rng
+        spec = NetworkSpec((Dense(4), Dropout(0.5), Dense(2), Softmax()), (3,), 2)
+        net = nn.build_network(spec, seed=0)
         with pytest.raises(DataValidationError):
-            nn.forward(net, np.zeros(3), mode="test")
+            net.forward_batch(np.zeros((1, 3)), train=True)
 
 
 class TestLoss:
@@ -394,23 +391,23 @@ class TestPredict:
 
     def test_argmax_with_confidence(self):
         net = self.crafted_net([0.1, 0.7, 0.2])
-        label, conf = nn.predict(net, np.zeros(1))
-        assert label == 1
-        assert conf == pytest.approx(0.7, abs=1e-9)
+        labels, confs = nn.predict_batch(net, np.zeros((1, 1)))
+        assert labels.tolist() == [1]
+        assert confs[0] == pytest.approx(0.7, abs=1e-9)
 
     def test_exact_tie_takes_lowest_index(self):
         net = self.crafted_net([0.5, 0.5])
-        label, conf = nn.predict(net, np.zeros(1))
-        assert label == 0
-        assert conf == pytest.approx(0.5, abs=1e-12)
+        labels, confs = nn.predict_batch(net, np.zeros((1, 1)))
+        assert labels.tolist() == [0]
+        assert confs[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_confidence_equals_max_probability(self):
         net = nn.build_network(small_conv_spec(), seed=8)
-        x = np.random.default_rng(8).normal(size=(2, 6, 6))
-        label, conf = nn.predict(net, x)
-        probs = nn.forward(net, x)
-        assert conf == probs.max()
-        assert label == int(np.argmax(probs))
+        x = np.random.default_rng(8).normal(size=(4, 2, 6, 6))
+        labels, confs = nn.predict_batch(net, x)
+        probs = net.forward_batch(x)
+        np.testing.assert_array_equal(confs, probs.max(axis=1))
+        np.testing.assert_array_equal(labels, probs.argmax(axis=1))
 
 
 class TestSerialization:
@@ -419,8 +416,8 @@ class TestSerialization:
         path = tmp_path / "model.rtnn"
         nn.serialize_model(net, path)
         loaded = nn.deserialize_model(path)
-        x = np.random.default_rng(10).normal(size=(2, 6, 6))
-        np.testing.assert_array_equal(nn.forward(net, x), nn.forward(loaded, x))
+        x = np.random.default_rng(10).normal(size=(3, 2, 6, 6))
+        np.testing.assert_array_equal(net.forward_batch(x), loaded.forward_batch(x))
 
     def test_dropout_and_padding_survive(self, tmp_path):
         spec = NetworkSpec(
@@ -476,21 +473,13 @@ class TestSerialization:
     @settings(
         max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 10_000), st.binary(max_size=3)), min_size=1, max_size=4
-        )
-    )
+    @given(BYTE_EDITS)
     def test_mutated_header_raises_only_data_errors(self, tmp_path, edits):
         path = tmp_path / "model.rtnn"
         nn.serialize_model(nn.build_network(small_conv_spec(), seed=0), path)
         data = path.read_bytes()
         end = data.index(b"\n", data.index(b"\nweights ") + 1) + 1
-        header, payload = bytearray(data[:end]), data[end:]
-        for position, replacement in edits:
-            at = position % len(header)
-            header[at : at + 1] = replacement
-        path.write_bytes(bytes(header) + payload)
+        path.write_bytes(mutate_bytes(data[:end], edits) + data[end:])
         try:
             nn.deserialize_model(path)
         except DataValidationError:
@@ -501,29 +490,22 @@ class TestDefaultSpecs:
     def test_image_spec_builds_on_32px_input(self):
         spec = nn.default_image_spec((3, 32, 32), 7)
         net = nn.build_network(spec, seed=0)
-        probs = nn.forward(net, np.zeros((3, 32, 32)))
-        assert probs.shape == (7,)
+        probs = net.forward_batch(np.zeros((1, 3, 32, 32)))
+        assert probs.shape == (1, 7)
 
     def test_pixel_spec_builds_for_small_stacks(self):
         spec = nn.default_pixel_spec(10, 4, 3)
         net = nn.build_network(spec, seed=0)
-        probs = nn.forward(net, np.zeros((1, 10, 4)))
-        assert probs.shape == (3,)
+        probs = net.forward_batch(np.zeros((1, 1, 10, 4)))
+        assert probs.shape == (1, 3)
+
+    def test_defaults_train_at_the_config_dropout_rate(self):
+        specs = (nn.default_image_spec((3, 32, 32), 7), nn.default_pixel_spec(10, 4, 3))
+        rates = [ls.rate for spec in specs for ls in spec.layers if isinstance(ls, Dropout)]
+        assert rates == [TrainConfig().dropout_rate] * 2
 
     def test_clone_with_dropout(self):
         spec = nn.default_pixel_spec(10, 4, 3, dropout_rate=0.2)
         clone = nn.clone_spec_with_dropout(spec, 0.5)
         rates = [ls.rate for ls in clone.layers if isinstance(ls, Dropout)]
         assert rates == [0.5]
-
-
-def test_engine_demo_runs(tmp_path):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, TMPDIR=str(tmp_path))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "demos" / "03_cnn_engine.py")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "predictions identical: True" in proc.stdout

@@ -4,10 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_grid, write_scene
+from conftest import BYTE_EDITS, make_grid, mutate_bytes, write_scene
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import GeoPoint
 from streetcrop.rasterstack import (
@@ -20,9 +20,7 @@ from streetcrop.rasterstack import (
     SceneManifest,
     SceneStack,
     UnusablePixelError,
-    apply_qa_mask,
     compute_index,
-    extract_feature_stack,
     read_grid,
     read_manifest,
     sample_pixel,
@@ -125,36 +123,80 @@ class TestGridIO:
         with pytest.raises(GridFormatError):
             self.read_text(tmp_path, text + "0.5 0.25\n")
 
+    def test_negative_count_rejected(self, tmp_path):
+        text = self.HEADER.replace("ncols 2\nnrows 1", "ncols -3\nnrows 0")
+        with pytest.raises(GridFormatError):
+            self.read_text(tmp_path, text)
+
+    def test_non_utf8_byte_rejected(self, tmp_path):
+        path = tmp_path / "bad.grid"
+        path.write_bytes(self.HEADER.encode() + b"0.5 0.\xff\n")
+        with pytest.raises(GridFormatError):
+            read_grid(path)
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(BYTE_EDITS)
+    def test_mutated_grid_raises_only_data_errors(self, tmp_path, edits):
+        path = tmp_path / "g.grid"
+        write_grid(make_grid([[0.125, -9999.0, 3.0], [1.5, 0.25, -2.0]], xll=-119.45), path)
+        path.write_bytes(mutate_bytes(path.read_bytes(), edits))
+        try:
+            read_grid(path)
+        except DataValidationError:
+            pass
+
+
+def one_scene_stack(tmp_path, nir, qa):
+    """A one-scene SceneStack whose bands all hold ``nir`` under QA grid ``qa``."""
+    date = datetime.date(2013, 4, 13)
+    bands = {b: np.asarray(nir, dtype=float) for b in BAND_NAMES}
+    return SceneStack.from_manifests([write_scene(tmp_path, date, bands, np.asarray(qa))])
+
+
+def nir_observed(stack):
+    """(NIR values, observed) planes of a one-scene stack."""
+    matrix, observed, _ = stack.fill_cells(slice(None), slice(None), [FeatureName.NIR])
+    return matrix[..., 0, 0], observed[..., 0, 0]
+
 
 class TestQaMask:
-    def test_all_clear_is_identity(self):
-        band = make_grid([[0.1, 0.2], [0.3, 0.4]])
-        qa = make_grid([[0, 0], [0, 0]])
-        np.testing.assert_array_equal(apply_qa_mask(band, qa).values, band.values)
+    """QA 0 is clear; any other code masks the cell in a SceneStack."""
 
-    def test_all_masked(self):
-        band = make_grid([[0.1, 0.2]])
-        qa = make_grid([[1, 4]])
-        assert (apply_qa_mask(band, qa).values == band.nodata).all()
+    def test_all_clear_is_identity(self, tmp_path):
+        nir = [[0.1, 0.2], [0.3, 0.4]]
+        values, observed = nir_observed(one_scene_stack(tmp_path, nir, [[0, 0], [0, 0]]))
+        np.testing.assert_array_equal(values, nir)
+        assert observed.all()
 
-    def test_checkerboard_masks_half(self):
-        band = make_grid(np.full((4, 4), 0.5))
-        qa = make_grid(np.indices((4, 4)).sum(axis=0) % 2)
-        out = apply_qa_mask(band, qa)
-        assert int((out.values == band.nodata).sum()) == 8
+    def test_all_masked(self, tmp_path):
+        stack = one_scene_stack(tmp_path, [[0.1, 0.2]], [[1, 4]])
+        _, observed, usable = stack.fill_cells(0, slice(None), [FeatureName.NIR])
+        assert not observed.any() and not usable.any()
+        with pytest.raises(UnusablePixelError):
+            stack.stack_at_cell(0, 1, [FeatureName.NIR])
 
-    def test_idempotent(self):
-        band = make_grid([[0.1, 0.2], [0.3, 0.4]])
-        qa = make_grid([[0, 1], [2, 0]])
-        once = apply_qa_mask(band, qa)
-        twice = apply_qa_mask(once, qa)
-        np.testing.assert_array_equal(once.values, twice.values)
+    def test_checkerboard_masks_half(self, tmp_path):
+        qa = np.indices((4, 4)).sum(axis=0) % 2 * 4  # codes 0 and 4
+        _, observed = nir_observed(one_scene_stack(tmp_path, np.full((4, 4), 0.5), qa))
+        np.testing.assert_array_equal(observed, qa == 0)
 
-    def test_georef_mismatch(self):
-        band = make_grid([[0.1]])
-        qa = make_grid([[0]], xll=1.0)
+    def test_idempotent(self, tmp_path):
+        # a band already set to nodata under the mask reads the same as the raw band
+        nir = np.array([[0.1, 0.2], [0.3, 0.4]])
+        qa = np.array([[0, 1], [2, 0]])
+        once = nir_observed(one_scene_stack(tmp_path / "raw", nir, qa))
+        masked = np.where(qa == 0, nir, -9999.0)
+        twice = nir_observed(one_scene_stack(tmp_path / "masked", masked, qa))
+        np.testing.assert_array_equal(once[1], twice[1])
+        np.testing.assert_array_equal(once[0][once[1]], twice[0][twice[1]])
+
+    def test_georef_mismatch(self, tmp_path):
+        stack = one_scene_stack(tmp_path, [[0.1]], [[0]])
+        write_grid(make_grid([[0]], xll=1.0), stack.manifests[0].qa_path)
         with pytest.raises(GeoreferenceMismatchError):
-            apply_qa_mask(band, qa)
+            SceneStack.from_manifests(stack.manifests).fill_cells(0, 0, [FeatureName.NIR])
 
 
 class TestComputeIndex:
@@ -273,23 +315,54 @@ class TestManifests:
         with pytest.raises(GridFormatError):
             read_manifest(path)
 
+    def test_non_utf8_byte_rejected(self, tmp_path):
+        path = tmp_path / "scene.manifest"
+        path.write_bytes(b"date=2013-04-13\nqa=qa\xff.grid\n")
+        with pytest.raises(GridFormatError):
+            read_manifest(path)
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(BYTE_EDITS)
+    def test_mutated_manifest_raises_only_data_errors(self, tmp_path, edits):
+        manifest = SceneManifest(
+            datetime.date(2013, 4, 13), {b: f"{b}.grid" for b in BAND_NAMES}, "qa.grid"
+        )
+        path = tmp_path / "scene.manifest"
+        write_manifest(manifest, path)
+        path.write_bytes(mutate_bytes(path.read_bytes(), edits))
+        try:
+            read_manifest(path)
+        except DataValidationError:
+            pass
+
 
 def uniform_scene(tmp_path, date, value, qa=0, shape=(2, 2)):
     bands = {b: np.full(shape, value) for b in BAND_NAMES}
     return write_scene(tmp_path / date.isoformat(), date, bands, np.full(shape, qa))
 
 
+def stack_at_point(scenes, features):
+    """Gap-filled (T, F) matrix and observed mask of the cell holding (0.001, 0.001)."""
+    stack = SceneStack.from_manifests(scenes)
+    row, col = stack.template.cell_index(GeoPoint(0.001, 0.001))
+    return stack.stack_at_cell(row, col, features)
+
+
 class TestFeatureStack:
+    """The gap-filled (T, F) feature stack of one cell, read through a SceneStack."""
+
     def dates(self, n):
         return [datetime.date(2013, 4, 1) + datetime.timedelta(days=16 * i) for i in range(n)]
 
     def test_no_gaps(self, tmp_path):
         dates = self.dates(3)
         scenes = [uniform_scene(tmp_path, d, 0.2 + 0.1 * i) for i, d in enumerate(dates)]
-        fs = extract_feature_stack(scenes, [FeatureName.NIR, FeatureName.NDVI], GeoPoint(0.001, 0.001))
-        assert fs.valid_mask.all()
-        np.testing.assert_allclose(fs.matrix[:, 0], [0.2, 0.3, 0.4])
-        np.testing.assert_allclose(fs.matrix[:, 1], 0.0, atol=1e-12)  # NIR == Red
+        matrix, observed = stack_at_point(scenes, [FeatureName.NIR, FeatureName.NDVI])
+        assert observed.all()
+        np.testing.assert_allclose(matrix[:, 0], [0.2, 0.3, 0.4])
+        np.testing.assert_allclose(matrix[:, 1], 0.0, atol=1e-12)  # NIR == Red
 
     def test_middle_gap_linear_interpolation(self, tmp_path):
         dates = self.dates(3)
@@ -298,9 +371,9 @@ class TestFeatureStack:
             uniform_scene(tmp_path, dates[1], 0.9, qa=1),  # fully cloudy
             uniform_scene(tmp_path, dates[2], 0.4),
         ]
-        fs = extract_feature_stack(scenes, [FeatureName.NIR], GeoPoint(0.001, 0.001))
-        assert not fs.valid_mask[1, 0]
-        assert fs.matrix[1, 0] == pytest.approx(0.3)
+        matrix, observed = stack_at_point(scenes, [FeatureName.NIR])
+        assert not observed[1, 0]
+        assert matrix[1, 0] == pytest.approx(0.3)
 
     def test_boundary_gap_nearest(self, tmp_path):
         dates = self.dates(3)
@@ -309,8 +382,8 @@ class TestFeatureStack:
             uniform_scene(tmp_path, dates[1], 0.25),
             uniform_scene(tmp_path, dates[2], 0.5),
         ]
-        fs = extract_feature_stack(scenes, [FeatureName.NIR], GeoPoint(0.001, 0.001))
-        assert fs.matrix[0, 0] == pytest.approx(0.25)
+        matrix, _ = stack_at_point(scenes, [FeatureName.NIR])
+        assert matrix[0, 0] == pytest.approx(0.25)
 
     def test_gap_filling_never_touches_valid_cells(self, tmp_path):
         dates = self.dates(4)
@@ -320,14 +393,14 @@ class TestFeatureStack:
             uniform_scene(tmp_path, dates[2], 0.35),
             uniform_scene(tmp_path, dates[3], 0.5),
         ]
-        fs = extract_feature_stack(scenes, [FeatureName.NIR], GeoPoint(0.001, 0.001))
-        np.testing.assert_array_equal(fs.matrix[fs.valid_mask[:, 0], 0], [0.2, 0.35, 0.5])
+        matrix, observed = stack_at_point(scenes, [FeatureName.NIR])
+        np.testing.assert_array_equal(matrix[observed[:, 0], 0], [0.2, 0.35, 0.5])
 
     def test_all_masked_is_unusable(self, tmp_path):
         dates = self.dates(3)
         scenes = [uniform_scene(tmp_path, d, 0.5, qa=1) for d in dates]
         with pytest.raises(UnusablePixelError):
-            extract_feature_stack(scenes, [FeatureName.NIR], GeoPoint(0.001, 0.001))
+            stack_at_point(scenes, [FeatureName.NIR])
 
     def test_nodata_in_unused_band_keeps_feature_observed(self, tmp_path):
         dates = self.dates(2)
@@ -358,7 +431,7 @@ class TestFeatureStack:
     def test_empty_feature_list_rejected(self, tmp_path):
         scenes = [uniform_scene(tmp_path, d, 0.5) for d in self.dates(3)]
         with pytest.raises(DataValidationError):
-            extract_feature_stack(scenes, [], GeoPoint(0.001, 0.001))
+            SceneStack.from_manifests(scenes).fill_cells(0, 0, [])
 
 
 @st.composite
