@@ -17,8 +17,9 @@ recording the config hash, seed and input/output paths; rerunning a
 command with identical config, seed and inputs reproduces its artifacts
 byte for byte.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 internal error.
+Exit codes: 0 success, 1 usage error (including an unreadable config),
+2 data/validation error (including any unreadable input or unwritable
+output), 3 internal error.
 """
 
 from __future__ import annotations
@@ -31,27 +32,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import cropmapper, imageclassifier, metrics, neuralnet, refgen, synthworld
-from .errors import DataValidationError, UsageError
+from .errors import DataValidationError, UsageError, read_input_text
 from .geocore import BoundingBox, GeoPoint, Heading, ShiftParams, make_sampling_grid
 from .imageclassifier import TAXONOMIES, LabeledImage, LabelTaxonomy
 from .imagery import FixtureIndex, FixtureNotFoundError, StreetRequest
 from .rasterstack import FeatureName, SceneStack, read_grid, read_manifest, write_grid
-
-COMMANDS = (
-    "synth",
-    "grid",
-    "fetch",
-    "train-images",
-    "classify-images",
-    "qc",
-    "make-refs",
-    "validate-refs",
-    "select-features",
-    "train-mapper",
-    "map",
-    "evaluate",
-)
-
 
 # --------------------------------------------------------------------------
 # Config file
@@ -70,13 +55,7 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path, seed=None) -> "RunConfig":
         path = Path(path)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        raw = path.read_bytes()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise UsageError(f"{path}: config is not UTF-8 text: {exc}") from None
+        text = read_input_text(path, "config", UsageError)
         values: dict[str, str] = {}
         for n, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -86,7 +65,7 @@ class RunConfig:
                 raise UsageError(f"{path}:{n}: expected 'key = value', got {line!r}")
             key, value = stripped.split("=", 1)
             values[key.strip()] = value.strip()
-        return cls(values, path.parent.resolve(), raw, seed=seed)
+        return cls(values, path.parent.resolve(), text.encode(), seed=seed)
 
     def get_float(self, key: str, default: float) -> float:
         raw = self.values.get(key)
@@ -170,14 +149,6 @@ class RunConfig:
             raise UsageError(f"config key {key}: {exc}") from None
 
 
-def _require(path: Path | None, what: str) -> Path:
-    if path is None:
-        raise UsageError(f"config does not name a path for {what}")
-    if not path.exists():
-        raise DataValidationError(f"{what} not found: {path}")
-    return path
-
-
 class _Run:
     """Resolved paths and manifest bookkeeping for one command."""
 
@@ -189,11 +160,8 @@ class _Run:
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
 
-    def input_path(self, key: str, default_name: str | None, what: str) -> Path:
-        p = self.cfg.path(key)
-        if p is None and default_name is not None:
-            p = self.out / default_name
-        p = _require(p, what)
+    def input_path(self, key: str, default_name: str) -> Path:
+        p = self.cfg.path(key) or (self.out / default_name)
         self.inputs.append(p)
         return p
 
@@ -215,7 +183,7 @@ class _Run:
 
 
 def _scenes(run: _Run) -> SceneStack:
-    scenes_dir = run.input_path("paths.scenes", "world/scenes", "scene manifest directory")
+    scenes_dir = run.input_path("paths.scenes", "world/scenes")
     manifest_paths = sorted(scenes_dir.glob("*.manifest"))
     if not manifest_paths:
         raise DataValidationError(f"no scene manifests in {scenes_dir}")
@@ -224,11 +192,11 @@ def _scenes(run: _Run) -> SceneStack:
 
 
 def _truth(run: _Run):
-    return read_grid(run.input_path("paths.truth", "world/truth.grid", "truth raster"))
+    return read_grid(run.input_path("paths.truth", "world/truth.grid"))
 
 
-def _labeled_catalog(run: _Run, key: str, default_name: str, what: str) -> list[LabeledImage]:
-    path = run.input_path(key, default_name, what)
+def _labeled_catalog(run: _Run, key: str, default_name: str) -> list[LabeledImage]:
+    path = run.input_path(key, default_name)
     labeled = imageclassifier.read_catalog(path, run.cfg.taxonomy)
     for li in labeled:
         if li.label is None:
@@ -335,8 +303,8 @@ def _cmd_grid(run: _Run):
 
 
 def _cmd_fetch(run: _Run):
-    grid_csv = run.input_path("paths.grid_csv", "grid.csv", "sampling grid CSV")
-    fixtures = run.input_path("paths.fixtures", "world/fixtures", "fixture directory")
+    grid_csv = run.input_path("paths.grid_csv", "grid.csv")
+    fixtures = run.input_path("paths.fixtures", "world/fixtures")
     index = FixtureIndex(fixtures)
     out = run.output_path("paths.campaign_catalog", "campaign.csv")
     size = run.cfg.get_int("fetch.image_px", 640)
@@ -365,9 +333,7 @@ def _cmd_fetch(run: _Run):
 
 def _cmd_train_images(run: _Run):
     cfg = run.cfg
-    labeled = _labeled_catalog(
-        run, "paths.training_catalog", "world/training/catalog.csv", "training catalog"
-    )
+    labeled = _labeled_catalog(run, "paths.training_catalog", "world/training/catalog.csv")
     ratios = cfg.get_floats("split.ratios", (0.6, 0.2, 0.2))
     train_set, val_set, test_set = imageclassifier.split_dataset(labeled, ratios, cfg.seed)
     tcfg = cfg.train_config(default_epochs=30)
@@ -396,8 +362,8 @@ def _cmd_train_images(run: _Run):
 
 def _cmd_classify_images(run: _Run):
     cfg = run.cfg
-    model_path = run.input_path("paths.image_model", "image_model.rtnn", "image model")
-    catalog = run.input_path("paths.campaign_catalog", "campaign.csv", "campaign catalog")
+    model_path = run.input_path("paths.image_model", "image_model.rtnn")
+    catalog = run.input_path("paths.campaign_catalog", "campaign.csv")
     net = neuralnet.deserialize_model(model_path)
     records = [li.record for li in imageclassifier.read_catalog(catalog, cfg.taxonomy)]
     labeled = imageclassifier.classify_images(net, records)
@@ -413,13 +379,11 @@ def _cmd_classify_images(run: _Run):
 
 def _cmd_qc(run: _Run):
     cfg = run.cfg
-    labeled = _labeled_catalog(
-        run, "paths.classified_catalog", "classified.csv", "classified catalog"
-    )
+    labeled = _labeled_catalog(run, "paths.classified_catalog", "classified.csv")
     rejection_path = cfg.path("qc.rejection_list")
     rejection_ids = set()
     if rejection_path is not None:
-        run.inputs.append(_require(rejection_path, "rejection list"))
+        run.inputs.append(rejection_path)
         rejection_ids = imageclassifier.read_rejection_list(rejection_path)
     kept, dropped = imageclassifier.qc_filter(
         labeled,
@@ -435,7 +399,7 @@ def _cmd_qc(run: _Run):
 
 def _cmd_make_refs(run: _Run):
     cfg = run.cfg
-    kept = _labeled_catalog(run, "paths.kept_catalog", "kept.csv", "kept catalog")
+    kept = _labeled_catalog(run, "paths.kept_catalog", "kept.csv")
     result = refgen.generate_reference_points(
         kept, cfg.shift_params(), min_per_class=cfg.get_int("refs.min_per_class", 0)
     )
@@ -467,7 +431,7 @@ def _cmd_make_refs(run: _Run):
 
 def _cmd_validate_refs(run: _Run):
     cfg = run.cfg
-    refs_csv = run.input_path("paths.refs_csv", "refs.csv", "reference CSV")
+    refs_csv = run.input_path("paths.refs_csv", "refs.csv")
     points = refgen.read_reference_csv(refs_csv, cfg.taxonomy)
     truth = _truth(run)
     report, disagreeing = refgen.validate_reference_points(points, truth, cfg.taxonomy)
@@ -485,7 +449,7 @@ def _cmd_validate_refs(run: _Run):
 
 def _cmd_select_features(run: _Run):
     cfg = run.cfg
-    refs_csv = run.input_path("paths.refs_csv", "refs.csv", "reference CSV")
+    refs_csv = run.input_path("paths.refs_csv", "refs.csv")
     points = refgen.read_reference_csv(refs_csv, cfg.taxonomy)
     stack = _scenes(run)
     candidates = cfg.features("features.candidates", tuple(f.value for f in FeatureName))
@@ -501,7 +465,7 @@ def _cmd_select_features(run: _Run):
 
 def _cmd_train_mapper(run: _Run):
     cfg = run.cfg
-    refs_csv = run.input_path("paths.refs_csv", "refs.csv", "reference CSV")
+    refs_csv = run.input_path("paths.refs_csv", "refs.csv")
     points = refgen.read_reference_csv(refs_csv, cfg.taxonomy)
     stack = _scenes(run)
     features = _selected_features(run)
@@ -543,7 +507,7 @@ def _cmd_train_mapper(run: _Run):
 
 def _cmd_map(run: _Run):
     cfg = run.cfg
-    model_path = run.input_path("paths.pixel_model", "pixel_model.rtnn", "pixel model")
+    model_path = run.input_path("paths.pixel_model", "pixel_model.rtnn")
     net = neuralnet.deserialize_model(model_path)
     stack = _scenes(run)
     features = _selected_features(run)
@@ -565,7 +529,7 @@ def _cmd_map(run: _Run):
 
 def _cmd_evaluate(run: _Run):
     cfg = run.cfg
-    map_path = run.input_path("paths.map_grid", "crop_map.grid", "crop map")
+    map_path = run.input_path("paths.map_grid", "crop_map.grid")
     crop_map = cropmapper.read_crop_map(map_path, cfg.taxonomy)
     truth = _truth(run)
     ev = cropmapper.evaluate_crop_map(crop_map, truth)
@@ -599,6 +563,8 @@ _HANDLERS = {
     "map": _cmd_map,
     "evaluate": _cmd_evaluate,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 # --------------------------------------------------------------------------
@@ -638,7 +604,7 @@ def run_command(argv) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataValidationError, FileNotFoundError) as exc:
+    except (DataValidationError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import neuralnet
-from .errors import DataValidationError
+from .errors import DataValidationError, read_input_text
 from .geocore import BoundingBox
 from .imageclassifier import LabelTaxonomy
 from .metrics import AgreementReport, ConfusionMatrix, area_counts, confusion_matrix
@@ -307,10 +307,8 @@ def read_crop_map(path: str | Path, taxonomy: LabelTaxonomy) -> CropMap:
     """A crop map whose ``index=name`` legend must list ``taxonomy``'s classes."""
     grid = read_grid(path)
     legend = Path(str(path) + ".legend")
-    if not legend.exists():
-        raise DataValidationError(f"legend sidecar not found: {legend}")
     names = []
-    for n, line in enumerate(legend.read_text().splitlines(), start=1):
+    for n, line in enumerate(read_input_text(legend, "legend sidecar").splitlines(), start=1):
         if not line.strip():
             continue
         idx, _, name = line.partition("=")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import datetime
 import functools
+import io
 import os
 import re
 import warnings
@@ -33,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import neuralnet
-from .errors import DataValidationError
+from .errors import DataValidationError, read_input_text
 from .geocore import GeoPoint, Heading
 from .imagery import StreetImageRecord
 from .neuralnet import Network, NetworkSpec, TrainConfig
@@ -288,30 +289,24 @@ def read_csv_rows(path: str | Path, header: list[str], parse_row, what: str) -> 
     ``DataValidationError`` that names the file and the line.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"{what} not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames != header:
-                raise DataValidationError(f"unexpected {what} columns {reader.fieldnames}")
-            rows = []
-            for row in reader:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(header)} cells")
-                rows.append(parse_row(row))
-            return rows
-        except (ValueError, csv.Error, DataValidationError) as exc:
-            raise DataValidationError(f"{path}:{reader.line_num}: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(read_input_text(path, what), newline=""))
+    try:
+        if reader.fieldnames != header:
+            raise DataValidationError(f"unexpected {what} columns {reader.fieldnames}")
+        rows = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"expected {len(header)} cells")
+            rows.append(parse_row(row))
+        return rows
+    except (ValueError, csv.Error, DataValidationError) as exc:
+        raise DataValidationError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def read_rejection_list(path: str | Path) -> set[str]:
     """One image id per line; blank lines and ``#`` comments ignored."""
-    path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"rejection list not found: {path}")
     ids = set()
-    for line in path.read_text().splitlines():
+    for line in read_input_text(path, "rejection list").splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             ids.add(line)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, read_input, read_input_text
 from .geocore import GeoPoint, Heading, geo_distance
 
 #: Maximum camera-to-fixture distance for a fixture to satisfy a request.
@@ -96,7 +96,7 @@ class _ImageField:
             return None  # the field's default: no image in memory
         image = rec.__dict__.get("_image")
         if image is None:
-            image = rec.__dict__["_image"] = decode_image(rec.path.read_bytes())
+            image = rec.__dict__["_image"] = decode_image(read_input(rec.path, "image"))
         return image
 
     def __set__(self, rec, image):
@@ -205,7 +205,7 @@ def _read_sidecar_date(ppm_path: Path) -> datetime.date | None:
     meta = ppm_path.with_suffix(".meta")
     if not meta.exists():
         return None
-    for line in meta.read_text().splitlines():
+    for line in read_input_text(meta, "fixture sidecar").splitlines():
         line = line.strip()
         if line.startswith("date="):
             value = line[len("date=") :]
@@ -273,7 +273,7 @@ class FixtureIndex:
             id=path.stem,
             capture_point=point,
             heading=req.heading,
-            image=decode_image(path.read_bytes()),
+            image=decode_image(read_input(path, "fixture image")),
             capture_date=_read_sidecar_date(path),
             path=path,
         )

@@ -2,10 +2,10 @@
 
 Tensors are plain float64 numpy arrays, shaped ``(channels, height,
 width)`` for spatial data or ``(n,)`` flat. The layer set is fixed:
-Conv2D, ReLU, MaxPool, Dropout (inverted scaling), Dense and a final
-Softmax. Training is SGD with momentum over seeded shuffled
-mini-batches, so a (spec, seed, data) triple always reproduces the same
-weights on one platform.
+Conv2D (stride 1, valid or same padding), ReLU, MaxPool, Dropout
+(inverted scaling), Dense and a final Softmax. Training is SGD with
+momentum over seeded shuffled mini-batches, so a (spec, seed, data)
+triple always reproduces the same weights on one platform.
 
 Inside a network the activations sit batch-last in memory, ``(c, h, w,
 n)`` for spatial layers and ``(units, n)`` for dense ones: a conv is one
@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, read_input
 
 MODEL_MAGIC = b"RTNN1"
 
@@ -61,11 +61,10 @@ class Conv2D:
     filters: int
     kernel_h: int
     kernel_w: int
-    stride: int = 1
     same_padding: bool = False
 
     def __post_init__(self):
-        if self.filters < 1 or self.kernel_h < 1 or self.kernel_w < 1 or self.stride < 1:
+        if self.filters < 1 or self.kernel_h < 1 or self.kernel_w < 1:
             raise DataValidationError(f"bad Conv2D spec: {self}")
 
 
@@ -205,20 +204,17 @@ class _ConvLayer(_ParamLayer):
     def __init__(self, spec: Conv2D, in_shape):
         c, h, w = in_shape
         self.spec = spec
-        self.stride = spec.stride
         if spec.same_padding:
-            oh = -(-h // spec.stride)
-            ow = -(-w // spec.stride)
-            pad_h = max((oh - 1) * spec.stride + spec.kernel_h - h, 0)
-            pad_w = max((ow - 1) * spec.stride + spec.kernel_w - w, 0)
+            oh, ow = h, w
+            pad_h, pad_w = spec.kernel_h - 1, spec.kernel_w - 1
             self.pads = (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
         else:
             if spec.kernel_h > h or spec.kernel_w > w:
                 raise ShapeMismatchError(
                     f"{spec.kernel_h}x{spec.kernel_w} kernel exceeds {h}x{w} input"
                 )
-            oh = (h - spec.kernel_h) // spec.stride + 1
-            ow = (w - spec.kernel_w) // spec.stride + 1
+            oh = h - spec.kernel_h + 1
+            ow = w - spec.kernel_w + 1
             self.pads = (0, 0, 0, 0)
         if oh < 1 or ow < 1:
             raise ShapeMismatchError(f"conv output collapsed to {oh}x{ow}")
@@ -232,12 +228,11 @@ class _ConvLayer(_ParamLayer):
         return (c, h + pt + pb, w + pl + pr, n)
 
     def _windows(self, xp):
-        """The strided view of a padded batch-last array under each kernel tap."""
+        """The view of a padded batch-last array under each kernel tap."""
         _, oh, ow = self.out_shape
-        kh, kw, s = self.spec.kernel_h, self.spec.kernel_w, self.stride
-        for i in range(kh):
-            for j in range(kw):
-                yield i, j, xp[:, i : i + s * oh : s, j : j + s * ow : s]
+        for i in range(self.spec.kernel_h):
+            for j in range(self.spec.kernel_w):
+                yield i, j, xp[:, i : i + oh, j : j + ow]
 
     def forward(self, x, train, rng, stats):
         c, h, w = self.in_shape
@@ -666,7 +661,7 @@ def _spec_lines(spec: NetworkSpec):
         if isinstance(ls, Conv2D):
             lines.append(
                 f"layer conv2d {ls.filters} {ls.kernel_h} {ls.kernel_w} "
-                f"{ls.stride} {int(ls.same_padding)}"
+                f"1 {int(ls.same_padding)}"
             )
         elif isinstance(ls, ReLU):
             lines.append("layer relu")
@@ -685,10 +680,12 @@ def _parse_spec_line(line: str) -> LayerSpec:
     kind, *args = line.split()[1:] or [""]
     try:
         if kind == "conv2d":
-            f, kh, kw, s, same = args
+            f, kh, kw, stride, same = args
+            if stride != "1":
+                raise ValueError(f"stride {stride!r} is not 1")
             if same not in ("0", "1"):
                 raise ValueError(f"same-padding flag {same!r} is not 0 or 1")
-            return Conv2D(int(f), int(kh), int(kw), int(s), same == "1")
+            return Conv2D(int(f), int(kh), int(kw), same == "1")
         if kind == "relu" and not args:
             return ReLU()
         if kind == "softmax" and not args:
@@ -717,10 +714,7 @@ def serialize_model(net: Network, path: str | Path):
 
 
 def deserialize_model(path: str | Path) -> Network:
-    path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"model file not found: {path}")
-    buf = io.BytesIO(path.read_bytes())
+    buf = io.BytesIO(read_input(path, "model file"))
     if buf.readline().rstrip(b"\n") != MODEL_MAGIC:
         raise SerializationError(f"{path}: bad magic, not a model file")
     input_shape = None

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, read_input_text
 from .geocore import GeoPoint
 
 BAND_NAMES = ("Blue", "Green", "Red", "NIR", "SWIR1", "SWIR2")
@@ -179,14 +179,6 @@ def _header_value(path: Path, key: str, text: str) -> float:
     return value
 
 
-def _text_lines(path: Path) -> list[str]:
-    """Lines of a grid or manifest file; bytes that are not UTF-8 are a format error."""
-    try:
-        return path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise GridFormatError(f"{path}: not UTF-8 text: {exc}") from None
-
-
 def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
     """Read a grid file; ``scale`` multiplies non-nodata values on ingest.
 
@@ -194,9 +186,7 @@ def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
     every body token a number; anything else is a :class:`GridFormatError`.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"grid file not found: {path}")
-    lines = _text_lines(path)
+    lines = read_input_text(path, "grid", GridFormatError).splitlines()
     header: dict[str, float] = {}
     idx = 0
     while idx < len(lines) and len(header) < len(_HEADER_KEYS):
@@ -309,13 +299,12 @@ def write_manifest(manifest: SceneManifest, path: str | Path):
 def read_manifest(path: str | Path) -> SceneManifest:
     """Parse a manifest; relative grid paths resolve against its directory."""
     path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"manifest not found: {path}")
     base = path.parent
     date = None
     band_paths: dict[str, str] = {}
     qa_path = None
-    for n, line in enumerate(_text_lines(path), start=1):
+    text = read_input_text(path, "manifest", GridFormatError)
+    for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -2,9 +2,14 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from conftest import BYTE_EDITS, make_grid, mutate_bytes
 from streetcrop.cli import RunConfig, run_command
 from streetcrop.errors import UsageError
+from streetcrop.geocore import GeoPoint, Heading
+from streetcrop.imagery import ImageTensor, write_fixture
+from streetcrop.rasterstack import write_grid
 
 
 MINI_CONFIG = """\
@@ -379,3 +384,93 @@ class TestLazyImages:
             results[layout] = [(run_dir / n).read_bytes() for n in ("kept.csv", "refs.csv")]
         assert (tmp_path / "a" / "b" / "c.csv").exists()
         assert results["nested"] == results["flat"]
+
+
+# Each builder returns (command, config path, the file the error must name).
+
+
+def _config_is_a_directory(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.mkdir()
+    return "grid", config, config
+
+
+def _truth_is_a_directory(tmp_path):
+    truth = tmp_path / "truth.grid"
+    truth.mkdir()
+    return "grid", _config(tmp_path, f"paths.truth = {truth}\n"), truth
+
+
+def _model_is_a_directory(tmp_path):
+    model = tmp_path / "pixel_model.rtnn"
+    model.mkdir()
+    return "map", _config(tmp_path, f"paths.pixel_model = {model}\n"), model
+
+
+def _bad_byte_in_rejection_list(tmp_path):
+    catalog = _tiny_catalog(tmp_path)
+    rejected = tmp_path / "rejected.txt"
+    rejected.write_bytes(b"img\n\xff\n")
+    text = f"paths.classified_catalog = {catalog}\nqc.rejection_list = {rejected}\n"
+    return "qc", _config(tmp_path, text), rejected
+
+
+def _bad_byte_in_legend(tmp_path):
+    crop_map = tmp_path / "crop_map.grid"
+    write_grid(make_grid([[0.0, 1.0]]), crop_map)
+    legend = tmp_path / "crop_map.grid.legend"
+    legend.write_bytes(b"0=corn\n1=soy\xffbeans\n")
+    return "evaluate", _config(tmp_path, f"paths.map_grid = {crop_map}\n"), legend
+
+
+def _bad_byte_in_fixture_meta(tmp_path):
+    point = GeoPoint(0.001, 0.002)
+    fixtures = tmp_path / "fixtures"
+    ppm = write_fixture(fixtures, point, Heading.NORTH, ImageTensor(np.zeros((2, 2, 3))))
+    meta = ppm.with_suffix(".meta")
+    meta.write_bytes(b"date=2013-07\xff\n")
+    grid = tmp_path / "grid.csv"
+    grid.write_text(f"lat,lon\n{point.lat_deg!r},{point.lon_deg!r}\n")
+    text = f"paths.grid_csv = {grid}\npaths.fixtures = {fixtures}\n"
+    return "fetch", _config(tmp_path, text), meta
+
+
+def _output_is_a_directory(tmp_path):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    text = f"bbox = 0.0,0.001,0.0,0.001\npaths.grid_csv = {taken}\n"
+    return "grid", _config(tmp_path, text), taken
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize(
+        "build,code",
+        [
+            (_config_is_a_directory, 1),
+            (_truth_is_a_directory, 2),
+            (_model_is_a_directory, 2),
+            (_bad_byte_in_rejection_list, 2),
+            (_bad_byte_in_legend, 2),
+            (_bad_byte_in_fixture_meta, 2),
+            (_output_is_a_directory, 2),
+        ],
+        ids=lambda v: v.__name__.strip("_") if callable(v) else None,
+    )
+    def test_exit_code_names_the_file(self, tmp_path, capsys, build, code):
+        command, config, named = build(tmp_path)
+        out = tmp_path / "out"
+        assert run_command([command, "--config", str(config), "--out", str(out)]) == code
+        assert str(named) in capsys.readouterr().err
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(BYTE_EDITS)
+    def test_mutated_config_never_exits_3(self, tmp_path, edits):
+        """No bbox key: the truth raster bounds the grid, so no edit can ask for a huge one."""
+        write_grid(make_grid(np.zeros((3, 3))), tmp_path / "truth.grid")
+        config = tmp_path / "run.cfg"
+        text = b"region = illinois\nseed = 1\ngrid.spacing_m = 30\npaths.truth = truth.grid\n"
+        config.write_bytes(mutate_bytes(text, edits))
+        out = tmp_path / "out"
+        assert run_command(["grid", "--config", str(config), "--out", str(out)]) in (0, 1, 2)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BYTE_EDITS, mutate_bytes
+
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import GeoPoint, Heading, offset_point
 from streetcrop.imagery import (
@@ -92,6 +94,16 @@ def test_encode_decode_round_trip(h, w, seed):
     raw = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
     img = tensor(raw / 255.0)
     assert decode_image(encode_image(img)).values.tolist() == img.values.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(BYTE_EDITS)
+def test_mutated_ppm_raises_only_decode_errors(edits):
+    image = tensor(np.random.default_rng(3).random((3, 4, 3)))
+    try:
+        decode_image(mutate_bytes(encode_image(image), edits))
+    except ImageDecodeError:
+        pass
 
 
 class TestImageTensor:

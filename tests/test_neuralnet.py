@@ -145,12 +145,6 @@ class TestGradients:
         x = np.random.default_rng(4).normal(size=(1, 7, 4))
         assert nn.gradient_check(net, (x, 2), eps=1e-5) < 1e-4
 
-    def test_strided_conv(self):
-        spec = NetworkSpec((Conv2D(3, 3, 3, stride=2), ReLU(), Dense(2), Softmax()), (1, 9, 9), 2)
-        net = nn.build_network(spec, seed=5)
-        x = np.random.default_rng(5).normal(size=(1, 9, 9))
-        assert nn.gradient_check(net, (x, 1), eps=1e-5) < 1e-4
-
     def test_dropout_disabled_during_check_is_deterministic(self):
         spec = NetworkSpec((Dense(8), ReLU(), Dropout(0.5), Dense(2), Softmax()), (3,), 2)
         net = nn.build_network(spec, seed=6)
@@ -206,15 +200,15 @@ def batch_last_view(x):
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
 
 
-def loop_conv(x, w, b, stride, pads, dout):
-    """Forward output and (dw, db, dx) of a convolution, by direct loops."""
+def loop_conv(x, w, b, pads, dout):
+    """Forward output and (dw, db, dx) of a stride-1 convolution, by direct loops."""
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     pt, pb, pl, pr = pads
     xp = np.zeros((n, c, h + pt + pb, wd + pl + pr))
     xp[:, :, pt : pt + h, pl : pl + wd] = x
-    oh = (xp.shape[2] - kh) // stride + 1
-    ow = (xp.shape[3] - kw) // stride + 1
+    oh = xp.shape[2] - kh + 1
+    ow = xp.shape[3] - kw + 1
     out = np.zeros((n, f, oh, ow))
     dw = np.zeros_like(w)
     dxp = np.zeros_like(xp)
@@ -222,8 +216,8 @@ def loop_conv(x, w, b, stride, pads, dout):
         for fi in range(f):
             for i in range(oh):
                 for j in range(ow):
-                    rows = slice(i * stride, i * stride + kh)
-                    cols = slice(j * stride, j * stride + kw)
+                    rows = slice(i, i + kh)
+                    cols = slice(j, j + kw)
                     out[ni, fi, i, j] = (xp[ni, :, rows, cols] * w[fi]).sum() + b[fi]
                     dw[fi] += dout[ni, fi, i, j] * xp[ni, :, rows, cols]
                     dxp[ni, :, rows, cols] += dout[ni, fi, i, j] * w[fi]
@@ -232,16 +226,15 @@ def loop_conv(x, w, b, stride, pads, dout):
 
 
 class TestConvOracle:
-    # (spec, input shape, (top, bottom, left, right) padding)
-    CASES = [
-        (Conv2D(3, 3, 3), (2, 6, 5), (0, 0, 0, 0)),
-        (Conv2D(3, 3, 2, stride=2), (2, 7, 6), (0, 0, 0, 0)),
-        (Conv2D(3, 3, 3, same_padding=True), (2, 5, 4), (1, 1, 1, 1)),
-        (Conv2D(3, 2, 4, same_padding=True), (2, 5, 4), (0, 1, 1, 2)),
-        (Conv2D(3, 3, 3, stride=2, same_padding=True), (2, 8, 7), (0, 1, 1, 1)),
-    ]
+    # id -> (spec, input shape, (top, bottom, left, right) padding); the ids
+    # are pinned so that removing a case renames none of the others
+    CASES = {
+        "spec0-in_shape0-pads0": (Conv2D(3, 3, 3), (2, 6, 5), (0, 0, 0, 0)),
+        "spec2-in_shape2-pads2": (Conv2D(3, 3, 3, same_padding=True), (2, 5, 4), (1, 1, 1, 1)),
+        "spec3-in_shape3-pads3": (Conv2D(3, 2, 4, same_padding=True), (2, 5, 4), (0, 1, 1, 2)),
+    }
 
-    @pytest.mark.parametrize("spec,in_shape,pads", CASES)
+    @pytest.mark.parametrize("spec,in_shape,pads", list(CASES.values()), ids=list(CASES))
     @pytest.mark.parametrize("layout", ["c_order", "batch_last"])
     def test_matches_direct_loops(self, spec, in_shape, pads, layout):
         rng = np.random.default_rng(31)
@@ -250,7 +243,7 @@ class TestConvOracle:
         layer.b = rng.normal(size=layer.w_shape[0])
         x = rng.normal(size=(5,) + in_shape)
         dout = rng.normal(size=(5,) + layer.out_shape)
-        expected_out, expected_grads = loop_conv(x, layer.w, layer.b, spec.stride, pads, dout)
+        expected_out, expected_grads = loop_conv(x, layer.w, layer.b, pads, dout)
         if layout == "batch_last":
             x, dout = batch_last_view(x), batch_last_view(dout)
         out = layer.forward(x, True, None, None)
@@ -468,6 +461,17 @@ class TestSerialization:
         assert data.count(old.encode()) == 1
         path.write_bytes(data.replace(old.encode(), new.encode()))
         with pytest.raises(SerializationError):
+            nn.deserialize_model(path)
+
+    @pytest.mark.parametrize("stride", ["2", "0", "x"])
+    def test_conv_stride_other_than_one_rejected(self, tmp_path, stride):
+        path = tmp_path / "model.rtnn"
+        nn.serialize_model(nn.build_network(small_conv_spec(), seed=0), path)
+        data = path.read_bytes()
+        line = b"layer conv2d 4 3 3 1 0\n"
+        assert data.count(line) == 1
+        path.write_bytes(data.replace(line, line.replace(b" 1 0", f" {stride} 0".encode())))
+        with pytest.raises(SerializationError, match="stride"):
             nn.deserialize_model(path)
 
     @settings(
