@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -67,12 +68,18 @@ class RunConfig:
             values[key.strip()] = value.strip()
         return cls(values, path.parent.resolve(), text.encode(), seed=seed)
 
+    def _finite(self, key: str, token, what: str) -> float:
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise UsageError(f"config key {key} is not {what}: {self.values[key]!r}")
+        return value
+
     def get_float(self, key: str, default: float) -> float:
         raw = self.values.get(key)
-        try:
-            return default if raw is None else float(raw)
-        except ValueError:
-            raise UsageError(f"config key {key} is not a number: {raw!r}") from None
+        return default if raw is None else self._finite(key, raw, "a finite number")
 
     def get_int(self, key: str, default: int) -> int:
         raw = self.values.get(key)
@@ -88,11 +95,9 @@ class RunConfig:
         return tuple(t.strip() for t in raw.split(",") if t.strip())
 
     def get_floats(self, key: str, default=()) -> tuple[float, ...]:
-        try:
-            return tuple(float(t) for t in self.get_list(key, default))
-        except ValueError:
-            raw = self.values[key]
-            raise UsageError(f"config key {key} is not a list of numbers: {raw!r}") from None
+        return tuple(
+            self._finite(key, t, "a list of finite numbers") for t in self.get_list(key, default)
+        )
 
     def path(self, key: str) -> Path | None:
         raw = self.values.get(key)
@@ -104,10 +109,14 @@ class RunConfig:
     @property
     def seed(self) -> int:
         if self._seed_override is not None:
-            return int(self._seed_override)
-        if "seed" not in self.values:
+            seed = int(self._seed_override)
+        elif "seed" not in self.values:
             raise UsageError("seed is mandatory: set 'seed =' in the config or pass --seed")
-        return self.get_int("seed", 0)
+        else:
+            seed = self.get_int("seed", 0)
+        if seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {seed}")
+        return seed
 
     @property
     def taxonomy(self) -> LabelTaxonomy:
@@ -155,6 +164,7 @@ class _Run:
     def __init__(self, command: str, cfg: RunConfig, out_dir: Path):
         self.command = command
         self.cfg = cfg
+        self.seed = cfg.seed  # a missing or negative seed stops the command before any work
         self.out = out_dir
         self.out.mkdir(parents=True, exist_ok=True)
         self.inputs: list[Path] = []
@@ -175,7 +185,7 @@ class _Run:
         lines = [
             f"command={self.command}",
             f"config_sha256={self.cfg.sha256}",
-            f"seed={self.cfg.seed}",
+            f"seed={self.seed}",
         ]
         lines += [f"input={p}" for p in self.inputs]
         lines += [f"output={p}" for p in self.outputs]
@@ -229,22 +239,13 @@ def _selected_features(run: _Run) -> tuple[FeatureName, ...]:
 
 def _cmd_synth(run: _Run):
     cfg = run.cfg
-    mix = cfg.get_list("synth.class_mix", cfg.taxonomy.class_names)
-    props = list(cfg.get_floats("synth.proportions")) or None
     world_cfg = synthworld.square_world_config(
         cfg.taxonomy,
         parcels_per_side=cfg.get_int("synth.parcels_per_side", 22),
-        class_mix=mix,
-        proportions=props,
-        cell_m=cfg.get_float("synth.cell_m", 30.0),
+        proportions=cfg.get_floats("synth.proportions") or None,
         parcel_cells=cfg.get_int("synth.parcel_cells", 8),
-        road_cells=cfg.get_int("synth.road_cells", 1),
-        scene_dates=synthworld.scene_dates(
-            cfg.get_int("synth.scene_year", 2013), cfg.get_int("synth.n_scenes", 10)
-        ),
         noise_sigma=cfg.get_float("synth.noise_sigma", 0.01),
         cloud_fraction=cfg.get_float("synth.cloud_fraction", 0.1),
-        image_px=cfg.get_int("synth.image_px", 32),
         seed=cfg.seed,
     )
     world_dir = cfg.path("paths.world") or (run.out / "world")
@@ -307,7 +308,6 @@ def _cmd_fetch(run: _Run):
     fixtures = run.input_path("paths.fixtures", "world/fixtures")
     index = FixtureIndex(fixtures)
     out = run.output_path("paths.campaign_catalog", "campaign.csv")
-    size = run.cfg.get_int("fetch.image_px", 640)
     points = imageclassifier.read_csv_rows(
         grid_csv, ["lat", "lon"], lambda row: GeoPoint(float(row["lat"]), float(row["lon"])),
         "sampling grid",
@@ -318,7 +318,7 @@ def _cmd_fetch(run: _Run):
     for point in points:
         for heading in Heading:
             try:
-                rec = index.fetch(StreetRequest(point, heading, (size, size)))
+                rec = index.fetch(StreetRequest(point, heading))
             except FixtureNotFoundError:
                 misses += 1
                 continue

@@ -118,17 +118,23 @@ def split_dataset(items: Sequence, ratios: tuple[float, float, float], seed: int
     return subsets
 
 
+def _image_batch(records: Sequence[StreetImageRecord]) -> np.ndarray:
+    """Stack images of one size into (n, 3, h, w) network inputs."""
+    if not records:
+        raise DataValidationError("no images given")
+    shape = records[0].image.values.shape
+    for rec in records:
+        if rec.image.values.shape != shape:
+            raise DataValidationError(
+                f"mixed image sizes: {rec.id!r} is {rec.image.values.shape}, "
+                f"{records[0].id!r} is {shape}"
+            )
+    return np.stack([np.transpose(rec.image.values, (2, 0, 1)) for rec in records])
+
+
 def images_to_arrays(images: Sequence[LabeledImage]):
     """Stack labeled images into (n, 3, h, w) inputs and a label vector."""
-    if not images:
-        raise DataValidationError("no images given")
-    shape = images[0].record.image.values.shape
-    for li in images:
-        if li.record.image.values.shape != shape:
-            raise DataValidationError(
-                f"mixed image sizes: {li.record.image.values.shape} vs {shape}"
-            )
-    x = np.stack([np.transpose(li.record.image.values, (2, 0, 1)) for li in images])
+    x = _image_batch([li.record for li in images])
     y = np.array([li.label for li in images], dtype=np.int64)
     return x, y
 
@@ -164,8 +170,7 @@ def classify_images(net: Network, images: Sequence[StreetImageRecord]) -> list[L
     """One LabeledImage per input record, order preserved."""
     if not images:
         return []
-    x = np.stack([np.transpose(rec.image.values, (2, 0, 1)) for rec in images])
-    labels, confidences = neuralnet.predict_batch(net, x)
+    labels, confidences = neuralnet.predict_batch(net, _image_batch(images))
     return [
         LabeledImage(rec, int(label), float(conf))
         for rec, label, conf in zip(images, labels, confidences)

@@ -8,6 +8,12 @@ speckle) and a piecewise-linear per-band phenology curve, so the image
 classifier and the pixel classifier both have honestly learnable but
 nontrivial signal. Roads and non-crop parcels carry the "others" class.
 
+The geometry is fixed, as in the paper's Landsat-class setting: 30 m
+cells (``CELL_M``), roads one cell wide (``ROAD_CELLS``), 32 px street
+images (``IMAGE_PX``) and ten 2013 scene dates (``SCENE_DATES``). The
+``truth`` and ``road_mask`` rasters are the whole world model: a
+camera's view is read off them cell by cell (:func:`facing_class`).
+
 Everything is a pure function of (config, seed): worlds, rendered
 images and synthesized scenes are bit-identical across runs.
 """
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import datetime
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -29,41 +35,32 @@ from .imagery import ImageTensor, StreetImageRecord, encode_image, write_fixture
 from .rasterstack import BAND_NAMES, RasterGrid, SceneManifest, write_grid, write_manifest
 
 NODATA = -9999.0
-
-
-def scene_dates(year: int = 2013, n: int = 10) -> tuple[datetime.date, ...]:
-    """``n`` acquisition dates spread from early April to mid October."""
-    if n < 3:
-        raise DataValidationError("need at least 3 scene dates")
-    start = datetime.date(year, 1, 1)
-    doys = np.rint(np.linspace(96, 285, n)).astype(int)
-    return tuple(start + datetime.timedelta(days=int(d) - 1) for d in doys)
-
-
-def _default_dates() -> tuple[datetime.date, ...]:
-    return scene_dates()
+CELL_M = 30.0
+ROAD_CELLS = 1
+ROAD_WIDTH_M = ROAD_CELLS * CELL_M
+CELLSIZE_DEG = CELL_M / METERS_PER_DEGREE
+IMAGE_PX = 32
+#: Acquisition dates every 21 days from early April to mid October
+#: (days of year 96 to 285).
+SCENE_DATES = tuple(
+    datetime.date(2013, 1, 1) + datetime.timedelta(days=doy - 1) for doy in range(96, 286, 21)
+)
 
 
 @dataclass(frozen=True)
 class WorldConfig:
     taxonomy: LabelTaxonomy
     extent: BoundingBox
-    cell_m: float = 30.0
     parcel_cells: int = 8
-    road_cells: int = 1
     class_mix: tuple[str, ...] = ()
     proportions: tuple[float, ...] = ()
-    scene_dates: tuple[datetime.date, ...] = field(default_factory=_default_dates)
     noise_sigma: float = 0.01
     cloud_fraction: float = 0.1
-    image_px: int = 32
     seed: int = 0
 
     def __post_init__(self):
         if self.parcel_cells < 2:
             raise DataValidationError("parcels must span at least 2 raster cells")
-        if self.road_cells < 1 or self.cell_m <= 0:
-            raise DataValidationError("bad road/cell geometry")
         if len(self.class_mix) != len(self.proportions) or not self.class_mix:
             raise DataValidationError("class_mix and proportions must align and be nonempty")
         if abs(sum(self.proportions) - 1.0) > 1e-9:
@@ -72,22 +69,12 @@ class WorldConfig:
             raise DataValidationError("proportions must be non-negative")
         if self.noise_sigma < 0 or not (0.0 <= self.cloud_fraction < 1.0):
             raise DataValidationError("bad noise or cloud fraction")
-        if len(self.scene_dates) < 3:
-            raise DataValidationError("need at least 3 scene dates")
         for name in self.class_mix:
             self.taxonomy.index(name)
 
     @property
-    def road_width_m(self) -> float:
-        return self.road_cells * self.cell_m
-
-    @property
     def period_cells(self) -> int:
-        return self.parcel_cells + self.road_cells
-
-    @property
-    def cellsize_deg(self) -> float:
-        return self.cell_m / METERS_PER_DEGREE
+        return self.parcel_cells + ROAD_CELLS
 
 
 def square_world_config(
@@ -106,23 +93,15 @@ def square_world_config(
         class_mix = taxonomy.class_names
     if proportions is None:
         proportions = tuple(1.0 / len(class_mix) for _ in class_mix)
-    probe = WorldConfig(
+    cfg = WorldConfig(
         taxonomy,
         BoundingBox(0.0, 1.0, 0.0, 1.0),
         class_mix=tuple(class_mix),
         proportions=tuple(proportions),
         **kwargs,
     )
-    ncells = parcels_per_side * probe.period_cells + probe.road_cells
-    span = ncells * probe.cellsize_deg
-    extent = BoundingBox(0.0, span, 0.0, span)
-    return WorldConfig(
-        taxonomy,
-        extent,
-        class_mix=tuple(class_mix),
-        proportions=tuple(proportions),
-        **kwargs,
-    )
+    span = (parcels_per_side * cfg.period_cells + ROAD_CELLS) * CELLSIZE_DEG
+    return replace(cfg, extent=BoundingBox(0.0, span, 0.0, span))
 
 
 # --------------------------------------------------------------------------
@@ -226,29 +205,6 @@ class World:
     def taxonomy(self) -> LabelTaxonomy:
         return self.cfg.taxonomy
 
-    def to_local(self, p: GeoPoint) -> tuple[float, float]:
-        """(x east, y south) meters from the north-west corner."""
-        e = self.cfg.extent
-        mid = np.cos(np.radians(0.5 * (e.min_lat_deg + e.max_lat_deg)))
-        x = (p.lon_deg - e.min_lon_deg) * METERS_PER_DEGREE * mid
-        y = (e.max_lat_deg - p.lat_deg) * METERS_PER_DEGREE
-        return x, y
-
-    def class_at_local(self, x_m: float, y_m: float) -> tuple[int, bool]:
-        """(class index, is_road) at local meter coordinates."""
-        cfg = self.cfg
-        size_m = self.truth.ncols * cfg.cell_m
-        if not (0 <= x_m < size_m and 0 <= y_m < self.truth.nrows * cfg.cell_m):
-            raise DataValidationError("point outside the world")
-        period = cfg.period_cells * cfg.cell_m
-        road = cfg.road_cells * cfg.cell_m
-        kx, ox = int(x_m // period), x_m % period
-        ky, oy = int(y_m // period), y_m % period
-        if ox < road or oy < road:
-            return self.taxonomy.others_index, True
-        py, px = self.parcel_classes.shape
-        return int(self.parcel_classes[min(ky, py - 1), min(kx, px - 1)]), False
-
     def road_cell_centers(self) -> list[tuple[int, int]]:
         rows, cols = np.nonzero(self.road_mask.values == 1)
         return list(zip(rows.tolist(), cols.tolist()))
@@ -261,14 +217,13 @@ def generate_world(cfg: WorldConfig) -> World:
     parcel (largest-remainder allocation, then a seeded shuffle places
     them on the parcel grid).
     """
-    cellsize = cfg.cellsize_deg
     e = cfg.extent
-    ncols = int(round((e.max_lon_deg - e.min_lon_deg) / cellsize))
-    nrows = int(round((e.max_lat_deg - e.min_lat_deg) / cellsize))
-    if ncols < cfg.period_cells + cfg.road_cells or nrows < cfg.period_cells + cfg.road_cells:
+    ncols = int(round((e.max_lon_deg - e.min_lon_deg) / CELLSIZE_DEG))
+    nrows = int(round((e.max_lat_deg - e.min_lat_deg) / CELLSIZE_DEG))
+    if min(ncols, nrows) < cfg.period_cells + ROAD_CELLS:
         raise DataValidationError("extent too small for a single parcel block")
-    parcels_x = (ncols - cfg.road_cells) // cfg.period_cells
-    parcels_y = (nrows - cfg.road_cells) // cfg.period_cells
+    parcels_x = (ncols - ROAD_CELLS) // cfg.period_cells
+    parcels_y = (nrows - ROAD_CELLS) // cfg.period_cells
     n_parcels = parcels_x * parcels_y
 
     exact = [p * n_parcels for p in cfg.proportions]
@@ -284,15 +239,15 @@ def generate_world(cfg: WorldConfig) -> World:
 
     col = np.arange(ncols)
     row = np.arange(nrows)
-    road_col = (col % cfg.period_cells) < cfg.road_cells
-    road_row = (row % cfg.period_cells) < cfg.road_cells
+    road_col = (col % cfg.period_cells) < ROAD_CELLS
+    road_row = (row % cfg.period_cells) < ROAD_CELLS
     # cells past the last full period belong to the trailing road
-    road_col |= col >= cfg.road_cells + parcels_x * cfg.period_cells
-    road_row |= row >= cfg.road_cells + parcels_y * cfg.period_cells
+    road_col |= col >= ROAD_CELLS + parcels_x * cfg.period_cells
+    road_row |= row >= ROAD_CELLS + parcels_y * cfg.period_cells
     is_road = road_row[:, None] | road_col[None, :]
 
-    px = np.minimum((col - cfg.road_cells) // cfg.period_cells, parcels_x - 1)
-    py = np.minimum((row - cfg.road_cells) // cfg.period_cells, parcels_y - 1)
+    px = np.minimum((col - ROAD_CELLS) // cfg.period_cells, parcels_x - 1)
+    py = np.minimum((row - ROAD_CELLS) // cfg.period_cells, parcels_y - 1)
     px = np.maximum(px, 0)
     py = np.maximum(py, 0)
     truth_values = parcel_classes[py[:, None], px[None, :]].astype(np.float64)
@@ -303,7 +258,7 @@ def generate_world(cfg: WorldConfig) -> World:
         nrows=nrows,
         xll=e.min_lon_deg,
         yll=e.min_lat_deg,
-        cellsize=cellsize,
+        cellsize=CELLSIZE_DEG,
         nodata=NODATA,
     )
     truth = RasterGrid(values=truth_values, **georef)
@@ -328,7 +283,13 @@ TEXTURES: dict[str, tuple[tuple[float, float, float], float, float]] = {
 }
 
 SKY_FRACTION = 0.35
-VIEW_STEP_M = 5.0
+#: (row, col) step of one cell along each heading; row 0 is northernmost.
+_CELL_STEP = {
+    Heading.NORTH: (-1, 0),
+    Heading.EAST: (0, 1),
+    Heading.SOUTH: (1, 0),
+    Heading.WEST: (0, -1),
+}
 
 
 def _image_rng(cfg_seed: int, seed: int, p: GeoPoint, h: Heading) -> np.random.Generator:
@@ -337,40 +298,33 @@ def _image_rng(cfg_seed: int, seed: int, p: GeoPoint, h: Heading) -> np.random.G
 
 
 def facing_class(world: World, p: GeoPoint, h: Heading) -> int:
-    """Class of the first parcel cell along the view direction.
+    """Class of the first non-road cell among the ``ROAD_CELLS + 2`` cells
+    past the camera's own cell along the view direction.
 
-    Falls back to "others" when the ray runs out of range (the road
-    width plus two cells, as when looking down the road axis) or leaves
-    the world.
+    Falls back to "others" when every cell in reach is road (as when
+    looking down the road axis) or the view leaves the world.
     """
-    cfg = world.cfg
-    max_range_m = cfg.road_width_m + 2.0 * cfg.cell_m
-    x, y = world.to_local(p)
-    dx = {Heading.EAST: 1.0, Heading.WEST: -1.0}.get(h, 0.0)
-    dy = {Heading.SOUTH: 1.0, Heading.NORTH: -1.0}.get(h, 0.0)
-    d = VIEW_STEP_M
-    while d <= max_range_m:
-        try:
-            cls, is_road = world.class_at_local(x + d * dx, y + d * dy)
-        except DataValidationError:
+    row, col = world.truth.cell_index(p)
+    d_row, d_col = _CELL_STEP[h]
+    for k in range(1, ROAD_CELLS + 3):
+        r, c = row + k * d_row, col + k * d_col
+        if not (0 <= r < world.truth.nrows and 0 <= c < world.truth.ncols):
             break
-        if not is_road:
-            return cls
-        d += VIEW_STEP_M
+        if world.road_mask.values[r, c] != 1:
+            return int(world.truth.values[r, c])
     return world.taxonomy.others_index
 
 
 def render_street_image(world: World, p: GeoPoint, h: Heading, seed: int = 0) -> ImageTensor:
-    """Procedural roadside view, ``cfg.image_px`` square: sky band over the
+    """Procedural roadside view, ``IMAGE_PX`` square: sky band over the
     facing class texture."""
-    cfg = world.cfg
     row_mask, col_mask = world.truth.cell_index(p)
     if world.road_mask.values[row_mask, col_mask] != 1:
         raise DataValidationError("camera point is not on a road cell")
-    size = cfg.image_px
+    size = IMAGE_PX
     cls = facing_class(world, p, h)
     base, freq, speckle = TEXTURES[world.taxonomy.class_names[cls]]
-    rng = _image_rng(cfg.seed, seed, p, h)
+    rng = _image_rng(world.cfg.seed, seed, p, h)
 
     img = np.empty((size, size, 3))
     sky_rows = max(1, int(SKY_FRACTION * size))
@@ -405,7 +359,7 @@ def synthesize_scenes(world: World, out_dir: str | Path) -> list[SceneManifest]:
     rng = np.random.default_rng([cfg.seed, 0x5CE])
     class_idx = np.rint(world.truth.values).astype(np.int64)
     manifests = []
-    for date in cfg.scene_dates:
+    for date in SCENE_DATES:
         doy = date.timetuple().tm_yday
         band_paths = {}
         for band in BAND_NAMES:
@@ -452,7 +406,7 @@ def _camera_record(world: World, row: int, col: int, h: Heading, seed: int, imag
         capture_point=point,
         heading=h,
         image=image,
-        capture_date=world.cfg.scene_dates[len(world.cfg.scene_dates) // 2],
+        capture_date=SCENE_DATES[len(SCENE_DATES) // 2],
         path=path,
     )
 
@@ -467,6 +421,8 @@ def build_training_catalog(
     Images land in ``out_dir/images`` and the catalog in
     ``out_dir/catalog.csv``.
     """
+    if n_per_class < 1:
+        raise DataValidationError(f"n_per_class must be >= 1, got {n_per_class}")
     out_dir = Path(out_dir)
     images_dir = out_dir / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
@@ -508,7 +464,7 @@ def build_campaign_fixtures(
     if stride < 1:
         raise DataValidationError("stride must be >= 1")
     fixtures_dir = Path(fixtures_dir)
-    date = world.cfg.scene_dates[len(world.cfg.scene_dates) // 2]
+    date = SCENE_DATES[len(SCENE_DATES) // 2]
     count = 0
     for k, (row, col) in enumerate(world.road_cell_centers()):
         if k % stride:

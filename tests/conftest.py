@@ -79,7 +79,7 @@ def il_scenes(il_world, tmp_path_factory):
 
 def world_shift_params(world) -> ShiftParams:
     return ShiftParams(
-        road_width_y_m=world.cfg.road_width_m, pixel_size_x_m=world.cfg.cell_m
+        road_width_y_m=synthworld.ROAD_WIDTH_M, pixel_size_x_m=synthworld.CELL_M
     )
 
 

@@ -282,7 +282,7 @@ def test_criterion_8_synthetic_referencing(mapping_world):
     with _Timer(60.0, "criterion 8: reference points agree with truth >= 0.94 per class"):
         world, _, points = mapping_world
         shift = world_shift_params(world).shift_m
-        parcel_m = world.cfg.parcel_cells * world.cfg.cell_m
+        parcel_m = world.cfg.parcel_cells * sw.CELL_M
         assert parcel_m >= 3 * shift
         report, _ = refgen.validate_reference_points(points, world.truth, ILLINOIS)
         for name in report.class_names:

@@ -1,10 +1,14 @@
+import ast
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import BYTE_EDITS, make_grid, mutate_bytes
+from streetcrop import cli
 from streetcrop.cli import RunConfig, run_command
 from streetcrop.errors import UsageError
 from streetcrop.geocore import GeoPoint, Heading
@@ -62,6 +66,18 @@ class TestConfig:
         path = tmp_path / "c.cfg"
         path.write_text("seed = 3\n")
         assert RunConfig.load(path, seed=9).seed == 9
+
+    @pytest.mark.parametrize(
+        "config,argv", [("seed = -1\n", []), ("seed = 1\n", ["--seed", "-1"])],
+        ids=["config", "flag"],
+    )
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, config, argv):
+        path = tmp_path / "c.cfg"
+        path.write_text("region = illinois\n" + config)
+        out = tmp_path / "out"
+        assert run_command(["synth", "--config", str(path), "--out", str(out)] + argv) == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -317,8 +333,10 @@ class TestConfigValues:
             ("grid", "bbox = 0.0,north,0.0,0.01\n"),
             ("synth", "synth.proportions = 0.5,x,0.25\n"),
             ("train-images", "split.ratios = 0.6,0.2,y\n"),
+            ("synth", "synth.noise_sigma = nan\n"),
+            ("grid", "bbox = 0.0,inf,0.0,0.01\n"),
         ],
-        ids=["seed", "bbox", "synth.proportions", "split.ratios"],
+        ids=["seed", "bbox", "synth.proportions", "split.ratios", "nan", "inf"],
     )
     def test_non_numeric_value_is_usage_error(self, tmp_path, capsys, command, text):
         catalog = _tiny_catalog(tmp_path)
@@ -474,3 +492,38 @@ class TestUnreadableFiles:
         config.write_bytes(mutate_bytes(text, edits))
         out = tmp_path / "out"
         assert run_command(["grid", "--config", str(config), "--out", str(out)]) in (0, 1, 2)
+
+
+#: RunConfig and _Run methods whose first argument is a config key.
+KEY_READERS = {
+    "get_float", "get_int", "get_list", "get_floats", "features", "path", "input_path",
+    "output_path",
+}
+
+
+def _keys_read_by_cli() -> set[str]:
+    keys = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        values_get = (
+            func.attr == "get" and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "values"
+        )
+        if (func.attr in KEY_READERS or values_get) and node.args:
+            key = node.args[0]
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                keys.add(key.value)
+    return keys
+
+
+def test_readme_documents_every_config_key():
+    """README's config-key table lists exactly the non-path keys the CLI reads."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"^\| `([\w.]+)` \|", table, flags=re.MULTILINE))
+    read = {k for k in _keys_read_by_cli() if not k.startswith("paths.")}
+    assert read, "no config keys found in cli.py"
+    assert sorted(read - documented) == [], "config keys missing from README's table"
+    assert sorted(documented - read) == [], "README documents keys the CLI never reads"

@@ -204,6 +204,11 @@ class TestClassifyImages:
         b = classify_images(net, records)
         assert [(x.label, x.confidence) for x in a] == [(x.label, x.confidence) for x in b]
 
+    def test_mixed_image_sizes_are_data_error(self):
+        records = [li.record for li in fake_labeled(2, 0) + fake_labeled(1, 0, start=5, size=9)]
+        with pytest.raises(DataValidationError, match="mixed image sizes: 'img_0_5'"):
+            classify_images(self.small_net(), records)
+
 
 class TestQcFilter:
     def items(self):

@@ -1,4 +1,5 @@
 import collections
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from streetcrop import synthworld as sw
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import Heading
 from streetcrop.imageclassifier import CALIFORNIA, ILLINOIS
-from streetcrop.rasterstack import BAND_NAMES, FeatureName, SceneStack
+from streetcrop.rasterstack import BAND_NAMES, FeatureName, RasterGrid, SceneStack
 
 
 def phenology_separation(classes, dates):
@@ -83,7 +84,7 @@ class TestPhenology:
 
     def test_default_classes_separate_by_five_sigma(self):
         classes = list(sw.DEFAULT_PHENOLOGY)
-        sep = phenology_separation(classes, sw.scene_dates())
+        sep = phenology_separation(classes, sw.SCENE_DATES)
         assert sep >= 5 * 0.01
 
 
@@ -180,6 +181,45 @@ class TestRenderStreetImage:
         raise AssertionError("no intersection camera found")
 
 
+class TestFacingClass:
+    """A camera sees the first non-road cell within ROAD_CELLS + 2 cells."""
+
+    def test_outer_road_camera(self):
+        world = small_world()
+        last = world.truth.nrows - 1
+        # (camera cell, heading out of the world, heading in, first cell inward)
+        for (r, c), out, inward, (ar, ac) in [
+            ((0, 1), Heading.NORTH, Heading.SOUTH, (1, 1)),
+            ((last, 1), Heading.SOUTH, Heading.NORTH, (last - 1, 1)),
+            ((1, 0), Heading.WEST, Heading.EAST, (1, 1)),
+            ((1, last), Heading.EAST, Heading.WEST, (1, last - 1)),
+        ]:
+            p = world.truth.cell_center(r, c)
+            assert world.road_mask.values[r, c] == 1 and world.road_mask.values[ar, ac] == 0
+            assert sw.facing_class(world, p, out) == ILLINOIS.others_index
+            assert sw.facing_class(world, p, inward) == world.truth.values[ar, ac]
+
+    def test_reach_and_others_parcels(self):
+        # hand-made 2x7 world: row 0 has a three-cell road run before corn,
+        # row 1 an "others" parcel cell before soybean
+        o, corn, soy = ILLINOIS.others_index, ILLINOIS.index("corn"), ILLINOIS.index("soybean")
+        road = [[1, 1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]]
+        truth = [[o, o, o, o, corn, corn, corn], [o, o, o, soy, soy, soy, soy]]
+        grid = lambda values: RasterGrid(7, 2, 0.0, 0.0, sw.CELLSIZE_DEG, sw.NODATA, values)
+        world = replace(small_world(), truth=grid(truth), road_mask=grid(road))
+        view = lambda r, c: sw.facing_class(world, world.truth.cell_center(r, c), Heading.EAST)
+        assert view(0, 1) == corn  # three cells out: the edge of reach
+        assert view(0, 0) == o  # four cells out: beyond reach
+        assert view(1, 0) == o  # the first non-road cell decides, even for "others"
+
+    def test_intersection_camera_sees_only_road(self):
+        world = small_world()
+        k = world.cfg.period_cells
+        for r, c in [(0, 0), (k, k), (k, 0)]:
+            p = world.truth.cell_center(r, c)
+            assert all(sw.facing_class(world, p, h) == ILLINOIS.others_index for h in Heading)
+
+
 class TestCampaign:
     def test_training_catalog_counts(self, tmp_path):
         world = small_world()
@@ -194,6 +234,11 @@ class TestCampaign:
         world = small_world()
         with pytest.raises(DataValidationError):
             sw.build_training_catalog(world, tmp_path, n_per_class=10**6)
+
+    @pytest.mark.parametrize("n_per_class", [0, -1])
+    def test_non_positive_count_rejected(self, tmp_path, n_per_class):
+        with pytest.raises(DataValidationError, match="n_per_class"):
+            sw.build_training_catalog(small_world(), tmp_path, n_per_class=n_per_class)
 
     def test_fixture_stride_thins_cameras(self, tmp_path):
         world = small_world()
