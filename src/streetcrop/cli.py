@@ -11,7 +11,8 @@ The deliberate seam between ``classify-images`` and ``make-refs`` is
 where a human edits the rejection list consumed by ``qc``.
 
 Config files are flat ``key = value`` text with section prefixes
-(``shift.road_width_y_m = 12``). Relative paths resolve against the
+(``shift.road_width_y_m = 12``). A key outside :data:`CONFIG_KEYS` and
+the ``paths.*`` keys is a usage error. Relative paths resolve against the
 config file's directory. Every command writes a ``<command>.manifest``
 recording the config hash, seed and input/output paths; rerunning a
 command with identical config, seed and inputs reproduces its artifacts
@@ -43,6 +44,38 @@ from .rasterstack import FeatureName, SceneStack, read_grid, read_manifest, writ
 # Config file
 # --------------------------------------------------------------------------
 
+#: Every key a config may set besides the ``paths.*`` keys; README's
+#: config-key table documents each.
+CONFIG_KEYS = (
+    "region",
+    "seed",
+    "bbox",
+    "synth.parcels_per_side",
+    "synth.parcel_cells",
+    "synth.proportions",
+    "synth.noise_sigma",
+    "synth.cloud_fraction",
+    "synth.n_per_class",
+    "synth.fixture_stride",
+    "grid.spacing_m",
+    "shift.road_width_y_m",
+    "shift.pixel_size_x_m",
+    "shift.extra_steps",
+    "split.ratios",
+    "net.epochs",
+    "net.learning_rate",
+    "net.momentum",
+    "net.batch_size",
+    "net.dropout_rate",
+    "net.dropout_grid",
+    "qc.min_confidence",
+    "qc.rejection_list",
+    "refs.min_per_class",
+    "refs.others_count",
+    "features.candidates",
+    "features.selected",
+)
+
 
 class RunConfig:
     """Flat key=value config with typed accessors and path resolution."""
@@ -65,7 +98,10 @@ class RunConfig:
             if "=" not in stripped:
                 raise UsageError(f"{path}:{n}: expected 'key = value', got {line!r}")
             key, value = stripped.split("=", 1)
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS and not key.startswith("paths."):
+                raise UsageError(f"{path}:{n}: unknown config key {key!r}")
+            values[key] = value.strip()
         return cls(values, path.parent.resolve(), text.encode(), seed=seed)
 
     def _finite(self, key: str, token, what: str) -> float:

@@ -5,6 +5,17 @@ whitespace-separated rows) so they round-trip bit-exactly in any
 language. Row 0 is the northernmost row; ``xllcorner``/``yllcorner``
 give the lower-left corner in degrees.
 
+Next to every grid it writes, :func:`write_grid` leaves a binary twin
+``<name>.f8``: one line holding the hex sha256 of the grid's text bytes
+with the payload appended, then the payload itself, the values as
+little-endian float64 in row-major order (``-0.0`` stored as ``+0.0``,
+as the text denotes it). The text stays authoritative: :func:`read_grid`
+always parses the header from it and takes the body from the twin only
+when the digest matches this very text and the payload has exactly
+``8 * ncols * nrows`` bytes. A missing, stale or corrupt twin is ignored
+and the body is parsed from the text. A twin costs 8 bytes per cell on
+disk and spares every later reader the text-to-float conversion.
+
 A scene is one acquisition date with six surface-reflectance bands
 (Blue, Green, Red, NIR, SWIR1, SWIR2) plus a QA grid where 0 means
 clear and any nonzero value (cloud bit 0, shadow bit 1, snow bit 2)
@@ -23,6 +34,7 @@ reading rasters that store raw surface-reflectance integers.
 from __future__ import annotations
 
 import datetime
+import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -30,7 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, read_input_text
+from .errors import DataValidationError, read_input, read_input_text
 from .geocore import GeoPoint
 
 BAND_NAMES = ("Blue", "Green", "Red", "NIR", "SWIR1", "SWIR2")
@@ -148,7 +160,26 @@ def _format_value(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
+def _format_rows(values: np.ndarray) -> list[str]:
+    """One text line per row, each value formatted as :func:`_format_value` does."""
+    integral = (np.trunc(values) == values) & (np.abs(values) < 2.0**63)  # false for inf, nan
+    if integral.all():
+        return [" ".join(map(str, row)) for row in values.astype(np.int64).tolist()]
+    return [" ".join(map(_format_value, row)) for row in values.tolist()]
+
+
+def _twin_path(path: Path) -> Path:
+    return path.with_name(path.name + ".f8")
+
+
+def _twin_digest(text: bytes, payload: bytes) -> bytes:
+    digest = hashlib.sha256(text)
+    digest.update(payload)
+    return digest.hexdigest().encode()
+
+
 def write_grid(grid: RasterGrid, path: str | Path):
+    """Write ``grid`` as text to ``path`` and its binary twin next to it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -159,9 +190,10 @@ def write_grid(grid: RasterGrid, path: str | Path):
         f"cellsize {_format_value(grid.cellsize)}",
         f"NODATA_value {_format_value(grid.nodata)}",
     ]
-    for row in grid.values:
-        lines.append(" ".join(_format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    text = ("\n".join(lines + _format_rows(grid.values)) + "\n").encode()
+    path.write_bytes(text)
+    payload = (grid.values + 0.0).astype("<f8").tobytes()
+    _twin_path(path).write_bytes(_twin_digest(text, payload) + b"\n" + payload)
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
@@ -179,14 +211,43 @@ def _header_value(path: Path, key: str, text: str) -> float:
     return value
 
 
+def _twin_values(path: Path, text: bytes, ncols: int, nrows: int) -> np.ndarray | None:
+    """The body of the grid ``text`` from its twin, or None without a valid twin."""
+    try:
+        twin = read_input(_twin_path(path), "grid twin", GridFormatError)
+    except GridFormatError:
+        return None
+    digest, _, payload = twin.partition(b"\n")
+    if len(payload) != 8 * ncols * nrows or digest != _twin_digest(text, payload):
+        return None
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(nrows, ncols)
+
+
+def _parse_body(path: Path, lines: list[str], ncols: int, nrows: int) -> np.ndarray:
+    rows = [tokens for tokens in (line.split() for line in lines) if tokens]
+    for n, tokens in enumerate(rows):
+        if len(tokens) != ncols:
+            raise GridFormatError(f"{path}: row {n} has {len(tokens)} values, expected {ncols}")
+    if len(rows) != nrows:
+        raise GridFormatError(f"{path}: found {len(rows)} rows, expected {nrows}")
+    try:
+        values = np.array([t for tokens in rows for t in tokens], dtype=np.float64)
+    except ValueError as exc:
+        raise GridFormatError(f"{path}: {exc}") from None
+    return values.reshape(nrows, ncols)
+
+
 def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
     """Read a grid file; ``scale`` multiplies non-nodata values on ingest.
 
     ``ncols``/``nrows`` must be integers, every header value finite and
     every body token a number; anything else is a :class:`GridFormatError`.
+    The body comes from the grid's binary twin when that twin matches the
+    text (see the module docstring), else from the text.
     """
     path = Path(path)
-    lines = read_input_text(path, "grid", GridFormatError).splitlines()
+    text = read_input_text(path, "grid", GridFormatError)
+    lines = text.splitlines()
     header: dict[str, float] = {}
     idx = 0
     while idx < len(lines) and len(header) < len(_HEADER_KEYS):
@@ -200,17 +261,9 @@ def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
     if missing:
         raise GridFormatError(f"{path}: missing header keys {missing}")
     ncols, nrows = header["ncols"], header["nrows"]
-    rows = [tokens for tokens in (line.split() for line in lines[idx:]) if tokens]
-    for n, tokens in enumerate(rows):
-        if len(tokens) != ncols:
-            raise GridFormatError(f"{path}: row {n} has {len(tokens)} values, expected {ncols}")
-    if len(rows) != nrows:
-        raise GridFormatError(f"{path}: found {len(rows)} rows, expected {nrows}")
-    try:
-        values = np.array([t for tokens in rows for t in tokens], dtype=np.float64)
-    except ValueError as exc:
-        raise GridFormatError(f"{path}: {exc}") from None
-    values = values.reshape(nrows, ncols)
+    values = _twin_values(path, text.encode(), ncols, nrows)
+    if values is None:
+        values = _parse_body(path, lines[idx:], ncols, nrows)
     nodata = header["nodata_value"]
     if scale is not None:
         values = np.where(values == nodata, nodata, values * scale)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import re
 import shutil
 from pathlib import Path
@@ -519,7 +520,8 @@ def _keys_read_by_cli() -> set[str]:
 
 
 def test_readme_documents_every_config_key():
-    """README's config-key table lists exactly the non-path keys the CLI reads."""
+    """README's config-key table and ``CONFIG_KEYS`` list exactly the non-path
+    keys the CLI reads."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
     documented = set(re.findall(r"^\| `([\w.]+)` \|", table, flags=re.MULTILINE))
@@ -527,3 +529,40 @@ def test_readme_documents_every_config_key():
     assert read, "no config keys found in cli.py"
     assert sorted(read - documented) == [], "config keys missing from README's table"
     assert sorted(documented - read) == [], "README documents keys the CLI never reads"
+    assert len(set(cli.CONFIG_KEYS)) == len(cli.CONFIG_KEYS)
+    assert set(cli.CONFIG_KEYS) == read, "CONFIG_KEYS differs from the keys the CLI reads"
+
+
+@pytest.mark.parametrize("line", ["grid.spacing = 10", "synth.cell_m = 30", "Seed = 1"])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"region = illinois\nseed = 1\n{line}\n")
+    assert run_command(["grid", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    key = line.split("=")[0].strip()
+    assert f"{config}:3: unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_path_keys_are_accepted(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 1\npaths.anything = a/b\n")
+    assert RunConfig.load(config).path("paths.anything") == tmp_path / "a" / "b"
+
+
+def test_every_written_grid_has_a_verified_twin(tmp_path):
+    """After the whole chain, each grid under --out sits next to a twin whose
+    digest covers that grid's text and whose payload holds its values."""
+    config = tmp_path / "run.cfg"
+    config.write_text(MINI_CONFIG)
+    out = tmp_path / "run"
+    for command in cli.COMMANDS:
+        assert run_command([command, "--config", str(config), "--out", str(out)]) == 0, command
+    grids = sorted(out.rglob("*.grid"))
+    assert {"truth.grid", "roadmask.grid", "crop_map.grid"} <= {g.name for g in grids}
+    assert len(grids) == 3 + 10 * 7
+    for grid in grids:
+        digest, payload = grid.with_name(grid.name + ".f8").read_bytes().split(b"\n", 1)
+        text = grid.read_bytes()
+        assert digest == hashlib.sha256(text + payload).hexdigest().encode(), grid
+        values = np.array(text.decode().split("\n", 6)[6].split(), dtype=np.float64)
+        assert payload == values.astype("<f8").tobytes(), grid

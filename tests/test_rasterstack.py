@@ -1,6 +1,8 @@
 import datetime
+import hashlib
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import BYTE_EDITS, make_grid, mutate_bytes, write_scene
+from streetcrop import rasterstack
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import GeoPoint
 from streetcrop.rasterstack import (
@@ -146,6 +149,189 @@ class TestGridIO:
             read_grid(path)
         except DataValidationError:
             pass
+
+
+#: The value classes a grid file must carry exactly: signed zeros, short and
+#: long decimals, integers at and past 2**53 and 2**63, subnormals, nodata.
+SPECIAL_VALUES = [
+    -0.0, 0.0, 1e-05, 0.1, -1.5, 2.0**53, 2.0**53 + 2, 2.0**63 - 1024, -(2.0**63),
+    2.0**63, 1e300, 5e-324, 2.2250738585072014e-308, -9999.0,
+]
+FLOAT_VALUES = st.one_of(
+    st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+INTEGRAL_VALUES = st.one_of(
+    st.sampled_from([v for v in SPECIAL_VALUES if float(v).is_integer()]),
+    st.integers(-(2**62), 2**62).map(float),
+)
+
+
+def grids_of(values):
+    return st.integers(1, 4).flatmap(
+        lambda ncols: st.lists(
+            st.lists(values, min_size=ncols, max_size=ncols), min_size=1, max_size=4
+        )
+    )
+
+
+GRID_ROWS = st.one_of(grids_of(FLOAT_VALUES), grids_of(INTEGRAL_VALUES))
+
+
+def old_format_value(v):
+    """The per-value formatter grids were always written with."""
+    return str(int(v)) if float(v).is_integer() else repr(float(v))
+
+
+def twin_of(path):
+    return path.with_name(path.name + ".f8")
+
+
+def text_read(path, **kwargs):
+    """``read_grid`` of ``path`` with its twin set aside: the text parse."""
+    twin = twin_of(path)
+    saved = twin.read_bytes() if twin.exists() else None
+    twin.unlink(missing_ok=True)
+    try:
+        return read_grid(path, **kwargs)
+    finally:
+        if saved is not None:
+            twin.write_bytes(saved)
+
+
+def write_twin(path, payload):
+    """A twin for the text now at ``path`` whose digest matches, over ``payload``."""
+    digest = hashlib.sha256(path.read_bytes() + payload).hexdigest().encode()
+    twin_of(path).write_bytes(digest + b"\n" + payload)
+
+
+def payload_of(path):
+    return twin_of(path).read_bytes().split(b"\n", 1)[1]
+
+
+def flip_byte(data, at):
+    return data[:at] + bytes([data[at] ^ 0x40]) + data[at + 1 :]
+
+
+def assert_same_grid(a, b):
+    assert (a.ncols, a.nrows, a.xll, a.yll, a.cellsize, a.nodata) == (
+        b.ncols, b.nrows, b.xll, b.yll, b.cellsize, b.nodata
+    )
+    assert a.values.dtype == b.values.dtype == np.float64
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+class TestGridTwin:
+    """The binary twin next to every written grid and its fallback to the text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(GRID_ROWS)
+    def test_text_bytes_match_the_per_value_formatter(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.grid"
+            write_grid(make_grid(rows, xll=-119.45, yll=35.42), path)
+            body = path.read_text().splitlines()[6:]
+        assert body == [" ".join(old_format_value(v) for v in row) for row in np.array(rows)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(GRID_ROWS)
+    def test_twin_read_equals_text_read_bit_for_bit(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.grid"
+            write_grid(make_grid(rows, xll=-119.45, yll=35.42), path)
+            with mock.patch.object(rasterstack, "_parse_body", side_effect=AssertionError):
+                twin = read_grid(path)  # the body comes from the twin, not the text
+            assert_same_grid(twin, text_read(path))
+
+    def test_twin_layout(self, tmp_path):
+        path = tmp_path / "B4.grid"
+        write_grid(make_grid([[-0.0, 0.5, -9999.0]]), path)
+        digest, payload = twin_of(path).read_bytes().split(b"\n", 1)
+        assert digest == hashlib.sha256(path.read_bytes() + payload).hexdigest().encode()
+        assert payload == np.array([0.0, 0.5, -9999.0], dtype="<f8").tobytes()
+
+    def write_pair(self, tmp_path):
+        path = tmp_path / "g.grid"
+        write_grid(make_grid([[0.125, -9999.0, 3.0], [1.5, 0.25, -2.0]], xll=-119.45), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda twin: twin.unlink(),
+            lambda twin: twin.write_bytes(twin.read_bytes()[:-1]),
+            lambda twin: twin.write_bytes(twin.read_bytes() + b"\0"),
+            lambda twin: twin.write_bytes(twin.read_bytes()[:-8] + np.float64(7.0).tobytes()),
+            lambda twin: twin.write_bytes(twin.read_bytes().replace(b"\n", b"0\n", 1)),
+            lambda twin: twin.write_bytes(b""),
+            lambda twin: (twin.unlink(), twin.mkdir()),
+            lambda twin: twin.write_bytes(flip_byte(twin.read_bytes(), -3)),
+        ],
+        ids=[
+            "missing", "truncated", "extended", "edited", "bad-digest", "empty", "directory",
+            "flipped-payload-byte",
+        ],
+    )
+    def test_spoiled_twin_reads_the_text(self, tmp_path, spoil):
+        path = self.write_pair(tmp_path)
+        expected = text_read(path)
+        spoil(twin_of(path))
+        assert_same_grid(read_grid(path), expected)
+
+    def test_twin_of_another_grid_is_ignored(self, tmp_path):
+        path = self.write_pair(tmp_path)
+        other = tmp_path / "other.grid"
+        write_grid(make_grid([[9.0, 9.0, 9.0], [9.0, 9.0, 9.0]], xll=-119.45), other)
+        twin_of(path).write_bytes(twin_of(other).read_bytes())
+        assert_same_grid(read_grid(path), text_read(path))
+        np.testing.assert_array_equal(read_grid(path).values[0], [0.125, -9999.0, 3.0])
+
+    def test_edited_text_reads_the_new_value(self, tmp_path):
+        path = self.write_pair(tmp_path)
+        path.write_text(path.read_text().replace("0.125", "0.375"))
+        assert read_grid(path).values[0, 0] == 0.375
+
+    def test_malformed_text_raises_despite_the_twin(self, tmp_path):
+        path = self.write_pair(tmp_path)
+        path.write_text(path.read_text().replace("0.125", "x"))
+        with pytest.raises(GridFormatError, match="g.grid"):
+            read_grid(path)
+
+    def test_malformed_header_raises_despite_the_twin(self, tmp_path):
+        path = self.write_pair(tmp_path)
+        payload = payload_of(path)
+        path.write_bytes(path.read_bytes().replace(b"ncols 3", b"ncols 3.5"))
+        write_twin(path, payload)
+        with pytest.raises(GridFormatError, match="ncols"):
+            read_grid(path)
+
+    def test_twin_of_another_size_is_ignored(self, tmp_path):
+        path = self.write_pair(tmp_path)
+        write_twin(path, payload_of(path)[:-8])  # five values for six cells
+        assert_same_grid(read_grid(path), text_read(path))
+
+    @pytest.mark.parametrize("with_twin", [True, False])
+    def test_values_are_writable(self, tmp_path, with_twin):
+        path = self.write_pair(tmp_path)
+        grid = read_grid(path) if with_twin else text_read(path)
+        grid.values[0, 0] = 1.0
+        assert grid.values.flags.writeable
+
+    def test_scale_is_the_same_on_both_paths(self, tmp_path):
+        path = tmp_path / "g.grid"
+        write_grid(make_grid([[5000.0, -9999.0, 1234.0], [0.0, 17.0, -3.0]]), path)
+        assert_same_grid(read_grid(path, scale=0.0001), text_read(path, scale=0.0001))
+        assert read_grid(path, scale=0.0001).values[0, 1] == -9999.0
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(BYTE_EDITS)
+    def test_mutated_twin_reads_the_text(self, tmp_path, edits):
+        path = self.write_pair(tmp_path)
+        expected = text_read(path)
+        twin = twin_of(path)
+        twin.write_bytes(mutate_bytes(twin.read_bytes(), edits))
+        assert_same_grid(read_grid(path), expected)
 
 
 def one_scene_stack(tmp_path, nir, qa):
