@@ -11,12 +11,14 @@ The deliberate seam between ``classify-images`` and ``make-refs`` is
 where a human edits the rejection list consumed by ``qc``.
 
 Config files are flat ``key = value`` text with section prefixes
-(``shift.road_width_y_m = 12``). A key outside :data:`CONFIG_KEYS` and
-the ``paths.*`` keys is a usage error. Relative paths resolve against the
-config file's directory. Every command writes a ``<command>.manifest``
-recording the config hash, seed and input/output paths; rerunning a
-command with identical config, seed and inputs reproduces its artifacts
-byte for byte.
+(``shift.road_width_y_m = 12``). :data:`CONFIG_KEYS` holds every key with
+its parser and default; an unknown key or a malformed value is a usage
+error before any command runs. A ``paths.*`` key locates an artifact
+that chains stages, by default under ``--out``; a configured path
+resolves against the config file's directory. Every command writes a
+``<command>.manifest`` recording the config hash, seed and input/output
+paths; rerunning a command with identical config, seed and inputs
+reproduces its artifacts byte for byte.
 
 Exit codes: 0 success, 1 usage error (including an unreadable config),
 2 data/validation error (including any unreadable input or unwritable
@@ -31,7 +33,9 @@ import hashlib
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import cropmapper, imageclassifier, metrics, neuralnet, refgen, synthworld
 from .errors import DataValidationError, UsageError, read_input_text
@@ -44,176 +48,211 @@ from .rasterstack import FeatureName, SceneStack, read_grid, read_manifest, writ
 # Config file
 # --------------------------------------------------------------------------
 
-#: Every key a config may set besides the ``paths.*`` keys; README's
-#: config-key table documents each.
-CONFIG_KEYS = (
-    "region",
-    "seed",
-    "bbox",
-    "synth.parcels_per_side",
-    "synth.parcel_cells",
-    "synth.proportions",
-    "synth.noise_sigma",
-    "synth.cloud_fraction",
-    "synth.n_per_class",
-    "synth.fixture_stride",
-    "grid.spacing_m",
-    "shift.road_width_y_m",
-    "shift.pixel_size_x_m",
-    "shift.extra_steps",
-    "split.ratios",
-    "net.epochs",
-    "net.learning_rate",
-    "net.momentum",
-    "net.batch_size",
-    "net.dropout_rate",
-    "net.dropout_grid",
-    "qc.min_confidence",
-    "qc.rejection_list",
-    "refs.min_per_class",
-    "refs.others_count",
-    "features.candidates",
-    "features.selected",
-)
+# A parser returns a config value's typed value or raises ValueError with a
+# phrase that completes "config key <key> ...".
 
 
-class RunConfig:
-    """Flat key=value config with typed accessors and path resolution."""
+def _int(raw: str) -> int:
+    """Every integer key counts something, so none may be negative."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError("is not an integer") from None
+    if value < 0:
+        raise ValueError("must be a non-negative integer")
+    return value
 
-    def __init__(self, values: dict[str, str], base_dir: Path, raw_bytes: bytes, seed=None):
-        self.values = values
-        self.base_dir = base_dir
-        self.sha256 = hashlib.sha256(raw_bytes).hexdigest()
-        self._seed_override = seed
+
+def _float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError("is not a finite number")
+    return value
+
+
+def _list(item: Callable[[str], object], what: str, raw: str) -> tuple:
+    """A non-empty, comma-separated list of ``item`` values."""
+    try:
+        values = tuple(item(t.strip()) for t in raw.split(",") if t.strip())
+    except ValueError:
+        values = ()
+    if not values:
+        raise ValueError(f"is not {what}")
+    return values
+
+
+_floats = partial(_list, _float, "a list of finite numbers")
+_features = partial(_list, FeatureName, "a list of features")
+
+
+def _bbox(raw: str) -> BoundingBox:
+    parts = _floats(raw)
+    if len(parts) != 4:
+        raise ValueError("is not min_lat,max_lat,min_lon,max_lon")
+    try:
+        return BoundingBox(*parts)
+    except DataValidationError as exc:
+        raise ValueError(f"is not a valid box ({exc})") from None
+
+
+def _region(raw: str) -> LabelTaxonomy:
+    if raw not in TAXONOMIES:
+        raise ValueError(f"is not a known region {sorted(TAXONOMIES)}")
+    return TAXONOMIES[raw]
+
+
+def _path(raw: str) -> Path:
+    if not raw:
+        raise ValueError("is an empty path")
+    return Path(raw)
+
+
+class ConfigKey(NamedTuple):
+    parse: Callable[[str], object]
+    default: str | None = None  # in config syntax; None: unset
+
+
+#: Every key a config may set; README's config-key tables document each. A
+#: path key's default lies under --out, shared by the artifact's writer and readers.
+CONFIG_KEYS = {
+    "region": ConfigKey(_region, "california"),
+    "seed": ConfigKey(_int),
+    "bbox": ConfigKey(_bbox),
+    "synth.parcels_per_side": ConfigKey(_int, "22"),
+    "synth.parcel_cells": ConfigKey(_int, "8"),
+    "synth.proportions": ConfigKey(_floats),
+    "synth.noise_sigma": ConfigKey(_float, "0.01"),
+    "synth.cloud_fraction": ConfigKey(_float, "0.1"),
+    "synth.n_per_class": ConfigKey(_int, "220"),
+    "synth.fixture_stride": ConfigKey(_int, "3"),
+    "grid.spacing_m": ConfigKey(_float, "30"),
+    "shift.road_width_y_m": ConfigKey(_float, "30"),
+    "shift.pixel_size_x_m": ConfigKey(_float, "30"),
+    "shift.extra_steps": ConfigKey(_int, "0"),
+    "split.ratios": ConfigKey(_floats, "0.6,0.2,0.2"),
+    "net.epochs": ConfigKey(_int),  # unset: each network's own default
+    "net.learning_rate": ConfigKey(_float, str(neuralnet.TrainConfig.learning_rate)),
+    "net.momentum": ConfigKey(_float, str(neuralnet.TrainConfig.momentum)),
+    "net.batch_size": ConfigKey(_int, str(neuralnet.TrainConfig.batch_size)),
+    "net.dropout_rate": ConfigKey(_float, str(neuralnet.TrainConfig.dropout_rate)),
+    "net.dropout_grid": ConfigKey(_floats),
+    "qc.min_confidence": ConfigKey(_float, "0.5"),
+    "qc.rejection_list": ConfigKey(_path),
+    "refs.min_per_class": ConfigKey(_int, "0"),
+    "refs.others_count": ConfigKey(_int, "0"),
+    "features.candidates": ConfigKey(_features, ",".join(f.value for f in FeatureName)),
+    "features.selected": ConfigKey(_features),
+    "paths.truth": ConfigKey(_path, "world/truth.grid"),
+    "paths.scenes": ConfigKey(_path, "world/scenes"),
+    "paths.training_catalog": ConfigKey(_path, "world/training/catalog.csv"),
+    "paths.fixtures": ConfigKey(_path, "world/fixtures"),
+    "paths.grid_csv": ConfigKey(_path, "grid.csv"),
+    "paths.campaign_catalog": ConfigKey(_path, "campaign.csv"),
+    "paths.image_model": ConfigKey(_path, "image_model.rtnn"),
+    "paths.classified_catalog": ConfigKey(_path, "classified.csv"),
+    "paths.kept_catalog": ConfigKey(_path, "kept.csv"),
+    "paths.refs_csv": ConfigKey(_path, "refs.csv"),
+    "paths.selection": ConfigKey(_path, "selection.csv"),
+    "paths.pixel_model": ConfigKey(_path, "pixel_model.rtnn"),
+    "paths.map_grid": ConfigKey(_path, "crop_map.grid"),
+}
+
+
+class RunConfig(dict):
+    """Every key's parsed value, defaults filled in from :data:`CONFIG_KEYS`."""
+
+    sha256: str  # of the config file's bytes
 
     @classmethod
     def load(cls, path: str | Path, seed=None) -> "RunConfig":
+        """Parse a config file; ``seed`` (from ``--seed``) overrides its seed."""
         path = Path(path)
         text = read_input_text(path, "config", UsageError)
-        values: dict[str, str] = {}
+        cfg = cls({k: None if d is None else parse(d) for k, (parse, d) in CONFIG_KEYS.items()})
         for n, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
             if "=" not in stripped:
                 raise UsageError(f"{path}:{n}: expected 'key = value', got {line!r}")
-            key, value = stripped.split("=", 1)
-            key = key.strip()
-            if key not in CONFIG_KEYS and not key.startswith("paths."):
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            if key not in CONFIG_KEYS:
                 raise UsageError(f"{path}:{n}: unknown config key {key!r}")
-            values[key] = value.strip()
-        return cls(values, path.parent.resolve(), text.encode(), seed=seed)
-
-    def _finite(self, key: str, token, what: str) -> float:
-        try:
-            value = float(token)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise UsageError(f"config key {key} is not {what}: {self.values[key]!r}")
-        return value
-
-    def get_float(self, key: str, default: float) -> float:
-        raw = self.values.get(key)
-        return default if raw is None else self._finite(key, raw, "a finite number")
-
-    def get_int(self, key: str, default: int) -> int:
-        raw = self.values.get(key)
-        try:
-            return default if raw is None else int(raw)
-        except ValueError:
-            raise UsageError(f"config key {key} is not an integer: {raw!r}") from None
-
-    def get_list(self, key: str, default=()) -> tuple[str, ...]:
-        raw = self.values.get(key)
-        if raw is None:
-            return tuple(default)
-        return tuple(t.strip() for t in raw.split(",") if t.strip())
-
-    def get_floats(self, key: str, default=()) -> tuple[float, ...]:
-        return tuple(
-            self._finite(key, t, "a list of finite numbers") for t in self.get_list(key, default)
-        )
-
-    def path(self, key: str) -> Path | None:
-        raw = self.values.get(key)
-        if raw is None:
-            return None
-        p = Path(raw)
-        return p if p.is_absolute() else self.base_dir / p
+            try:
+                value = CONFIG_KEYS[key].parse(raw)
+            except ValueError as exc:
+                raise UsageError(f"{path}:{n}: config key {key} {exc}: {raw!r}") from None
+            cfg[key] = path.parent.resolve() / value if isinstance(value, Path) else value
+        if seed is not None:
+            if seed < 0:
+                raise UsageError(f"seed must be a non-negative integer, got {seed}")
+            cfg["seed"] = seed
+        cfg.sha256 = hashlib.sha256(text.encode()).hexdigest()
+        return cfg
 
     @property
     def seed(self) -> int:
-        if self._seed_override is not None:
-            seed = int(self._seed_override)
-        elif "seed" not in self.values:
+        if self["seed"] is None:
             raise UsageError("seed is mandatory: set 'seed =' in the config or pass --seed")
-        else:
-            seed = self.get_int("seed", 0)
-        if seed < 0:
-            raise UsageError(f"seed must be a non-negative integer, got {seed}")
-        return seed
+        return self["seed"]
 
     @property
     def taxonomy(self) -> LabelTaxonomy:
-        region = self.values.get("region", "california")
-        if region not in TAXONOMIES:
-            raise UsageError(f"unknown region {region!r}; known: {sorted(TAXONOMIES)}")
-        return TAXONOMIES[region]
-
-    def bbox(self) -> BoundingBox | None:
-        if "bbox" not in self.values:
-            return None
-        parts = self.get_floats("bbox")
-        if len(parts) != 4:
-            raise UsageError("bbox must be min_lat,max_lat,min_lon,max_lon")
-        return BoundingBox(*parts)
+        return self["region"]
 
     def shift_params(self) -> ShiftParams:
         return ShiftParams(
-            road_width_y_m=self.get_float("shift.road_width_y_m", 30.0),
-            pixel_size_x_m=self.get_float("shift.pixel_size_x_m", 30.0),
-            extra_steps=self.get_int("shift.extra_steps", 0),
+            road_width_y_m=self["shift.road_width_y_m"],
+            pixel_size_x_m=self["shift.pixel_size_x_m"],
+            extra_steps=self["shift.extra_steps"],
         )
 
     def train_config(self, default_epochs: int) -> neuralnet.TrainConfig:
+        epochs = self["net.epochs"]
         return neuralnet.TrainConfig(
-            epochs=self.get_int("net.epochs", default_epochs),
-            learning_rate=self.get_float("net.learning_rate", 0.01),
-            momentum=self.get_float("net.momentum", 0.9),
-            batch_size=self.get_int("net.batch_size", 32),
-            dropout_rate=self.get_float("net.dropout_rate", neuralnet.TrainConfig.dropout_rate),
+            epochs=default_epochs if epochs is None else epochs,
+            learning_rate=self["net.learning_rate"],
+            momentum=self["net.momentum"],
+            batch_size=self["net.batch_size"],
+            dropout_rate=self["net.dropout_rate"],
             seed=self.seed,
         )
 
-    def features(self, key: str, default=()) -> tuple[FeatureName, ...]:
-        names = self.get_list(key, default)
-        try:
-            return tuple(FeatureName(n) for n in names)
-        except ValueError as exc:
-            raise UsageError(f"config key {key}: {exc}") from None
-
 
 class _Run:
-    """Resolved paths and manifest bookkeeping for one command."""
+    """Resolved paths and manifest bookkeeping for one command.
+
+    A path key's default is relative, so it lands under ``--out``; a
+    configured path resolved against the config's directory is absolute,
+    and ``out / path`` keeps it.
+    """
 
     def __init__(self, command: str, cfg: RunConfig, out_dir: Path):
         self.command = command
         self.cfg = cfg
-        self.seed = cfg.seed  # a missing or negative seed stops the command before any work
+        self.seed = cfg.seed  # a missing seed stops the command before any work
         self.out = out_dir
         self.out.mkdir(parents=True, exist_ok=True)
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
 
-    def input_path(self, key: str, default_name: str) -> Path:
-        p = self.cfg.path(key) or (self.out / default_name)
+    def input_path(self, key: str) -> Path:
+        p = self.out / self.cfg[key]
         self.inputs.append(p)
         return p
 
-    def output_path(self, key: str, default_name: str) -> Path:
-        p = self.cfg.path(key) or (self.out / default_name)
+    def output_path(self, key: str) -> Path:
+        p = self.out / self.cfg[key]
         p.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(p)
+        return p
+
+    def report(self, name: str) -> Path:
+        """A report file no stage reads, at its fixed name under ``--out``."""
+        p = self.out / name
         self.outputs.append(p)
         return p
 
@@ -229,7 +268,7 @@ class _Run:
 
 
 def _scenes(run: _Run) -> SceneStack:
-    scenes_dir = run.input_path("paths.scenes", "world/scenes")
+    scenes_dir = run.input_path("paths.scenes")
     manifest_paths = sorted(scenes_dir.glob("*.manifest"))
     if not manifest_paths:
         raise DataValidationError(f"no scene manifests in {scenes_dir}")
@@ -238,11 +277,11 @@ def _scenes(run: _Run) -> SceneStack:
 
 
 def _truth(run: _Run):
-    return read_grid(run.input_path("paths.truth", "world/truth.grid"))
+    return read_grid(run.input_path("paths.truth"))
 
 
-def _labeled_catalog(run: _Run, key: str, default_name: str) -> list[LabeledImage]:
-    path = run.input_path(key, default_name)
+def _labeled_catalog(run: _Run, key: str) -> list[LabeledImage]:
+    path = run.input_path(key)
     labeled = imageclassifier.read_catalog(path, run.cfg.taxonomy)
     for li in labeled:
         if li.label is None:
@@ -251,20 +290,17 @@ def _labeled_catalog(run: _Run, key: str, default_name: str) -> list[LabeledImag
 
 
 def _selected_features(run: _Run) -> tuple[FeatureName, ...]:
-    configured = run.cfg.features("features.selected")
-    if configured:
+    configured = run.cfg["features.selected"]
+    if configured is not None:
         return configured
-    selection_csv = run.cfg.path("paths.selection") or (run.out / "selection.csv")
-    if selection_csv.exists():
-        run.inputs.append(selection_csv)
-        return tuple(
-            imageclassifier.read_csv_rows(
-                selection_csv, ["feature"], lambda row: FeatureName(row["feature"]),
-                "feature selection",
-            )
+    selection_csv = run.input_path("paths.selection")
+    if not selection_csv.exists():
+        raise UsageError("no feature list: set features.selected or run select-features first")
+    return tuple(
+        imageclassifier.read_csv_rows(
+            selection_csv, ["feature"], lambda row: FeatureName(row["feature"]),
+            "feature selection",
         )
-    raise UsageError(
-        "no feature list: set features.selected or run select-features first"
     )
 
 
@@ -277,31 +313,33 @@ def _cmd_synth(run: _Run):
     cfg = run.cfg
     world_cfg = synthworld.square_world_config(
         cfg.taxonomy,
-        parcels_per_side=cfg.get_int("synth.parcels_per_side", 22),
-        proportions=cfg.get_floats("synth.proportions") or None,
-        parcel_cells=cfg.get_int("synth.parcel_cells", 8),
-        noise_sigma=cfg.get_float("synth.noise_sigma", 0.01),
-        cloud_fraction=cfg.get_float("synth.cloud_fraction", 0.1),
+        parcels_per_side=cfg["synth.parcels_per_side"],
+        proportions=cfg["synth.proportions"],
+        parcel_cells=cfg["synth.parcel_cells"],
+        noise_sigma=cfg["synth.noise_sigma"],
+        cloud_fraction=cfg["synth.cloud_fraction"],
         seed=cfg.seed,
     )
-    world_dir = cfg.path("paths.world") or (run.out / "world")
+    # synth writes at the path keys' defaults; set, those keys point later stages elsewhere
+    truth_path, scenes_dir, catalog, fixtures_dir = (
+        run.out / CONFIG_KEYS[key].default
+        for key in ("paths.truth", "paths.scenes", "paths.training_catalog", "paths.fixtures")
+    )
+    world_dir = truth_path.parent
     world = synthworld.generate_world(world_cfg)
-    truth_path = world_dir / "truth.grid"
     write_grid(world.truth, truth_path)
     write_grid(world.road_mask, world_dir / "roadmask.grid")
-    manifests = synthworld.synthesize_scenes(world, world_dir / "scenes")
-    catalog = synthworld.build_training_catalog(
-        world, world_dir / "training", n_per_class=cfg.get_int("synth.n_per_class", 220)
-    )
+    manifests = synthworld.synthesize_scenes(world, scenes_dir)
+    synthworld.build_training_catalog(world, catalog.parent, n_per_class=cfg["synth.n_per_class"])
     n_fixtures = synthworld.build_campaign_fixtures(
-        world, world_dir / "fixtures", stride=cfg.get_int("synth.fixture_stride", 3)
+        world, fixtures_dir, stride=cfg["synth.fixture_stride"]
     )
     e = world_cfg.extent
     (world_dir / "extent.txt").write_text(
         f"bbox = {e.min_lat_deg!r},{e.max_lat_deg!r},{e.min_lon_deg!r},{e.max_lon_deg!r}\n"
     )
-    run.outputs += [truth_path, world_dir / "roadmask.grid", world_dir / "scenes", catalog]
-    run.outputs += [world_dir / "fixtures", world_dir / "extent.txt"]
+    run.outputs += [truth_path, world_dir / "roadmask.grid", scenes_dir, catalog]
+    run.outputs += [fixtures_dir, world_dir / "extent.txt"]
     print(
         f"world: {world.truth.nrows}x{world.truth.ncols} cells, "
         f"{world.parcel_classes.size} parcels, {len(manifests)} scenes, "
@@ -311,9 +349,8 @@ def _cmd_synth(run: _Run):
 
 
 def _grid_bbox(run: _Run) -> BoundingBox:
-    bbox = run.cfg.bbox()
-    if bbox is not None:
-        return bbox
+    if run.cfg["bbox"] is not None:
+        return run.cfg["bbox"]
     # Fall back to the truth raster's cell-center region: sampling points
     # then coincide with cell centers whenever spacing matches cell size.
     truth = _truth(run)
@@ -328,9 +365,9 @@ def _grid_bbox(run: _Run) -> BoundingBox:
 
 def _cmd_grid(run: _Run):
     bbox = _grid_bbox(run)
-    spacing = run.cfg.get_float("grid.spacing_m", 30.0)
+    spacing = run.cfg["grid.spacing_m"]
     points = make_sampling_grid(bbox, spacing)
-    out = run.output_path("paths.grid_csv", "grid.csv")
+    out = run.output_path("paths.grid_csv")
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lat", "lon"])
@@ -340,10 +377,9 @@ def _cmd_grid(run: _Run):
 
 
 def _cmd_fetch(run: _Run):
-    grid_csv = run.input_path("paths.grid_csv", "grid.csv")
-    fixtures = run.input_path("paths.fixtures", "world/fixtures")
-    index = FixtureIndex(fixtures)
-    out = run.output_path("paths.campaign_catalog", "campaign.csv")
+    grid_csv = run.input_path("paths.grid_csv")
+    index = FixtureIndex(run.input_path("paths.fixtures"))
+    out = run.output_path("paths.campaign_catalog")
     points = imageclassifier.read_csv_rows(
         grid_csv, ["lat", "lon"], lambda row: GeoPoint(float(row["lat"]), float(row["lon"])),
         "sampling grid",
@@ -369,25 +405,21 @@ def _cmd_fetch(run: _Run):
 
 def _cmd_train_images(run: _Run):
     cfg = run.cfg
-    labeled = _labeled_catalog(run, "paths.training_catalog", "world/training/catalog.csv")
-    ratios = cfg.get_floats("split.ratios", (0.6, 0.2, 0.2))
-    train_set, val_set, test_set = imageclassifier.split_dataset(labeled, ratios, cfg.seed)
+    labeled = _labeled_catalog(run, "paths.training_catalog")
+    train_set, val_set, test_set = imageclassifier.split_dataset(
+        labeled, cfg["split.ratios"], cfg.seed
+    )
     tcfg = cfg.train_config(default_epochs=30)
     net, history = imageclassifier.train_image_classifier(
         train_set, val_set, cfg.taxonomy, cfg=tcfg
     )
-    model_path = run.output_path("paths.image_model", "image_model.rtnn")
-    neuralnet.serialize_model(net, model_path)
+    neuralnet.serialize_model(net, run.output_path("paths.image_model"))
     x_test, y_test = imageclassifier.images_to_arrays(test_set)
     pred, _ = neuralnet.predict_batch(net, x_test)
     cm = metrics.confusion_matrix(pred, y_test, cfg.taxonomy.class_names)
-    txt = run.output_path("paths.image_confusion", "image_test_confusion.txt")
-    txt.write_text(metrics.confusion_to_text(cm))
-    run.output_path("paths.image_confusion_csv", "image_test_confusion.csv").write_text(
-        metrics.confusion_to_csv(cm)
-    )
-    hist = run.output_path("paths.image_history", "image_history.csv")
-    hist.write_text(
+    run.report("image_test_confusion.txt").write_text(metrics.confusion_to_text(cm))
+    run.report("image_test_confusion.csv").write_text(metrics.confusion_to_csv(cm))
+    run.report("image_history.csv").write_text(
         "epoch,val_accuracy\n"
         + "".join(f"{i + 1},{a:.6f}\n" for i, a in enumerate(history))
     )
@@ -398,12 +430,11 @@ def _cmd_train_images(run: _Run):
 
 def _cmd_classify_images(run: _Run):
     cfg = run.cfg
-    model_path = run.input_path("paths.image_model", "image_model.rtnn")
-    catalog = run.input_path("paths.campaign_catalog", "campaign.csv")
-    net = neuralnet.deserialize_model(model_path)
+    net = neuralnet.deserialize_model(run.input_path("paths.image_model"))
+    catalog = run.input_path("paths.campaign_catalog")
     records = [li.record for li in imageclassifier.read_catalog(catalog, cfg.taxonomy)]
     labeled = imageclassifier.classify_images(net, records)
-    out = run.output_path("paths.classified_catalog", "classified.csv")
+    out = run.output_path("paths.classified_catalog")
     imageclassifier.write_catalog(labeled, cfg.taxonomy, out)
     per_class = {name: 0 for name in cfg.taxonomy.class_names}
     for li in labeled:
@@ -415,8 +446,8 @@ def _cmd_classify_images(run: _Run):
 
 def _cmd_qc(run: _Run):
     cfg = run.cfg
-    labeled = _labeled_catalog(run, "paths.classified_catalog", "classified.csv")
-    rejection_path = cfg.path("qc.rejection_list")
+    labeled = _labeled_catalog(run, "paths.classified_catalog")
+    rejection_path = cfg["qc.rejection_list"]
     rejection_ids = set()
     if rejection_path is not None:
         run.inputs.append(rejection_path)
@@ -424,31 +455,30 @@ def _cmd_qc(run: _Run):
     kept, dropped = imageclassifier.qc_filter(
         labeled,
         cfg.taxonomy,
-        min_confidence=cfg.get_float("qc.min_confidence", 0.5),
+        min_confidence=cfg["qc.min_confidence"],
         rejection_ids=rejection_ids,
     )
-    for subset, key, name in ((kept, "paths.kept_catalog", "kept.csv"),
-                              (dropped, "paths.dropped_catalog", "dropped.csv")):
-        imageclassifier.write_catalog(subset, cfg.taxonomy, run.output_path(key, name))
+    imageclassifier.write_catalog(kept, cfg.taxonomy, run.output_path("paths.kept_catalog"))
+    imageclassifier.write_catalog(dropped, cfg.taxonomy, run.report("dropped.csv"))
     print(f"kept {len(kept)}, dropped {len(dropped)} (others/low-confidence/rejected)")
 
 
 def _cmd_make_refs(run: _Run):
     cfg = run.cfg
-    kept = _labeled_catalog(run, "paths.kept_catalog", "kept.csv")
+    kept = _labeled_catalog(run, "paths.kept_catalog")
     result = refgen.generate_reference_points(
-        kept, cfg.shift_params(), min_per_class=cfg.get_int("refs.min_per_class", 0)
+        kept, cfg.shift_params(), min_per_class=cfg["refs.min_per_class"]
     )
     points = list(result.points)
-    others_count = cfg.get_int("refs.others_count", 0)
+    others_count = cfg["refs.others_count"]
     if others_count > 0:
         truth = _truth(run)
         points += refgen.sample_class_points(
             truth, cfg.taxonomy.others_index, others_count, cfg.seed
         )
-    out = run.output_path("paths.refs_csv", "refs.csv")
+    out = run.output_path("paths.refs_csv")
     refgen.write_reference_csv(points, cfg.taxonomy, out)
-    summary = run.output_path("paths.refs_summary", "refs_summary.txt")
+    summary = run.report("refs_summary.txt")
     lines = [f"points={len(points)}"]
     for label in sorted(result.per_class_counts):
         lines.append(
@@ -467,17 +497,12 @@ def _cmd_make_refs(run: _Run):
 
 def _cmd_validate_refs(run: _Run):
     cfg = run.cfg
-    refs_csv = run.input_path("paths.refs_csv", "refs.csv")
-    points = refgen.read_reference_csv(refs_csv, cfg.taxonomy)
+    points = refgen.read_reference_csv(run.input_path("paths.refs_csv"), cfg.taxonomy)
     truth = _truth(run)
     report, disagreeing = refgen.validate_reference_points(points, truth, cfg.taxonomy)
-    run.output_path("paths.refs_agreement", "refs_agreement.txt").write_text(
-        metrics.agreement_to_text(report)
-    )
-    run.output_path("paths.refs_agreement_csv", "refs_agreement.csv").write_text(
-        metrics.agreement_to_csv(report)
-    )
-    bad = run.output_path("paths.refs_disagreements", "refs_disagreements.csv")
+    run.report("refs_agreement.txt").write_text(metrics.agreement_to_text(report))
+    run.report("refs_agreement.csv").write_text(metrics.agreement_to_csv(report))
+    bad = run.report("refs_disagreements.csv")
     refgen.write_reference_csv(disagreeing, cfg.taxonomy, bad)
     print(metrics.agreement_to_text(report))
     print(f"{len(disagreeing)} disagreeing points -> {bad}")
@@ -485,55 +510,40 @@ def _cmd_validate_refs(run: _Run):
 
 def _cmd_select_features(run: _Run):
     cfg = run.cfg
-    refs_csv = run.input_path("paths.refs_csv", "refs.csv")
-    points = refgen.read_reference_csv(refs_csv, cfg.taxonomy)
+    points = refgen.read_reference_csv(run.input_path("paths.refs_csv"), cfg.taxonomy)
     stack = _scenes(run)
-    candidates = cfg.features("features.candidates", tuple(f.value for f in FeatureName))
     result = cropmapper.forward_select(
-        candidates, points, stack, cfg.taxonomy, cfg.train_config(default_epochs=20)
+        cfg["features.candidates"], points, stack, cfg.taxonomy,
+        cfg.train_config(default_epochs=20),
     )
     report = cropmapper.selection_report_text(result)
-    run.output_path("paths.selection_report", "selection.txt").write_text(report)
-    selection_csv = run.output_path("paths.selection", "selection.csv")
+    run.report("selection.txt").write_text(report)
+    selection_csv = run.output_path("paths.selection")
     selection_csv.write_text("feature\n" + "".join(f.value + "\n" for f in result.selected))
     print(report)
 
 
 def _cmd_train_mapper(run: _Run):
     cfg = run.cfg
-    refs_csv = run.input_path("paths.refs_csv", "refs.csv")
-    points = refgen.read_reference_csv(refs_csv, cfg.taxonomy)
+    points = refgen.read_reference_csv(run.input_path("paths.refs_csv"), cfg.taxonomy)
     stack = _scenes(run)
     features = _selected_features(run)
     base_cfg = cfg.train_config(default_epochs=20)
-    sweep = cfg.get_floats("net.dropout_grid")
+    sweep = cfg["net.dropout_grid"]
+    results = [
+        (rate, cropmapper.train_pixel_classifier(
+            features, points, stack, cfg.taxonomy, replace(base_cfg, dropout_rate=rate)
+        ))
+        for rate in sweep or (base_cfg.dropout_rate,)
+    ]
+    best_rate, result = max(results, key=lambda t: t[1].history[-1])
     if sweep:
-        results = []
-        for rate in sweep:
-            r = cropmapper.train_pixel_classifier(
-                features, points, stack, cfg.taxonomy, replace(base_cfg, dropout_rate=rate)
-            )
-            results.append((rate, r))
-        lines = ["dropout_rate,val_accuracy"]
-        for rate, r in results:
-            lines.append(f"{rate},{r.history[-1]:.6f}")
-        run.output_path("paths.dropout_sweep", "dropout_sweep.csv").write_text(
-            "\n".join(lines) + "\n"
-        )
-        best_rate, result = max(results, key=lambda t: t[1].history[-1])
+        rows = "".join(f"{rate},{r.history[-1]:.6f}\n" for rate, r in results)
+        run.report("dropout_sweep.csv").write_text("dropout_rate,val_accuracy\n" + rows)
         print(f"dropout sweep {sweep}: best rate {best_rate}")
-    else:
-        result = cropmapper.train_pixel_classifier(
-            features, points, stack, cfg.taxonomy, base_cfg
-        )
-    model_path = run.output_path("paths.pixel_model", "pixel_model.rtnn")
-    neuralnet.serialize_model(result.net, model_path)
-    run.output_path("paths.pixel_confusion", "pixel_confusion.txt").write_text(
-        metrics.confusion_to_text(result.confusion)
-    )
-    run.output_path("paths.pixel_confusion_csv", "pixel_confusion.csv").write_text(
-        metrics.confusion_to_csv(result.confusion)
-    )
+    neuralnet.serialize_model(result.net, run.output_path("paths.pixel_model"))
+    run.report("pixel_confusion.txt").write_text(metrics.confusion_to_text(result.confusion))
+    run.report("pixel_confusion.csv").write_text(metrics.confusion_to_csv(result.confusion))
     oa = metrics.overall_accuracy(result.confusion)
     print(
         f"pixel model on {result.n_train}+{result.n_val} points "
@@ -543,18 +553,17 @@ def _cmd_train_mapper(run: _Run):
 
 def _cmd_map(run: _Run):
     cfg = run.cfg
-    model_path = run.input_path("paths.pixel_model", "pixel_model.rtnn")
-    net = neuralnet.deserialize_model(model_path)
+    net = neuralnet.deserialize_model(run.input_path("paths.pixel_model"))
     stack = _scenes(run)
     features = _selected_features(run)
-    bbox = cfg.bbox()
+    bbox = cfg["bbox"]
     if bbox is None:
         t = stack.template
         bbox = BoundingBox(
             t.yll, t.yll + t.nrows * t.cellsize, t.xll, t.xll + t.ncols * t.cellsize
         )
     crop_map = cropmapper.predict_crop_map(net, stack, features, bbox, cfg.taxonomy)
-    map_path = run.output_path("paths.map_grid", "crop_map.grid")
+    map_path = run.output_path("paths.map_grid")
     legend = cropmapper.write_crop_map(crop_map, map_path)
     run.outputs.append(legend)
     counts = metrics.area_counts(crop_map.grid)
@@ -565,19 +574,14 @@ def _cmd_map(run: _Run):
 
 def _cmd_evaluate(run: _Run):
     cfg = run.cfg
-    map_path = run.input_path("paths.map_grid", "crop_map.grid")
-    crop_map = cropmapper.read_crop_map(map_path, cfg.taxonomy)
+    crop_map = cropmapper.read_crop_map(run.input_path("paths.map_grid"), cfg.taxonomy)
     truth = _truth(run)
     ev = cropmapper.evaluate_crop_map(crop_map, truth)
     text = metrics.confusion_to_text(ev.confusion) + "\n" + metrics.agreement_to_text(ev.agreement)
-    run.output_path("paths.evaluation", "evaluation.txt").write_text(text)
-    run.output_path("paths.map_confusion_csv", "map_confusion.csv").write_text(
-        metrics.confusion_to_csv(ev.confusion)
-    )
-    run.output_path("paths.map_agreement_csv", "map_agreement.csv").write_text(
-        metrics.agreement_to_csv(ev.agreement)
-    )
-    area_csv = run.output_path("paths.area_counts", "area_counts.csv")
+    run.report("evaluation.txt").write_text(text)
+    run.report("map_confusion.csv").write_text(metrics.confusion_to_csv(ev.confusion))
+    run.report("map_agreement.csv").write_text(metrics.agreement_to_csv(ev.agreement))
+    area_csv = run.report("area_counts.csv")
     lines = ["class,map_pixels,truth_pixels"]
     for i, name in enumerate(cfg.taxonomy.class_names):
         lines.append(f"{name},{ev.map_area_counts.get(i, 0)},{ev.truth_area_counts.get(i, 0)}")

@@ -261,14 +261,14 @@ class FixtureIndex:
             for j in (kj - 1, kj, kj + 1):
                 for path, point in self._buckets.get((i, j, kh), ()):
                     d = geo_distance(req.point, point)
-                    if d <= FIXTURE_TOLERANCE_M and (best is None or d < best[0]):
-                        best = (d, path, point)
+                    if d <= FIXTURE_TOLERANCE_M and (best is None or (d, path.name) < best[:2]):
+                        best = (d, path.name, path, point)
         if best is None:
             raise FixtureNotFoundError(
                 f"no fixture within {FIXTURE_TOLERANCE_M} m of "
                 f"({req.point.lat_deg}, {req.point.lon_deg}) heading {int(req.heading)}"
             )
-        _, path, point = best
+        *_, path, point = best
         return StreetImageRecord(
             id=path.stem,
             capture_point=point,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import datetime
 import hashlib
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -223,6 +224,11 @@ def _twin_values(path: Path, text: bytes, ncols: int, nrows: int) -> np.ndarray 
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(nrows, ncols)
 
 
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines splits
+#: One line and its break; the last match is the empty one at the end of the text.
+_LINE = re.compile(f"([^{_BREAKS}]*)(\r\n|[{_BREAKS}]|\\Z)")
+
+
 def _parse_body(path: Path, lines: list[str], ncols: int, nrows: int) -> np.ndarray:
     rows = [tokens for tokens in (line.split() for line in lines) if tokens]
     for n, tokens in enumerate(rows):
@@ -247,23 +253,24 @@ def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
     """
     path = Path(path)
     text = read_input_text(path, "grid", GridFormatError)
-    lines = text.splitlines()
     header: dict[str, float] = {}
-    idx = 0
-    while idx < len(lines) and len(header) < len(_HEADER_KEYS):
-        parts = lines[idx].split()
+    body = 0  # offset of the text after the header
+    for n, m in enumerate(_LINE.finditer(text), start=1):
+        if len(header) == len(_HEADER_KEYS) or m.start() == len(text):
+            break
+        line, body = m.group(1), m.end()
+        parts = line.split()
         if len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS:
-            raise GridFormatError(f"{path}: bad header line {idx + 1}: {lines[idx]!r}")
+            raise GridFormatError(f"{path}: bad header line {n}: {line!r}")
         key = parts[0].lower()
         header[key] = _header_value(path, key, parts[1])
-        idx += 1
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise GridFormatError(f"{path}: missing header keys {missing}")
     ncols, nrows = header["ncols"], header["nrows"]
     values = _twin_values(path, text.encode(), ncols, nrows)
     if values is None:
-        values = _parse_body(path, lines[idx:], ncols, nrows)
+        values = _parse_body(path, text[body:].splitlines(), ncols, nrows)
     nodata = header["nodata_value"]
     if scale is not None:
         values = np.where(values == nodata, nodata, values * scale)

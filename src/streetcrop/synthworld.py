@@ -40,6 +40,8 @@ ROAD_CELLS = 1
 ROAD_WIDTH_M = ROAD_CELLS * CELL_M
 CELLSIZE_DEG = CELL_M / METERS_PER_DEGREE
 IMAGE_PX = 32
+#: Cells along each side of the largest world: about 34 MB per float64 raster.
+MAX_WORLD_CELLS = 2048
 #: Acquisition dates every 21 days from early April to mid October
 #: (days of year 96 to 285).
 SCENE_DATES = tuple(
@@ -100,7 +102,13 @@ def square_world_config(
         proportions=tuple(proportions),
         **kwargs,
     )
-    span = (parcels_per_side * cfg.period_cells + ROAD_CELLS) * CELLSIZE_DEG
+    cells = parcels_per_side * cfg.period_cells + ROAD_CELLS
+    if cells > MAX_WORLD_CELLS:
+        raise DataValidationError(
+            f"a world of {cells} cells per side exceeds {MAX_WORLD_CELLS}: "
+            "lower synth.parcels_per_side or synth.parcel_cells"
+        )
+    span = cells * CELLSIZE_DEG
     return replace(cfg, extent=BoundingBox(0.0, span, 0.0, span))
 
 

@@ -1,4 +1,3 @@
-import ast
 import hashlib
 import re
 import shutil
@@ -96,7 +95,7 @@ class TestConfig:
         path = tmp_path / "c.cfg"
         path.write_text("seed = 1\npaths.truth = world/truth.grid\n")
         cfg = RunConfig.load(path)
-        assert cfg.path("paths.truth") == tmp_path / "world" / "truth.grid"
+        assert cfg["paths.truth"] == tmp_path / "world" / "truth.grid"
 
 
 class TestExitCodes:
@@ -495,45 +494,40 @@ class TestUnreadableFiles:
         assert run_command(["grid", "--config", str(config), "--out", str(out)]) in (0, 1, 2)
 
 
-#: RunConfig and _Run methods whose first argument is a config key.
-KEY_READERS = {
-    "get_float", "get_int", "get_list", "get_floats", "features", "path", "input_path",
-    "output_path",
-}
-
-
-def _keys_read_by_cli() -> set[str]:
-    keys = set()
-    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            continue
-        func = node.func
-        values_get = (
-            func.attr == "get" and isinstance(func.value, ast.Attribute)
-            and func.value.attr == "values"
-        )
-        if (func.attr in KEY_READERS or values_get) and node.args:
-            key = node.args[0]
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                keys.add(key.value)
-    return keys
+def _readme_defaults() -> dict[str, str]:
+    """Key -> default cell of each README table headed ``| key | default | meaning |``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cells = {}
+    for table in readme.split("| key | default | meaning |\n")[1:]:
+        rows = table.split("\n\n", 1)[0]
+        for key, default in re.findall(r"^\| `([\w.]+)` \| ([^|]*) \|", rows, flags=re.MULTILINE):
+            assert key not in cells, f"README documents {key} twice"
+            cells[key] = default
+    return cells
 
 
 def test_readme_documents_every_config_key():
-    """README's config-key table and ``CONFIG_KEYS`` list exactly the non-path
-    keys the CLI reads."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
-    documented = set(re.findall(r"^\| `([\w.]+)` \|", table, flags=re.MULTILINE))
-    read = {k for k in _keys_read_by_cli() if not k.startswith("paths.")}
-    assert read, "no config keys found in cli.py"
-    assert sorted(read - documented) == [], "config keys missing from README's table"
-    assert sorted(documented - read) == [], "README documents keys the CLI never reads"
-    assert len(set(cli.CONFIG_KEYS)) == len(cli.CONFIG_KEYS)
-    assert set(cli.CONFIG_KEYS) == read, "CONFIG_KEYS differs from the keys the CLI reads"
+    """README's config-key tables list exactly the keys of ``CONFIG_KEYS``, each
+    with its default: a path key's under ``--out``, and no literal for an unset one."""
+    documented = _readme_defaults()
+    assert sorted(set(cli.CONFIG_KEYS) - set(documented)) == [], "keys missing from README"
+    assert sorted(set(documented) - set(cli.CONFIG_KEYS)) == [], "README documents unknown keys"
+    for key, (_, default) in cli.CONFIG_KEYS.items():
+        if default is None:
+            assert not re.fullmatch(r"`[^`]*`", documented[key]), f"{key} has no default"
+        elif key.startswith("paths."):
+            assert documented[key] == f"`--out/{default}`", key
+        else:
+            assert documented[key] == f"`{default}`", key
 
 
-@pytest.mark.parametrize("line", ["grid.spacing = 10", "synth.cell_m = 30", "Seed = 1"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "grid.spacing = 10", "synth.cell_m = 30", "Seed = 1", "paths.scnes = elsewhere",
+        "paths.world = w2", "paths.image_confusion = report.txt",
+    ],
+)
 def test_unknown_config_key_is_usage_error(tmp_path, capsys, line):
     config = tmp_path / "run.cfg"
     config.write_text(f"region = illinois\nseed = 1\n{line}\n")
@@ -543,10 +537,51 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
-def test_path_keys_are_accepted(tmp_path):
+@pytest.mark.parametrize(
+    "line",
+    [f"{key} =" for key in cli.CONFIG_KEYS]
+    + [
+        "net.epochs = x", "seed = 1.5", "refs.others_count = -5", "net.epochs = -1",
+        "region = atlantis", "bbox = 0.0,0.01,0.0",
+        "bbox = 0.01,0.0,0.0,0.01", "features.selected = EVI,FOO", "synth.parcel_cells = 8.0",
+    ],
+)
+def test_malformed_value_is_usage_error_before_out_exists(tmp_path, capsys, line):
+    """Every value is parsed when the config loads, so nothing is written."""
     config = tmp_path / "run.cfg"
-    config.write_text("seed = 1\npaths.anything = a/b\n")
-    assert RunConfig.load(config).path("paths.anything") == tmp_path / "a" / "b"
+    config.write_text(f"region = illinois\nseed = 1\n{line}\n")
+    assert run_command(["grid", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    key = line.split("=")[0].strip()
+    assert f"{config}:3: config key {key} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_path_key_moves_an_artifact_for_its_writer_and_its_reader(tmp_path):
+    """``grid`` writes and ``fetch`` reads the configured ``paths.grid_csv``, resolved
+    against the config's directory; ``paths.campaign_catalog`` stays at its default."""
+    (tmp_path / "fixtures").mkdir()
+    config = _config(
+        tmp_path,
+        "bbox = 0.0,0.001,0.0,0.001\npaths.grid_csv = sub/points.csv\npaths.fixtures = fixtures\n",
+    )
+    out = tmp_path / "out"
+    for command in ("grid", "fetch"):
+        assert run_command([command, "--config", str(config), "--out", str(out)]) == 0
+    points = tmp_path / "sub" / "points.csv"
+    assert points.read_text().startswith("lat,lon\n")
+    assert not (out / "grid.csv").exists()
+    assert f"output={points}\n" in (out / "grid.manifest").read_text()
+    fetch = (out / "fetch.manifest").read_text()
+    assert f"input={points}\n" in fetch and f"output={out / 'campaign.csv'}\n" in fetch
+
+
+def test_oversized_world_is_data_error(tmp_path, capsys):
+    config = _config(tmp_path, "synth.parcel_cells = 100000\n")
+    out = tmp_path / "out"
+    assert run_command(["synth", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "synth.parcels_per_side" in err and "synth.parcel_cells" in err
+    assert not (out / "world").exists()
 
 
 def test_every_written_grid_has_a_verified_twin(tmp_path):

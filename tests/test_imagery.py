@@ -165,6 +165,14 @@ class TestFixtures:
         rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
         assert rec.image.values[0, 0, 0] == pytest.approx(0.25, abs=1e-2)
 
+    def test_equidistant_tie_breaks_on_filename(self, tmp_path):
+        """The fixture 1e-6° west sits in an earlier bucket than the one 1e-6° east."""
+        p = GeoPoint(0.0, -0.0002)
+        for lon in (-0.000201, -0.000199):
+            self.make_fixture(tmp_path, GeoPoint(0.0, lon), Heading.NORTH)
+        rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
+        assert rec.id == "0.000000_-0.000199_0"
+
     def test_deterministic_record_id(self, tmp_path):
         p = GeoPoint(1.0, 2.0)
         self.make_fixture(tmp_path, p, Heading.WEST)

@@ -126,6 +126,11 @@ class TestGridIO:
         with pytest.raises(GridFormatError):
             self.read_text(tmp_path, text + "0.5 0.25\n")
 
+    def test_repeated_header_key_extends_the_header(self, tmp_path):
+        grid = self.read_text(tmp_path, "ncols 5\n" + self.HEADER + "0.5 0.25\n")
+        assert grid.ncols == 2
+        np.testing.assert_array_equal(grid.values, [[0.5, 0.25]])
+
     def test_negative_count_rejected(self, tmp_path):
         text = self.HEADER.replace("ncols 2\nnrows 1", "ncols -3\nnrows 0")
         with pytest.raises(GridFormatError):
@@ -303,6 +308,18 @@ class TestGridTwin:
         write_twin(path, payload)
         with pytest.raises(GridFormatError, match="ncols"):
             read_grid(path)
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\u2028", "\r\n", "\x85"])
+    @pytest.mark.parametrize("with_twin", [True, False])
+    def test_lines_break_where_str_splitlines_breaks_them(self, tmp_path, sep, with_twin):
+        path = self.write_pair(tmp_path)
+        expected, payload = text_read(path), payload_of(path)
+        path.write_bytes(path.read_text().replace("\n", sep).encode())
+        if with_twin:
+            write_twin(path, payload)
+        else:
+            twin_of(path).unlink()
+        assert_same_grid(read_grid(path), expected)
 
     def test_twin_of_another_size_is_ignored(self, tmp_path):
         path = self.write_pair(tmp_path)
