@@ -38,10 +38,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import cropmapper, imageclassifier, metrics, neuralnet, refgen, synthworld
-from .errors import DataValidationError, UsageError, read_input_text
+from .errors import DataValidationError, UsageError, parse_float, parse_int, read_input_text
 from .geocore import BoundingBox, GeoPoint, Heading, ShiftParams, make_sampling_grid
 from .imageclassifier import TAXONOMIES, LabeledImage, LabelTaxonomy
-from .imagery import FixtureIndex, FixtureNotFoundError, StreetRequest
+from .imagery import FixtureIndex
 from .rasterstack import FeatureName, SceneStack, read_grid, read_manifest, write_grid
 
 # --------------------------------------------------------------------------
@@ -49,13 +49,14 @@ from .rasterstack import FeatureName, SceneStack, read_grid, read_manifest, writ
 # --------------------------------------------------------------------------
 
 # A parser returns a config value's typed value or raises ValueError with a
-# phrase that completes "config key <key> ...".
+# phrase that completes "config key <key> ...". Numbers follow the ASCII
+# grammar of errors.INT and errors.FLOAT.
 
 
 def _int(raw: str) -> int:
     """Every integer key counts something, so none may be negative."""
     try:
-        value = int(raw)
+        value = parse_int(raw)
     except ValueError:
         raise ValueError("is not an integer") from None
     if value < 0:
@@ -65,7 +66,7 @@ def _int(raw: str) -> int:
 
 def _float(raw: str) -> float:
     try:
-        value = float(raw)
+        value = parse_float(raw)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
@@ -384,22 +385,14 @@ def _cmd_fetch(run: _Run):
         grid_csv, ["lat", "lon"], lambda row: GeoPoint(float(row["lat"]), float(row["lon"])),
         "sampling grid",
     )
+    found = index.resolve(points, list(Heading)).ravel()  # point-major, then heading
+    hits = found[found >= 0].tolist()
     # a fixture can satisfy several nearby grid points; keep the first hit
-    unique: dict[str, LabeledImage] = {}
-    hits = misses = 0
-    for point in points:
-        for heading in Heading:
-            try:
-                rec = index.fetch(StreetRequest(point, heading))
-            except FixtureNotFoundError:
-                misses += 1
-                continue
-            hits += 1
-            unique.setdefault(rec.id, LabeledImage(rec))
-    imageclassifier.write_catalog(unique.values(), run.cfg.taxonomy, out)
+    unique = [index.record(k) for k in dict.fromkeys(hits)]
+    imageclassifier.write_catalog(map(LabeledImage, unique), run.cfg.taxonomy, out)
     print(
         f"fetched {len(unique)} images "
-        f"({hits - len(unique)} duplicate hits, {misses} misses) -> {out}"
+        f"({len(hits) - len(unique)} duplicate hits, {len(found) - len(hits)} misses) -> {out}"
     )
 
 

@@ -11,11 +11,25 @@ images and models) is read through :func:`read_input` or
 :func:`read_input_text`. A file that is missing, a directory or otherwise
 unreadable, and text that is not UTF-8, raise the caller's error class
 naming the file, never a bare ``OSError`` or ``UnicodeDecodeError``.
+
+Numbers in input text follow one ASCII grammar (:data:`INT`,
+:data:`FLOAT`): Python's ``int``, ``float`` and ``\\d`` also accept other
+scripts' digits, ``_`` separators and surrounding whitespace, which no
+file this package reads may use.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
+
+#: An integer: optional sign, then ASCII digits.
+INT = r"[+-]?[0-9]+"
+#: A decimal number with an optional exponent, in ASCII digits; no inf or nan.
+FLOAT = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_INT = re.compile(INT)
+_FLOAT = re.compile(FLOAT)
+_FLOATS = re.compile(f"(?:{FLOAT} )*")
 
 
 class StreetCropError(Exception):
@@ -50,3 +64,24 @@ def read_input_text(path: str | Path, what: str, error=DataValidationError) -> s
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: {what} is not UTF-8 text: {exc}") from None
+
+
+def parse_int(text: str) -> int:
+    """``text`` as an int; ``ValueError`` unless it matches :data:`INT`."""
+    if _INT.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not an ASCII integer")
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """``text`` as a float; ``ValueError`` unless it matches :data:`FLOAT`."""
+    if _FLOAT.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not an ASCII number")
+    return float(text)
+
+
+def check_floats(tokens: list[str]):
+    """``ValueError`` naming the first of ``tokens`` (none holding a space)
+    that does not match :data:`FLOAT`; one regex pass over all of them."""
+    if _FLOATS.fullmatch(" ".join(tokens) + " ") is None:
+        parse_float(next(t for t in tokens if _FLOAT.fullmatch(t) is None))

@@ -7,8 +7,10 @@ static street-view API exists behind ``source="live"`` but everything
 else, tests included, runs against a fixture directory.
 
 Fixture layout: ``<lat>_<lon>_<headingDeg>.ppm`` with 6-decimal
-coordinates, plus an optional ``<same>.meta`` sidecar holding
-``date=YYYY-MM`` lines.
+coordinates in ASCII digits, plus an optional ``<same>.meta`` sidecar
+holding ``date=YYYY-MM`` (or ``YYYY-MM-DD``) lines. A
+:class:`FixtureIndex` holds the fixtures as coordinate arrays and
+resolves any number of requests in one array pass.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataValidationError, read_input, read_input_text
-from .geocore import GeoPoint, Heading, geo_distance
+from .geocore import MAX_SUPPORTED_LAT_DEG, METERS_PER_DEGREE, GeoPoint, Heading, geo_distance
 
 #: Maximum camera-to-fixture distance for a fixture to satisfy a request.
 FIXTURE_TOLERANCE_M = 5.0
@@ -181,7 +184,8 @@ def fixture_filename(p: GeoPoint, h: Heading) -> str:
     return f"{p.lat_deg:.6f}_{p.lon_deg:.6f}_{int(h)}.ppm"
 
 
-_FIXTURE_STEM = re.compile(r"^(-?\d+\.\d{6})_(-?\d+\.\d{6})_(\d+)$")
+_FIXTURE_STEM = re.compile(r"^(-?[0-9]+\.[0-9]{6})_(-?[0-9]+\.[0-9]{6})_([0-9]+)$")
+_SIDECAR_DATE = re.compile(r"([0-9]{4})-([0-9]{2})(?:-([0-9]{2}))?")
 
 
 def write_fixture(
@@ -209,11 +213,11 @@ def _read_sidecar_date(ppm_path: Path) -> datetime.date | None:
         line = line.strip()
         if line.startswith("date="):
             value = line[len("date=") :]
-            for fmt in ("%Y-%m-%d", "%Y-%m"):
+            if match := _SIDECAR_DATE.fullmatch(value):
                 try:
-                    return datetime.datetime.strptime(value, fmt).date()
+                    return datetime.date(*map(int, match.groups(default="1")))
                 except ValueError:
-                    continue
+                    pass
             raise DataValidationError(f"unparsable date {value!r} in {meta}")
     return None
 
@@ -228,55 +232,113 @@ def _scan_fixtures(directory: Path):
         yield directory / name, GeoPoint(float(m.group(1)), float(m.group(2))), int(m.group(3))
 
 
+_HEADINGS = {int(h) for h in Heading}
+
+
 class FixtureIndex:
     """One-shot scan of a fixture directory for repeated lookups.
 
-    Buckets fixtures on a coarse lat/lon grid so a campaign of many
-    thousand requests does not rescan the directory per request.
-    Resolution semantics are identical to :func:`fetch_street_image`.
+    A request is served by the nearest fixture with its heading within
+    ``FIXTURE_TOLERANCE_M``, ties broken on filename. Candidates come from
+    the 3x3 block of ``_BUCKET_DEG`` lat/lon buckets around the request:
+    the fixtures are held as arrays sorted by bucket code, so
+    :meth:`resolve` finds every request's candidates with
+    ``searchsorted``, drops those a vectorised distance puts clearly out
+    of reach, and leaves the 5 m test and the tie-break to the scalar
+    :func:`geo_distance`. :meth:`fetch` is the same lookup for one request.
     """
 
     _BUCKET_DEG = 1e-4  # ~11 m, comfortably above the 5 m tolerance
+    #: Distances this far past the tolerance go to the scalar test too,
+    #: covering the last-bit differences of numpy's trigonometry.
+    _MARGIN_M = 1e-6
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         if not self.directory.is_dir():
             raise DataValidationError(f"fixture directory not found: {self.directory}")
-        self._buckets: dict[tuple[int, int, int], list] = {}
+        paths, points, headings = [], [], []
         for path, point, heading_deg in _scan_fixtures(self.directory):
-            key = self._key(point, heading_deg)
-            self._buckets.setdefault(key, []).append((path, point))
+            if heading_deg in _HEADINGS:  # no request has another heading
+                paths.append(path)
+                points.append(point)
+                headings.append(heading_deg)
+        lat = np.array([p.lat_deg for p in points], dtype=np.float64)
+        lon = np.array([p.lon_deg for p in points], dtype=np.float64)
+        codes = self._code(lat, lon, np.array(headings, dtype=np.int64))
+        order = np.argsort(codes)
+        self._codes_sorted = codes[order]
+        self._lat, self._lon = lat[order], lon[order]
+        self._paths = [paths[k] for k in order]
+        self._points = [points[k] for k in order]
+        self._headings = [Heading(headings[k]) for k in order]
 
-    def _key(self, p: GeoPoint, heading_deg: int):
-        return (
-            int(np.floor(p.lat_deg / self._BUCKET_DEG)),
-            int(np.floor(p.lon_deg / self._BUCKET_DEG)),
-            heading_deg,
+    @classmethod
+    def _code(cls, lat, lon, heading_deg, di=0, dj=0) -> np.ndarray:
+        """One sortable int64 per (lat bucket + di, lon bucket + dj, heading);
+        a bucket index stays below 2**20 in latitude and 2**21 in longitude."""
+        ki = np.floor(lat / cls._BUCKET_DEG).astype(np.int64) + di
+        kj = np.floor(lon / cls._BUCKET_DEG).astype(np.int64) + dj
+        return ((ki + 2**20) * 2**22 + (kj + 2**21)) * 4 + heading_deg // 90
+
+    def resolve(self, points: Sequence[GeoPoint], headings: Sequence[Heading]) -> np.ndarray:
+        """Index of the fixture serving the request ``(points[i], headings[j])``
+        at ``[i, j]``, or -1 where none lies within ``FIXTURE_TOLERANCE_M``."""
+        found = np.full(len(points) * len(headings), -1, dtype=np.int64)
+        # request r asks for points[r // len(headings)] at headings[r % len(headings)]
+        lat = np.repeat([p.lat_deg for p in points], len(headings))
+        lon = np.repeat([p.lon_deg for p in points], len(headings))
+        heading = np.tile([int(Heading(h)) for h in headings], len(points))
+        req, fix = [], []
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                code = self._code(lat, lon, heading, di, dj)
+                lo = np.searchsorted(self._codes_sorted, code, "left")
+                count = np.searchsorted(self._codes_sorted, code, "right") - lo
+                hit = np.flatnonzero(count)
+                n = count[hit]
+                req.append(np.repeat(hit, n))
+                # fixtures lo, lo + 1, ..., lo + n - 1 of each request with a hit
+                fix.append(np.repeat(lo[hit] - np.cumsum(n) + n, n) + np.arange(n.sum()))
+        req, fix = np.concatenate(req), np.concatenate(fix)
+        # the equirectangular distance of geocore.geo_distance, in numpy
+        flat, rlat = self._lat[fix], lat[req]
+        dy = (flat - rlat) * METERS_PER_DEGREE
+        dx = (self._lon[fix] - lon[req]) * METERS_PER_DEGREE * np.cos(
+            np.radians(0.5 * (rlat + flat))
         )
+        keep = np.hypot(dx, dy) <= FIXTURE_TOLERANCE_M + self._MARGIN_M
+        # geo_distance raises for these, as it does on every candidate it sees
+        keep |= np.maximum(np.abs(rlat), np.abs(flat)) > MAX_SUPPORTED_LAT_DEG
+        best: dict[int, tuple[float, str]] = {}
+        for r, k in zip(req[keep].tolist(), fix[keep].tolist()):
+            d = geo_distance(points[r // len(headings)], self._points[k])
+            key = (d, self._paths[k].name)
+            if d <= FIXTURE_TOLERANCE_M and (r not in best or key < best[r]):
+                best[r] = key
+                found[r] = k
+        return found.reshape(len(points), len(headings))
 
-    def fetch(self, req: StreetRequest) -> StreetImageRecord:
-        ki, kj, kh = self._key(req.point, int(req.heading))
-        best = None
-        for i in (ki - 1, ki, ki + 1):
-            for j in (kj - 1, kj, kj + 1):
-                for path, point in self._buckets.get((i, j, kh), ()):
-                    d = geo_distance(req.point, point)
-                    if d <= FIXTURE_TOLERANCE_M and (best is None or (d, path.name) < best[:2]):
-                        best = (d, path.name, path, point)
-        if best is None:
-            raise FixtureNotFoundError(
-                f"no fixture within {FIXTURE_TOLERANCE_M} m of "
-                f"({req.point.lat_deg}, {req.point.lon_deg}) heading {int(req.heading)}"
-            )
-        *_, path, point = best
+    def record(self, k: int) -> StreetImageRecord:
+        """Fixture ``k`` of :meth:`resolve`, its image decoded and its sidecar read."""
+        path = self._paths[k]
         return StreetImageRecord(
             id=path.stem,
-            capture_point=point,
-            heading=req.heading,
+            capture_point=self._points[k],
+            heading=self._headings[k],
             image=decode_image(read_input(path, "fixture image")),
             capture_date=_read_sidecar_date(path),
             path=path,
         )
+
+    def fetch(self, req: StreetRequest) -> StreetImageRecord:
+        k = int(self.resolve([req.point], [req.heading])[0, 0])
+        if k < 0:
+            raise FixtureNotFoundError(
+                f"no fixture within {FIXTURE_TOLERANCE_M} m of "
+                f"({req.point.lat_deg}, {req.point.lon_deg}) heading {int(req.heading)}"
+            )
+        return self.record(k)
 
 
 def fetch_street_image(req: StreetRequest, source: str | Path) -> StreetImageRecord:

@@ -27,8 +27,12 @@ four indices:
     ENDVI = ((NIR + Green) - 2 Blue) / ((NIR + Green) + 2 Blue)
     LSWI  = (NIR - SWIR1) / (NIR + SWIR1)
 
-Reflectance is assumed pre-scaled to [0, 1]; pass ``scale=0.0001`` when
-reading rasters that store raw surface-reflectance integers.
+A scene manifest may state a ``scale=`` factor for its band grids:
+:class:`SceneStack` reads each band grid with ``read_grid(path, scale=)``,
+so stored integers become reflectance in [0, 1] on ingest. The synthetic
+world writes ``round(reflectance * 10000)`` with ``scale=0.0001``, as
+Landsat surface-reflectance products store reflectance. Without the line
+band values are reflectance as stored; QA grids are never scaled.
 """
 
 from __future__ import annotations
@@ -43,7 +47,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, read_input, read_input_text
+from .errors import (
+    DataValidationError,
+    check_floats,
+    parse_float,
+    parse_int,
+    read_input,
+    read_input_text,
+)
 from .geocore import GeoPoint
 
 BAND_NAMES = ("Blue", "Green", "Red", "NIR", "SWIR1", "SWIR2")
@@ -202,7 +213,7 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_
 
 def _header_value(path: Path, key: str, text: str) -> float:
     try:
-        value = int(text) if key in ("ncols", "nrows") else float(text)
+        value = parse_int(text) if key in ("ncols", "nrows") else parse_float(text)
     except ValueError:
         raise GridFormatError(f"{path}: {key} {text!r} is not a valid value") from None
     if not np.isfinite(value):
@@ -236,8 +247,10 @@ def _parse_body(path: Path, lines: list[str], ncols: int, nrows: int) -> np.ndar
             raise GridFormatError(f"{path}: row {n} has {len(tokens)} values, expected {ncols}")
     if len(rows) != nrows:
         raise GridFormatError(f"{path}: found {len(rows)} rows, expected {nrows}")
+    tokens = [t for tokens in rows for t in tokens]
     try:
-        values = np.array([t for tokens in rows for t in tokens], dtype=np.float64)
+        check_floats(tokens)
+        values = np.array(tokens, dtype=np.float64)
     except ValueError as exc:
         raise GridFormatError(f"{path}: {exc}") from None
     return values.reshape(nrows, ncols)
@@ -247,7 +260,9 @@ def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
     """Read a grid file; ``scale`` multiplies non-nodata values on ingest.
 
     ``ncols``/``nrows`` must be integers, every header value finite and
-    every body token a number; anything else is a :class:`GridFormatError`.
+    every body token a number, all in the ASCII grammar of
+    :data:`errors.INT` and :data:`errors.FLOAT`; anything else is a
+    :class:`GridFormatError`.
     The body comes from the grid's binary twin when that twin matches the
     text (see the module docstring), else from the text.
     """
@@ -334,11 +349,16 @@ def sample_pixel(grid: RasterGrid, p: GeoPoint) -> float:
 
 @dataclass(frozen=True)
 class SceneManifest:
-    """One acquisition date: six band grid paths plus a QA grid path."""
+    """One acquisition date: six band grid paths plus a QA grid path.
+
+    ``scale`` turns the band grids' stored values into reflectance; None
+    means they hold reflectance already.
+    """
 
     scene_date: datetime.date
     band_paths: dict[str, str]
     qa_path: str
+    scale: float | None = None
 
     def __post_init__(self):
         missing = [b for b in BAND_NAMES if b not in self.band_paths]
@@ -350,6 +370,8 @@ def write_manifest(manifest: SceneManifest, path: str | Path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"date={manifest.scene_date.isoformat()}"]
+    if manifest.scale is not None:
+        lines.append(f"scale={manifest.scale!r}")
     for band in BAND_NAMES:
         lines.append(f"band.{band}={manifest.band_paths[band]}")
     lines.append(f"qa={manifest.qa_path}")
@@ -360,7 +382,7 @@ def read_manifest(path: str | Path) -> SceneManifest:
     """Parse a manifest; relative grid paths resolve against its directory."""
     path = Path(path)
     base = path.parent
-    date = None
+    date = scale = None
     band_paths: dict[str, str] = {}
     qa_path = None
     text = read_input_text(path, "manifest", GridFormatError)
@@ -376,6 +398,15 @@ def read_manifest(path: str | Path) -> SceneManifest:
                 date = datetime.date.fromisoformat(value)
             except ValueError:
                 raise GridFormatError(f"{path}: line {n}: bad date {value!r}") from None
+        elif key == "scale":
+            try:
+                scale = parse_float(value)
+            except ValueError:
+                scale = 0.0
+            if not 0.0 < scale < np.inf:
+                raise GridFormatError(
+                    f"{path}: line {n}: scale {value!r} is not a positive finite number"
+                )
         elif key.startswith("band."):
             band_paths[key[len("band.") :]] = str((base / value))
         elif key == "qa":
@@ -384,7 +415,7 @@ def read_manifest(path: str | Path) -> SceneManifest:
             raise GridFormatError(f"{path}: unknown manifest key {key!r}")
     if date is None or qa_path is None:
         raise GridFormatError(f"{path}: manifest needs date= and qa= lines")
-    return SceneManifest(date, band_paths, qa_path)
+    return SceneManifest(date, band_paths, qa_path, scale)
 
 
 def _gap_fill(x: np.ndarray, values: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -420,10 +451,11 @@ def _gap_fill(x: np.ndarray, values: np.ndarray, valid: np.ndarray) -> np.ndarra
 class SceneStack:
     """All scenes of a campaign behind one gap-filling access path.
 
-    The QA grids are read up front; each band is read from its grids the
-    first time a feature needs it. A feature is observed in a cell where
-    the QA is clear (0), none of the feature's own bands is nodata and,
-    for an index, the denominator is usable.
+    The QA grids are read up front; each band is read from its grids,
+    scaled by their manifest's ``scale``, the first time a feature needs
+    it. A feature is observed in a cell where the QA is clear (0), none of
+    the feature's own bands is nodata and, for an index, the denominator
+    is usable.
     """
 
     def __init__(
@@ -458,7 +490,7 @@ class SceneStack:
         if name not in self._bands:
             grids = []
             for manifest in self.manifests:
-                grid = read_grid(manifest.band_paths[name])
+                grid = read_grid(manifest.band_paths[name], scale=manifest.scale)
                 if not grid.same_georef(self.template):
                     raise GeoreferenceMismatchError(
                         f"band {name} of {manifest.scene_date} is not co-registered"

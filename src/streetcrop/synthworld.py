@@ -40,6 +40,9 @@ ROAD_CELLS = 1
 ROAD_WIDTH_M = ROAD_CELLS * CELL_M
 CELLSIZE_DEG = CELL_M / METERS_PER_DEGREE
 IMAGE_PX = 32
+#: Band grids store ``round(reflectance / REFLECTANCE_SCALE)``, as Landsat
+#: surface-reflectance products do; each scene manifest states the scale.
+REFLECTANCE_SCALE = 0.0001
 #: Cells along each side of the largest world: about 34 MB per float64 raster.
 MAX_WORLD_CELLS = 2048
 #: Acquisition dates every 21 days from early April to mid October
@@ -358,8 +361,9 @@ def render_street_image(world: World, p: GeoPoint, h: Heading, seed: int = 0) ->
 def synthesize_scenes(world: World, out_dir: str | Path) -> list[SceneManifest]:
     """Write per-date band + QA grids and manifests; returns the manifests.
 
-    Band value = class phenology + Gaussian noise (clipped to [0, 1]);
-    QA masks a seeded ``cloud_fraction`` of cells with value 1.
+    Band reflectance = class phenology + Gaussian noise (clipped to
+    [0, 1]), stored as integers at ``REFLECTANCE_SCALE``; QA masks a
+    seeded ``cloud_fraction`` of cells with value 1.
     """
     cfg = world.cfg
     out_dir = Path(out_dir)
@@ -380,19 +384,20 @@ def synthesize_scenes(world: World, out_dir: str | Path) -> list[SceneManifest]:
             values = per_class[class_idx]
             if cfg.noise_sigma > 0:
                 values = values + rng.normal(0.0, cfg.noise_sigma, size=values.shape)
-            values = np.clip(values, 0.0, 1.0)
+            values = np.rint(np.clip(values, 0.0, 1.0) / REFLECTANCE_SCALE)
             name = f"{date.isoformat()}_{band}.grid"
             write_grid(world.truth.like(values), out_dir / name)
             band_paths[band] = name
         qa_values = (rng.random(class_idx.shape) < cfg.cloud_fraction).astype(np.float64)
         qa_name = f"{date.isoformat()}_qa.grid"
         write_grid(world.truth.like(qa_values), out_dir / qa_name)
-        manifest = SceneManifest(date, band_paths, qa_name)
+        manifest = SceneManifest(date, band_paths, qa_name, REFLECTANCE_SCALE)
         write_manifest(manifest, out_dir / f"{date.isoformat()}.manifest")
         manifests.append(SceneManifest(
             date,
             {b: str(out_dir / p) for b, p in band_paths.items()},
             str(out_dir / qa_name),
+            REFLECTANCE_SCALE,
         ))
     return manifests
 

@@ -544,6 +544,8 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, line):
         "net.epochs = x", "seed = 1.5", "refs.others_count = -5", "net.epochs = -1",
         "region = atlantis", "bbox = 0.0,0.01,0.0",
         "bbox = 0.01,0.0,0.0,0.01", "features.selected = EVI,FOO", "synth.parcel_cells = 8.0",
+        "net.epochs = \u0663", "grid.spacing_m = 3_0", "seed = \uff17", "net.momentum = 0_9",
+        "split.ratios = 0.6,0.2,0.\u0662",
     ],
 )
 def test_malformed_value_is_usage_error_before_out_exists(tmp_path, capsys, line):

@@ -2,9 +2,19 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import streetcrop
-from streetcrop.errors import DataValidationError, UsageError, read_input, read_input_text
+from streetcrop.errors import (
+    DataValidationError,
+    UsageError,
+    check_floats,
+    parse_float,
+    parse_int,
+    read_input,
+    read_input_text,
+)
 
 SRC = Path(streetcrop.__file__).parent
 WRITE_MODES = set("wax")
@@ -31,6 +41,50 @@ class TestReadInput:
         path.write_bytes(b"ok\n\xff\n")
         with pytest.raises(UsageError, match="a.txt: config is not UTF-8"):
             read_input_text(path, "config", UsageError)
+
+
+ASCII_FLOAT_CHARS = set("0123456789.eE+-")
+
+
+def python_float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+class TestNumeralGrammar:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="0123456789.eE+-_ \u0663\uff11in", max_size=8))
+    def test_a_float_is_what_python_reads_in_ascii_digits_alone(self, text):
+        """``float`` reads other digits, ``_`` and surrounding blanks too; the grammar does not."""
+        expected = python_float(text) if set(text) <= ASCII_FLOAT_CHARS else None
+        try:
+            got = parse_float(text)
+        except ValueError:
+            got = None
+        assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_float_reads_back_from_its_repr(self, value):
+        assert parse_float(repr(value)) == value
+
+    @pytest.mark.parametrize("text", ["0", "-7", "+12", "007"])
+    def test_integers(self, text):
+        assert parse_int(text) == int(text)
+
+    @pytest.mark.parametrize(
+        "text", ["\u0663", "1_0", " 1", "1 ", "1.0", "1e3", "+", "", "\uff11"]
+    )
+    def test_non_integers_rejected(self, text):
+        with pytest.raises(ValueError, match="not an ASCII integer"):
+            parse_int(text)
+
+    def test_check_floats_names_the_first_bad_token(self):
+        check_floats(["1", "-2.5e-3", ".5", "7."])
+        with pytest.raises(ValueError, match="'1_0'"):
+            check_floats(["0.5", "1_0", "\u0663"])
 
 
 def _reads_a_file(call: ast.Call) -> bool:

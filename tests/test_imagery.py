@@ -1,5 +1,7 @@
 import datetime
 import io
+import os
+import tempfile
 import urllib.error
 
 import numpy as np
@@ -10,8 +12,9 @@ from hypothesis import strategies as st
 from conftest import BYTE_EDITS, mutate_bytes
 
 from streetcrop.errors import DataValidationError
-from streetcrop.geocore import GeoPoint, Heading, offset_point
+from streetcrop.geocore import METERS_PER_DEGREE, GeoPoint, Heading, geo_distance, offset_point
 from streetcrop.imagery import (
+    FIXTURE_TOLERANCE_M,
     FixtureIndex,
     FixtureNotFoundError,
     ImageDecodeError,
@@ -195,6 +198,44 @@ class TestFixtures:
                 StreetRequest(GeoPoint(0, 0), Heading.NORTH), tmp_path / "nope"
             )
 
+    def test_non_ascii_sidecar_date_is_data_error(self, tmp_path):
+        p = GeoPoint(35.5, -119.3)
+        path = self.make_fixture(tmp_path, p, Heading.NORTH)
+        meta = path.with_suffix(".meta")
+        meta.write_text("date=\u0662\u0660\u0661\u0663-07\n")
+        with pytest.raises(DataValidationError, match=str(meta)):
+            fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
+
+    @pytest.mark.parametrize("value", ["2013-7", "2013-07-1", "2013-13", "13-07", " 2013-07"])
+    def test_malformed_sidecar_date_is_data_error(self, tmp_path, value):
+        p = GeoPoint(35.5, -119.3)
+        path = self.make_fixture(tmp_path, p, Heading.NORTH)
+        path.with_suffix(".meta").write_text(f"date={value}")
+        with pytest.raises(DataValidationError, match="unparsable date"):
+            fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
+
+    def test_sidecar_day_is_kept(self, tmp_path):
+        p = GeoPoint(35.5, -119.3)
+        path = self.make_fixture(tmp_path, p, Heading.NORTH)
+        path.with_suffix(".meta").write_text("date=2013-07-21\n")
+        rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
+        assert rec.capture_date == datetime.date(2013, 7, 21)
+
+    def test_non_ascii_digits_in_a_name_are_no_fixture(self, tmp_path):
+        """``\\d`` would match the Arabic-Indic digit and read the name as 35.5."""
+        p = GeoPoint(35.5, -119.3)
+        path = self.make_fixture(tmp_path, p, Heading.NORTH)
+        path.rename(tmp_path / path.name.replace("3", "\u0663", 1))
+        with pytest.raises(FixtureNotFoundError):
+            fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
+
+    def test_fixture_with_another_heading_is_never_served(self, tmp_path):
+        p = GeoPoint(35.5, -119.3)
+        path = self.make_fixture(tmp_path, p, Heading.NORTH)
+        path.rename(tmp_path / "35.500000_-119.300000_45.ppm")
+        index = FixtureIndex(tmp_path)
+        assert (index.resolve([p], list(Heading)) == -1).all()
+
 
 class _FakeResponse(io.BytesIO):
     def __enter__(self):
@@ -227,3 +268,133 @@ class TestLiveMode:
         rec = fetch_street_image(req, "live")
         assert rec.image.values.shape == (2, 2, 3)
         assert rec.id.startswith("live_")
+
+
+# --------------------------------------------------------------------------
+# The batch lookup against a brute-force scan of every fixture
+# --------------------------------------------------------------------------
+
+
+def brute_force(directory, point, heading):
+    """Name of the fixture serving a request, by a scan of every fixture:
+    same heading, scalar ``geo_distance`` within 5 m, least ``(distance, name)``."""
+    best = None
+    for name in os.listdir(directory):
+        if not name.endswith(".ppm"):
+            continue
+        lat, lon, deg = name[: -len(".ppm")].split("_")
+        if int(deg) != heading:
+            continue
+        d = geo_distance(point, GeoPoint(float(lat), float(lon)))
+        if d <= FIXTURE_TOLERANCE_M and (best is None or (d, name) < best):
+            best = (d, name)
+    return None if best is None else best[1][: -len(".ppm")]
+
+
+def as_fixture_point(lat, lon):
+    """The point a fixture at (lat, lon) has once its name rounds it to 6 decimals."""
+    return GeoPoint(float(f"{lat:.6f}"), float(f"{lon:.6f}"))
+
+
+def meters_east(p, meters):
+    return p.lon_deg + meters / (METERS_PER_DEGREE * np.cos(np.radians(p.lat_deg)))
+
+
+def boundary_pair(fixture, heading):
+    """The last request east of ``fixture`` (north for NORTH) within 5 m of it and
+    the next float past it, found by bisection over adjacent doubles."""
+    if heading == Heading.NORTH:
+        at = lambda v: GeoPoint(v, fixture.lon_deg)  # noqa: E731
+        lo, hi = fixture.lat_deg, fixture.lat_deg + 6.0 / METERS_PER_DEGREE
+    else:
+        at = lambda v: GeoPoint(fixture.lat_deg, v)  # noqa: E731
+        lo, hi = fixture.lon_deg, meters_east(fixture, 6.0)
+    while np.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            mid = np.nextafter(lo, hi)
+        if geo_distance(at(float(mid)), fixture) <= FIXTURE_TOLERANCE_M:
+            lo = float(mid)
+        else:
+            hi = float(mid)
+    return at(lo), at(hi)
+
+
+@st.composite
+def fixture_layouts(draw):
+    """Fixtures within about 12 m of a base point and requests around them.
+
+    Latitudes stay within 60 degrees, where one 1e-4 degree bucket spans more
+    than 5 m both ways. With the base on the equator or the prime meridian,
+    each fixture gets a mirror image through the base on that axis, at exactly
+    the same distance from it: an equidistant tie broken on the name.
+    """
+    axis = draw(st.sampled_from(["none", "lat", "lon"]))
+    lat = 0.0 if axis == "lat" else draw(st.floats(-60.0, 60.0))
+    lon = 0.0 if axis == "lon" else draw(st.floats(-179.0, 179.0))
+    base = as_fixture_point(lat, lon)
+    meters = st.floats(-12.0, 12.0)
+    fixtures = {}
+    for dy, dx, heading in draw(
+        st.lists(st.tuples(meters, meters, st.sampled_from([Heading.NORTH, Heading.EAST])),
+                 min_size=1, max_size=6)
+    ):
+        p = as_fixture_point(base.lat_deg + dy / METERS_PER_DEGREE, meters_east(base, dx))
+        fixtures[p, heading] = None
+        if axis == "lat":
+            fixtures[GeoPoint(-p.lat_deg, p.lon_deg), heading] = None
+        elif axis == "lon":
+            fixtures[GeoPoint(p.lat_deg, -p.lon_deg), heading] = None
+    requests = [base] + [
+        GeoPoint(base.lat_deg + dy / METERS_PER_DEGREE, meters_east(base, dx))
+        for dy, dx in draw(st.lists(st.tuples(meters, meters), max_size=6))
+    ]
+    for p, heading in list(fixtures)[:2]:
+        requests += boundary_pair(p, heading)
+    return list(fixtures), requests
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixture_layouts())
+def test_batch_lookup_matches_a_brute_force_scan(layout):
+    fixtures, requests = layout
+    with tempfile.TemporaryDirectory() as directory:
+        for p, heading in fixtures:
+            write_fixture(directory, p, heading, tensor(np.zeros((1, 1, 3))))
+        index = FixtureIndex(directory)
+        found = index.resolve(requests, list(Heading))
+        for i, p in enumerate(requests):
+            for j, heading in enumerate(Heading):
+                expected = brute_force(directory, p, heading)
+                got = None if found[i, j] < 0 else index.record(found[i, j]).id
+                assert got == expected, (p, heading)
+                try:
+                    single = index.fetch(StreetRequest(p, heading)).id
+                except FixtureNotFoundError:
+                    single = None
+                assert single == expected
+
+
+def test_exactly_five_meters_is_served_and_one_ulp_past_is_not(tmp_path):
+    fixture = GeoPoint(0.0, 0.0)
+    write_fixture(tmp_path, fixture, Heading.EAST, tensor(np.zeros((1, 1, 3))))
+    inside, outside = boundary_pair(fixture, Heading.EAST)
+    assert geo_distance(inside, fixture) == 5.0
+    assert geo_distance(outside, fixture) == np.nextafter(5.0, 6.0)
+    found = FixtureIndex(tmp_path).resolve([inside, outside], [Heading.EAST])
+    assert found.tolist() == [[0], [-1]]
+
+
+def test_mirrored_fixtures_tie_and_the_first_name_wins(tmp_path):
+    for lon in (0.000012, -0.000012):
+        write_fixture(tmp_path, GeoPoint(45.0, lon), Heading.EAST, tensor(np.zeros((1, 1, 3))))
+    p = GeoPoint(45.0, 0.0)
+    assert geo_distance(p, GeoPoint(45.0, 0.000012)) == geo_distance(p, GeoPoint(45.0, -0.000012))
+    rec = FixtureIndex(tmp_path).fetch(StreetRequest(p, Heading.EAST))
+    assert rec.id == "45.000000_-0.000012_90" == brute_force(tmp_path, p, Heading.EAST)
+
+
+def test_polar_candidate_raises_as_the_scalar_distance_does(tmp_path):
+    write_fixture(tmp_path, GeoPoint(86.0, 1.0), Heading.EAST, tensor(np.zeros((1, 1, 3))))
+    with pytest.raises(DataValidationError, match="exceeds supported"):
+        FixtureIndex(tmp_path).resolve([GeoPoint(86.0, 1.00005)], [Heading.EAST])

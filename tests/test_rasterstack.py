@@ -1,6 +1,7 @@
 import datetime
 import hashlib
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -110,6 +111,28 @@ class TestGridIO:
     def test_non_numeric_body_token_rejected(self, tmp_path):
         with pytest.raises(GridFormatError):
             self.read_text(tmp_path, self.HEADER + "0.5 x\n")
+
+    @pytest.mark.parametrize(
+        "row", ["1_0 \u0663", "1_0 0.5", "0.5 \u0663", "0.5 inf", "0.5 0x1p-2", "0.5 \uff15"]
+    )
+    def test_body_numeral_outside_the_ascii_grammar_rejected(self, tmp_path, row):
+        """``float`` would read ``1_0 \u0663`` as ``[10, 3]``."""
+        with pytest.raises(GridFormatError, match="bad.grid"):
+            self.read_text(tmp_path, self.HEADER + row + "\n")
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("xllcorner 0", "xllcorner \u0663"),
+            ("cellsize 0.001", "cellsize 1_0e-1"),
+            ("ncols 2", "ncols \u0662"),
+            ("nrows 1", "nrows 0_1"),
+            ("NODATA_value -9999", "NODATA_value -9_999"),
+        ],
+    )
+    def test_header_numeral_outside_the_ascii_grammar_rejected(self, tmp_path, old, new):
+        with pytest.raises(GridFormatError, match="bad.grid"):
+            self.read_text(tmp_path, self.HEADER.replace(old, new) + "0.5 0.25\n")
 
     def test_fractional_ncols_rejected(self, tmp_path):
         text = self.HEADER.replace("ncols 2", "ncols 2.5")
@@ -364,6 +387,78 @@ def nir_observed(stack):
     return matrix[..., 0, 0], observed[..., 0, 0]
 
 
+#: Half the 1e-4 step of a stored integer reflectance, plus float rounding.
+QUANTUM = 0.5e-4 + 1e-12
+#: (numerator, denominator, a, b) of each index: when every band moves by at
+#: most d, the numerator moves by at most a*d and the denominator by b*d.
+INDEX_PARTS = {
+    FeatureName.NDVI: (lambda b: b["NIR"] - b["Red"], lambda b: b["NIR"] + b["Red"], 2, 2),
+    FeatureName.EVI: (
+        lambda b: 2.5 * (b["NIR"] - b["Red"]),
+        lambda b: b["NIR"] + 6.0 * b["Red"] - 7.0 * b["Blue"] + 1.0,
+        5,
+        14,
+    ),
+    FeatureName.ENDVI: (
+        lambda b: b["NIR"] + b["Green"] - 2.0 * b["Blue"],
+        lambda b: b["NIR"] + b["Green"] + 2.0 * b["Blue"],
+        4,
+        4,
+    ),
+    FeatureName.LSWI: (lambda b: b["NIR"] - b["SWIR1"], lambda b: b["NIR"] + b["SWIR1"], 2, 2),
+}
+
+
+def quantisation_bound(feature, bands):
+    """Largest change of ``feature`` per (T, rows, cols) entry when each band of
+    ``bands`` moves by at most QUANTUM: QUANTUM itself for a band, and
+    |n/d - (n + dn)/(d + dd)| <= (a|d| + b|n|) QUANTUM / (|d| (|d| - b QUANTUM))
+    for an index n/d."""
+    if feature not in INDEX_PARTS:
+        return np.full(bands["NIR"].shape, QUANTUM)
+    num, den, a, b = INDEX_PARTS[feature]
+    n, d = np.abs(num(bands)), np.abs(den(bands))
+    assert (d > b * QUANTUM).all()
+    return (a * d + b * n) * QUANTUM / (d * (d - b * QUANTUM))
+
+
+class TestQuantisedScenes:
+    """A float world and its twin stored as round(reflectance * 1e4) with
+    ``scale=0.0001`` give the same observations and gap-filled stacks that
+    differ by at most the quantisation bound. A gap-filled value is a convex
+    combination of two observed ones, so a series' bound is the largest bound
+    of its observed entries (plus 1e-12 for the interpolation's rounding)."""
+
+    def test_fill_cells_within_the_quantisation_bound(self, tmp_path):
+        rng = np.random.default_rng(11)
+        shape, dates = (9, 9), [datetime.date(2013, 4, 1 + 6 * t) for t in range(5)]
+        floats, stored, series = [], [], []
+        for date in dates:
+            bands = {b: rng.uniform(0.01, 0.6, shape) for b in BAND_NAMES}
+            bands["Blue"] = rng.uniform(0.01, 0.1, shape)
+            qa = (rng.random(shape) < 0.3).astype(float)
+            floats.append(write_scene(tmp_path / "float", date, bands, qa))
+            ints = {b: np.rint(v / 0.0001) for b, v in bands.items()}
+            path = tmp_path / "int" / f"{date.isoformat()}.manifest"
+            write_scene(path.parent, date, ints, qa)
+            write_manifest(replace(read_manifest(path), scale=0.0001), path)
+            stored.append(read_manifest(path))
+            series.append(bands)
+        bands = {b: np.stack([s[b] for s in series]) for b in BAND_NAMES}
+        float_stack = SceneStack.from_manifests(floats)
+        int_stack = SceneStack.from_manifests(stored)
+        largest = 0.0
+        for feature in FeatureName:
+            a, a_obs, a_use = float_stack.fill_cells(slice(None), slice(None), [feature])
+            b, b_obs, b_use = int_stack.fill_cells(slice(None), slice(None), [feature])
+            assert (a_obs == b_obs).all() and (a_use == b_use).all()
+            bound = np.moveaxis(quantisation_bound(feature, bands), 0, -1)[..., None]
+            series_bound = np.where(a_obs, bound, 0.0).max(axis=-2, keepdims=True) + 1e-12
+            assert (np.abs(a - b)[a_use] <= np.broadcast_to(series_bound, a.shape)[a_use]).all()
+            largest = max(largest, np.abs(a - b)[a_use].max())
+        assert 1e-5 < largest  # the stored step shows
+
+
 class TestQaMask:
     """QA 0 is clear; any other code masks the cell in a SceneStack."""
 
@@ -522,6 +617,39 @@ class TestManifests:
         path = tmp_path / "scene.manifest"
         path.write_bytes(b"date=2013-04-13\nqa=qa\xff.grid\n")
         with pytest.raises(GridFormatError):
+            read_manifest(path)
+
+    def manifest(self, scale=None):
+        return SceneManifest(
+            datetime.date(2013, 4, 13), {b: f"{b}.grid" for b in BAND_NAMES}, "qa.grid", scale
+        )
+
+    def test_no_scale_line_reads_as_no_scale(self, tmp_path):
+        write_manifest(self.manifest(), tmp_path / "scene.manifest")
+        assert "scale" not in (tmp_path / "scene.manifest").read_text()
+        assert read_manifest(tmp_path / "scene.manifest").scale is None
+
+    def test_scale_line_is_written_after_the_date(self, tmp_path):
+        write_manifest(self.manifest(0.0001), tmp_path / "scene.manifest")
+        lines = (tmp_path / "scene.manifest").read_text().splitlines()
+        assert lines[:2] == ["date=2013-04-13", "scale=0.0001"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_scale_round_trips_exactly(self, scale):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "scene.manifest"
+            write_manifest(self.manifest(scale), path)
+            assert read_manifest(path).scale == scale
+
+    @pytest.mark.parametrize(
+        "value", ["1_0e-4", "\u0661e-4", "0", "-0.0001", "0.0", "inf", "nan", "1e999", "", " 1"]
+    )
+    def test_scale_that_is_not_a_positive_ascii_number_rejected(self, tmp_path, value):
+        path = tmp_path / "scene.manifest"
+        write_manifest(self.manifest(), path)
+        path.write_text(path.read_text() + f"scale={value}\n")
+        with pytest.raises(GridFormatError, match=f"{path}: line 9: scale"):
             read_manifest(path)
 
     @settings(

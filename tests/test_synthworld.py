@@ -8,7 +8,14 @@ from streetcrop import synthworld as sw
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import Heading
 from streetcrop.imageclassifier import CALIFORNIA, ILLINOIS
-from streetcrop.rasterstack import BAND_NAMES, FeatureName, RasterGrid, SceneStack
+from streetcrop.rasterstack import (
+    BAND_NAMES,
+    FeatureName,
+    RasterGrid,
+    SceneStack,
+    read_grid,
+    read_manifest,
+)
 
 
 def phenology_separation(classes, dates):
@@ -88,15 +95,23 @@ class TestPhenology:
         assert sep >= 5 * 0.01
 
 
+def stored(reflectance):
+    """A reflectance as a scene stack reads it back: rounded to the stored step."""
+    return np.rint(reflectance / sw.REFLECTANCE_SCALE) * sw.REFLECTANCE_SCALE
+
+
 class TestScenes:
     def test_noiseless_scenes_match_curves_exactly(self, tmp_path):
+        """Exactly, at the stored step: half a step off the curve at most."""
         world = small_world(noise_sigma=0.0, cloud_fraction=0.0)
         manifests = sw.synthesize_scenes(world, tmp_path / "scenes")
         stack = SceneStack.from_manifests(manifests)
         doy = manifests[0].scene_date.timetuple().tm_yday
         corn_cells = world.truth.values == ILLINOIS.index("corn")
         nir = stack.feature_plane(FeatureName.NIR)[0][0][corn_cells]
-        np.testing.assert_allclose(nir, sw.phenology_value("corn", "NIR", doy))
+        curve = sw.phenology_value("corn", "NIR", doy)
+        np.testing.assert_array_equal(nir, stored(curve))
+        assert np.abs(nir - curve).max() <= 0.5 * sw.REFLECTANCE_SCALE + 1e-15
 
     def test_noiseless_ndvi_matches_analytic(self, tmp_path):
         world = small_world(noise_sigma=0.0, cloud_fraction=0.0)
@@ -106,8 +121,8 @@ class TestScenes:
         assert valid.all()
         doy = manifests[2].scene_date.timetuple().tm_yday
         corn_cells = world.truth.values == ILLINOIS.index("corn")
-        nir = sw.phenology_value("corn", "NIR", doy)
-        red = sw.phenology_value("corn", "Red", doy)
+        nir = stored(sw.phenology_value("corn", "NIR", doy))
+        red = stored(sw.phenology_value("corn", "Red", doy))
         np.testing.assert_allclose(values[2][corn_cells], (nir - red) / (nir + red))
 
     def test_cloud_fraction_matches_qa_rate(self, tmp_path):
@@ -125,6 +140,19 @@ class TestScenes:
             values, _ = stack.feature_plane(FeatureName(band))
             assert values.min() >= 0.0
             assert values.max() <= 1.0
+
+    def test_band_grids_hold_integers_at_the_manifest_scale(self, tmp_path):
+        world = small_world(noise_sigma=0.3)
+        sw.synthesize_scenes(world, tmp_path / "scenes")
+        for path in sorted((tmp_path / "scenes").glob("*.manifest")):
+            manifest = read_manifest(path)
+            assert manifest.scale == sw.REFLECTANCE_SCALE == 0.0001
+            for band in BAND_NAMES:
+                values = read_grid(manifest.band_paths[band]).values
+                assert (values == np.rint(values)).all()
+                assert 0 <= values.min() and values.max() <= 10_000
+            qa = read_grid(manifest.qa_path).values
+            assert set(np.unique(qa)) <= {0.0, 1.0}
 
     def test_same_seed_identical_scene_files(self, tmp_path):
         world = small_world()
