@@ -188,8 +188,6 @@ class RunConfig(dict):
                 raise UsageError(f"{path}:{n}: config key {key} {exc}: {raw!r}") from None
             cfg[key] = path.parent.resolve() / value if isinstance(value, Path) else value
         if seed is not None:
-            if seed < 0:
-                raise UsageError(f"seed must be a non-negative integer, got {seed}")
             cfg["seed"] = seed
         cfg.sha256 = hashlib.sha256(text.encode()).hexdigest()
         return cfg
@@ -382,7 +380,7 @@ def _cmd_fetch(run: _Run):
     index = FixtureIndex(run.input_path("paths.fixtures"))
     out = run.output_path("paths.campaign_catalog")
     points = imageclassifier.read_csv_rows(
-        grid_csv, ["lat", "lon"], lambda row: GeoPoint(float(row["lat"]), float(row["lon"])),
+        grid_csv, ["lat", "lon"], lambda row: GeoPoint(parse_float(row["lat"]), parse_float(row["lon"])),
         "sampling grid",
     )
     found = index.resolve(points, list(Heading)).ravel()  # point-major, then heading
@@ -615,7 +613,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("command", choices=COMMANDS, metavar="command",
                         help=", ".join(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the run config file")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=_int, default=None, help="override the config seed")
     parser.add_argument("--out", default="run", help="artifact directory (default: ./run)")
     return parser
 

@@ -102,7 +102,8 @@ def _stratified_split(y: np.ndarray, seed: int):
 
 
 def _train_once(x, y, train_idx, val_idx, n_classes: int, cfg: TrainConfig):
-    spec = neuralnet.default_pixel_spec(x.shape[2], x.shape[3], n_classes, cfg.dropout_rate)
+    spec = neuralnet.default_pixel_spec(x.shape[2], x.shape[3], n_classes)
+    spec = neuralnet.clone_spec_with_dropout(spec, cfg.dropout_rate)
     net = neuralnet.build_network(spec, seed=cfg.seed)
     net, history = neuralnet.train(
         net, (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx]), cfg

@@ -12,14 +12,16 @@ images and models) is read through :func:`read_input` or
 unreadable, and text that is not UTF-8, raise the caller's error class
 naming the file, never a bare ``OSError`` or ``UnicodeDecodeError``.
 
-Numbers in input text follow one ASCII grammar (:data:`INT`,
-:data:`FLOAT`): Python's ``int``, ``float`` and ``\\d`` also accept other
-scripts' digits, ``_`` separators and surrounding whitespace, which no
+Numbers and dates in input text follow one ASCII grammar (:data:`INT`,
+:data:`FLOAT`, :func:`parse_date`): Python's ``int``, ``float``, ``\\d``
+and ``date.fromisoformat`` also accept other scripts' digits, ``_``
+separators, surrounding whitespace or ISO basic and week dates, which no
 file this package reads may use.
 """
 
 from __future__ import annotations
 
+import datetime
 import re
 from pathlib import Path
 
@@ -30,6 +32,9 @@ FLOAT = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _INT = re.compile(INT)
 _FLOAT = re.compile(FLOAT)
 _FLOATS = re.compile(f"(?:{FLOAT} )*")
+_DATE = re.compile(r"([0-9]{4})-([0-9]{2})(?:-([0-9]{2}))?")
+# date form -> whether its text may carry a day
+_HAS_DAY = {"YYYY-MM": (False,), "YYYY-MM-DD": (True,), "YYYY-MM[-DD]": (False, True)}
 
 
 class StreetCropError(Exception):
@@ -85,3 +90,13 @@ def check_floats(tokens: list[str]):
     that does not match :data:`FLOAT`; one regex pass over all of them."""
     if _FLOATS.fullmatch(" ".join(tokens) + " ") is None:
         parse_float(next(t for t in tokens if _FLOAT.fullmatch(t) is None))
+
+
+def parse_date(text: str, form: str) -> datetime.date:
+    """``text`` as a date in ``form``: ``"YYYY-MM"`` (read as the month's
+    first day), ``"YYYY-MM-DD"`` or ``"YYYY-MM[-DD]"``, in ASCII digits.
+    ``ValueError`` for any other text and for a month or day out of range."""
+    match = _DATE.fullmatch(text)
+    if match is None or (match[3] is not None) not in _HAS_DAY[form]:
+        raise ValueError(f"{text!r} is not an ASCII {form} date")
+    return datetime.date(int(match[1]), int(match[2]), int(match[3] or 1))

@@ -21,11 +21,9 @@ never touch pixels.
 from __future__ import annotations
 
 import csv
-import datetime
 import functools
 import io
 import os
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import neuralnet
-from .errors import DataValidationError, read_input_text
+from .errors import DataValidationError, parse_date, parse_float, parse_int, read_input_text
 from .geocore import GeoPoint, Heading
 from .imagery import StreetImageRecord
 from .neuralnet import Network, NetworkSpec, TrainConfig
@@ -214,8 +212,6 @@ def qc_filter(
 
 CATALOG_HEADER = ["id", "path", "label", "confidence", "lat", "lon", "heading", "date"]
 
-_CATALOG_DATE = re.compile(r"(\d{4})-(\d{2})")
-
 
 def write_catalog(labeled: Iterable[LabeledImage], taxonomy: LabelTaxonomy, path: str | Path):
     """One row per image, pointing at the record's image file."""
@@ -262,22 +258,16 @@ def read_catalog(path: str | Path, taxonomy: LabelTaxonomy) -> list[LabeledImage
         image_path = base / row["path"]
         if not image_path.is_file():
             raise DataValidationError(f"image file not found: {image_path}")
-        date = None
-        if row["date"]:
-            match = _CATALOG_DATE.fullmatch(row["date"])
-            if match is None:
-                raise ValueError(f"date {row['date']!r} is not YYYY-MM")
-            date = datetime.date(int(match[1]), int(match[2]), 1)
         record = StreetImageRecord(
             id=row["id"],
-            capture_point=GeoPoint(float(row["lat"]), float(row["lon"])),
-            heading=Heading(int(row["heading"])),
-            capture_date=date,
+            capture_point=GeoPoint(parse_float(row["lat"]), parse_float(row["lon"])),
+            heading=Heading(parse_int(row["heading"])),
+            capture_date=parse_date(row["date"], "YYYY-MM") if row["date"] else None,
             path=image_path,
         )
         confidence = None
         if row["confidence"]:
-            confidence = float(row["confidence"])
+            confidence = parse_float(row["confidence"])
             if not 0.0 <= confidence <= 1.0:
                 raise ValueError(f"confidence {confidence} outside [0, 1]")
         label = taxonomy.index(row["label"]) if row["label"] else None

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, read_input, read_input_text
+from .errors import DataValidationError, parse_date, parse_int, read_input, read_input_text
 from .geocore import MAX_SUPPORTED_LAT_DEG, METERS_PER_DEGREE, GeoPoint, Heading, geo_distance
 
 #: Maximum camera-to-fixture distance for a fixture to satisfy a request.
@@ -164,7 +164,7 @@ def decode_image(data: bytes) -> ImageTensor:
             raise ImageDecodeError("truncated header")
         fields.append(data[start:pos])
     try:
-        width, height, maxval = (int(f) for f in fields)
+        width, height, maxval = (parse_int(f.decode("ascii")) for f in fields)
     except ValueError as exc:
         raise ImageDecodeError(f"non-numeric header field: {exc}") from exc
     if width < 1 or height < 1:
@@ -185,7 +185,6 @@ def fixture_filename(p: GeoPoint, h: Heading) -> str:
 
 
 _FIXTURE_STEM = re.compile(r"^(-?[0-9]+\.[0-9]{6})_(-?[0-9]+\.[0-9]{6})_([0-9]+)$")
-_SIDECAR_DATE = re.compile(r"([0-9]{4})-([0-9]{2})(?:-([0-9]{2}))?")
 
 
 def write_fixture(
@@ -213,12 +212,10 @@ def _read_sidecar_date(ppm_path: Path) -> datetime.date | None:
         line = line.strip()
         if line.startswith("date="):
             value = line[len("date=") :]
-            if match := _SIDECAR_DATE.fullmatch(value):
-                try:
-                    return datetime.date(*map(int, match.groups(default="1")))
-                except ValueError:
-                    pass
-            raise DataValidationError(f"unparsable date {value!r} in {meta}")
+            try:
+                return parse_date(value, "YYYY-MM[-DD]")
+            except ValueError:
+                raise DataValidationError(f"unparsable date {value!r} in {meta}") from None
     return None
 
 
@@ -240,15 +237,17 @@ class FixtureIndex:
 
     A request is served by the nearest fixture with its heading within
     ``FIXTURE_TOLERANCE_M``, ties broken on filename. Candidates come from
-    the 3x3 block of ``_BUCKET_DEG`` lat/lon buckets around the request:
-    the fixtures are held as arrays sorted by bucket code, so
-    :meth:`resolve` finds every request's candidates with
+    the block of ``_BUCKET_DEG`` lat/lon buckets around the request: one
+    bucket each way in latitude, and in longitude as many as the tolerance
+    spans at the request's latitude (one below about 63 degrees, six at
+    ``MAX_SUPPORTED_LAT_DEG``). The fixtures are held as arrays sorted by
+    bucket code, so :meth:`resolve` finds every request's candidates with
     ``searchsorted``, drops those a vectorised distance puts clearly out
     of reach, and leaves the 5 m test and the tie-break to the scalar
     :func:`geo_distance`. :meth:`fetch` is the same lookup for one request.
     """
 
-    _BUCKET_DEG = 1e-4  # ~11 m, comfortably above the 5 m tolerance
+    _BUCKET_DEG = 1e-4  # ~11 m north-south, 11 m * cos(lat) east-west
     #: Distances this far past the tolerance go to the scalar test too,
     #: covering the last-bit differences of numpy's trigonometry.
     _MARGIN_M = 1e-6
@@ -289,12 +288,22 @@ class FixtureIndex:
         lat = np.repeat([p.lat_deg for p in points], len(headings))
         lon = np.repeat([p.lon_deg for p in points], len(headings))
         heading = np.tile([int(Heading(h)) for h in headings], len(points))
+        # longitude buckets each side that can hold a fixture within reach: a
+        # fixture that close is less than one bucket further from the pole
+        near_pole = np.minimum(np.abs(lat) + self._BUCKET_DEG, MAX_SUPPORTED_LAT_DEG)
+        reach_deg = (FIXTURE_TOLERANCE_M + self._MARGIN_M) / (
+            METERS_PER_DEGREE * np.cos(np.radians(near_pole))
+        )
+        reach = np.ceil(reach_deg / self._BUCKET_DEG).astype(np.int64)
+        widest = int(reach.max(initial=1))
         req, fix = [], []
         for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
+            for dj in range(-widest, widest + 1):
                 code = self._code(lat, lon, heading, di, dj)
                 lo = np.searchsorted(self._codes_sorted, code, "left")
                 count = np.searchsorted(self._codes_sorted, code, "right") - lo
+                if abs(dj) > 1:
+                    count[reach < abs(dj)] = 0
                 hit = np.flatnonzero(count)
                 n = count[hit]
                 req.append(np.repeat(hit, n))

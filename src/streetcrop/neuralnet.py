@@ -3,9 +3,14 @@
 Tensors are plain float64 numpy arrays, shaped ``(channels, height,
 width)`` for spatial data or ``(n,)`` flat. The layer set is fixed:
 Conv2D (stride 1, valid or same padding), ReLU, MaxPool, Dropout
-(inverted scaling), Dense and a final Softmax. Training is SGD with
-momentum over seeded shuffled mini-batches, so a (spec, seed, data)
-triple always reproduces the same weights on one platform.
+(inverted scaling), Dense and a final Softmax. Each kind is declared once,
+in ``_LAYER_KINDS``: its spec dataclass, the token of its model-header
+line (``layer <token>`` then the dataclass fields in order) and its
+runtime class, built as ``(spec, in_shape)``. A Dropout rate is set one
+way: :func:`clone_spec_with_dropout`, which both classifiers apply with
+``TrainConfig.dropout_rate``. Training is SGD with momentum over seeded
+shuffled mini-batches, so a (spec, seed, data) triple always reproduces
+the same weights on one platform.
 
 Inside a network the activations sit batch-last in memory, ``(c, h, w,
 n)`` for spatial layers and ``(units, n)`` for dense ones: a conv is one
@@ -25,13 +30,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .errors import DataValidationError, read_input
+from .errors import DataValidationError, parse_float, parse_int, read_input
 
 MODEL_MAGIC = b"RTNN1"
 
@@ -176,6 +181,15 @@ def _saved(cache):
 
 
 class _Layer:
+    """Every kind is built as ``(spec, in_shape)``; the output shape
+    defaults to the input's. ``_cache`` holds what ``backward`` needs."""
+
+    def __init__(self, spec, in_shape, out_shape=None):
+        self.spec = spec
+        self.in_shape = in_shape
+        self.out_shape = in_shape if out_shape is None else out_shape
+        self._cache = None
+
     def params(self):
         return []
 
@@ -187,14 +201,14 @@ class _Layer:
 class _ParamLayer(_Layer):
     """A layer with weights ``w`` of shape ``w_shape`` and one bias per row.
 
-    Construction only checks shapes; :func:`build_network` or
-    :func:`deserialize_model` sets ``w`` and ``b``.
+    Construction only checks shapes; :func:`build_network`,
+    :func:`deserialize_model` or :func:`gradient_check` sets ``w`` and ``b``.
     """
 
-    def __init__(self, w_shape):
+    def __init__(self, spec, in_shape, out_shape, w_shape):
+        super().__init__(spec, in_shape, out_shape)
         self.w_shape = w_shape
         self.w = self.b = None
-        self._cache = None
 
     def params(self):
         return [self.w, self.b]
@@ -202,8 +216,9 @@ class _ParamLayer(_Layer):
 
 class _ConvLayer(_ParamLayer):
     def __init__(self, spec: Conv2D, in_shape):
+        if len(in_shape) != 3:
+            raise ShapeMismatchError(f"Conv2D needs a 3-d input, got {in_shape}")
         c, h, w = in_shape
-        self.spec = spec
         if spec.same_padding:
             oh, ow = h, w
             pad_h, pad_w = spec.kernel_h - 1, spec.kernel_w - 1
@@ -218,9 +233,8 @@ class _ConvLayer(_ParamLayer):
             self.pads = (0, 0, 0, 0)
         if oh < 1 or ow < 1:
             raise ShapeMismatchError(f"conv output collapsed to {oh}x{ow}")
-        self.in_shape = in_shape
-        self.out_shape = (spec.filters, oh, ow)
-        super().__init__((spec.filters, c, spec.kernel_h, spec.kernel_w))
+        w_shape = (spec.filters, c, spec.kernel_h, spec.kernel_w)
+        super().__init__(spec, in_shape, (spec.filters, oh, ow), w_shape)
 
     def _padded_shape(self, n):
         c, h, w = self.in_shape
@@ -273,19 +287,15 @@ class _ConvLayer(_ParamLayer):
 
 
 class _ReLULayer(_Layer):
-    def __init__(self, in_shape):
-        self.out_shape = in_shape
-        self._mask = None
-
     def forward(self, x, train, rng, stats):
         if stats is not None:
             stats.append(float(np.abs(x).min()))
         mask = x > 0
-        self._mask = mask if train else None
+        self._cache = mask if train else None
         return x * mask
 
     def backward(self, dout):
-        return dout * _saved(self._mask), []
+        return dout * _saved(self._cache), []
 
 
 class _MaxPoolLayer(_Layer):
@@ -293,18 +303,15 @@ class _MaxPoolLayer(_Layer):
         if len(in_shape) != 3:
             raise ShapeMismatchError("MaxPool needs a (channels, h, w) input")
         c, h, w = in_shape
-        self.size = spec.size
         oh, ow = h // spec.size, w // spec.size
         if oh < 1 or ow < 1:
             raise ShapeMismatchError(f"pool size {spec.size} exceeds {h}x{w} input")
-        self.in_shape = in_shape
-        self.out_shape = (c, oh, ow)
-        self._cache = None
+        super().__init__(spec, in_shape, (c, oh, ow))
 
     def _offsets(self, xb):
         """One strided view of a batch-last array per window offset, row-major."""
         _, oh, ow = self.out_shape
-        s = self.size
+        s = self.spec.size
         return [xb[:, i : oh * s : s, j : ow * s : s] for i in range(s) for j in range(s)]
 
     def forward(self, x, train, rng, stats):
@@ -336,34 +343,29 @@ class _MaxPoolLayer(_Layer):
 
 
 class _DropoutLayer(_Layer):
-    def __init__(self, spec: Dropout, in_shape):
-        self.rate = spec.rate
-        self.out_shape = in_shape
-        self._mask = None
-
     def forward(self, x, train, rng, stats):
-        self._mask = None
-        if not train or self.rate == 0.0:
+        self._cache = None
+        rate = self.spec.rate
+        if not train or rate == 0.0:
             return x
         if rng is None:
             raise DataValidationError("train-mode forward through Dropout needs an rng")
         # drawn in (n, ...) order so the stream does not depend on the layout
-        keep = rng.random(x.shape) >= self.rate
-        self._mask = np.empty_like(x)
-        np.divide(keep, 1.0 - self.rate, out=self._mask)
-        return x * self._mask
+        keep = rng.random(x.shape) >= rate
+        self._cache = np.empty_like(x)
+        np.divide(keep, 1.0 - rate, out=self._cache)
+        return x * self._cache
 
     def backward(self, dout):
-        if self._mask is None:
+        # no mask: an inference or rate-0 forward passed its input through
+        if self._cache is None:
             return dout, []
-        return dout * self._mask, []
+        return dout * self._cache, []
 
 
 class _DenseLayer(_ParamLayer):
     def __init__(self, spec: Dense, in_shape):
-        self.in_shape = in_shape
-        self.out_shape = (spec.units,)
-        super().__init__((spec.units, math.prod(in_shape)))
+        super().__init__(spec, in_shape, (spec.units,), (spec.units, math.prod(in_shape)))
 
     def forward(self, x, train, rng, stats):
         flat = _batch_last(x).reshape(self.w_shape[1], -1)
@@ -385,25 +387,29 @@ class _DenseLayer(_ParamLayer):
 
 
 class _SoftmaxLayer(_Layer):
-    def __init__(self, in_shape, n_classes):
-        if len(in_shape) != 1 or in_shape[0] != n_classes:
-            raise ShapeMismatchError(
-                f"softmax input {in_shape} does not match {n_classes} classes"
-            )
-        self.out_shape = in_shape
-        self._probs = None
-
     def forward(self, x, train, rng, stats):
         shifted = x - x.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         probs = e / e.sum(axis=1, keepdims=True)
-        self._probs = probs if train else None
+        self._cache = probs if train else None
         return probs
 
     def backward(self, dout):
-        p = _saved(self._probs)
+        p = _saved(self._cache)
         inner = (dout * p).sum(axis=1, keepdims=True)
         return p * (dout - inner), []
+
+
+#: The one declaration of each layer kind: its spec class, the token of its
+#: model-header line and its runtime class.
+_LAYER_KINDS = {
+    Conv2D: ("conv2d", _ConvLayer),
+    ReLU: ("relu", _ReLULayer),
+    MaxPool: ("maxpool", _MaxPoolLayer),
+    Dropout: ("dropout", _DropoutLayer),
+    Dense: ("dense", _DenseLayer),
+    Softmax: ("softmax", _SoftmaxLayer),
+}
 
 
 # --------------------------------------------------------------------------
@@ -423,9 +429,6 @@ class Network:
         for layer in self.layers:
             out.extend(layer.params())
         return out
-
-    def dropout_layers(self):
-        return [layer for layer in self.layers if isinstance(layer, _DropoutLayer)]
 
     def forward_batch(self, x, train=False, rng=None, stats=None):
         """Class probabilities ``(n, n_classes)`` for inputs ``(n, *input_shape)``.
@@ -462,24 +465,13 @@ def _runtime_layers(spec: NetworkSpec) -> list:
     shape = spec.input_shape
     layers = []
     for ls in spec.layers:
-        if isinstance(ls, Conv2D):
-            if len(shape) != 3:
-                raise ShapeMismatchError(f"Conv2D needs a 3-d input, got {shape}")
-            layer = _ConvLayer(ls, shape)
-        elif isinstance(ls, ReLU):
-            layer = _ReLULayer(shape)
-        elif isinstance(ls, MaxPool):
-            layer = _MaxPoolLayer(ls, shape)
-        elif isinstance(ls, Dropout):
-            layer = _DropoutLayer(ls, shape)
-        elif isinstance(ls, Dense):
-            layer = _DenseLayer(ls, shape)
-        elif isinstance(ls, Softmax):
-            layer = _SoftmaxLayer(shape, spec.n_classes)
-        else:
+        if type(ls) not in _LAYER_KINDS:
             raise DataValidationError(f"unknown layer spec {ls!r}")
-        shape = layer.out_shape
-        layers.append(layer)
+        _, runtime_class = _LAYER_KINDS[type(ls)]
+        layers.append(runtime_class(ls, shape))
+        shape = layers[-1].out_shape
+    if shape != (spec.n_classes,):
+        raise ShapeMismatchError(f"softmax input {shape} does not match {spec.n_classes} classes")
     return layers
 
 
@@ -592,64 +584,80 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
 def gradient_check(net: Network, sample, eps: float = 1e-5) -> float:
     """Max relative error between backprop and central finite differences.
 
-    ``sample`` is ``(x, label)``. Dropout is disabled for the check so
-    the result is deterministic. The input is first perturbed
-    (deterministically) until no ReLU pre-activation or MaxPool window
-    sits within ``10 * eps`` of a gradient discontinuity, where finite
-    differences would be meaningless.
+    ``sample`` is ``(x, label)``. The check runs on a copy of ``net``
+    whose Dropout rates are 0, so the result is deterministic; the copy
+    shares ``net``'s weight arrays, and every probe puts back the value
+    it moved. The input is first perturbed (deterministically) until no
+    ReLU pre-activation or MaxPool window sits within ``10 * eps`` of a
+    gradient discontinuity, where finite differences would be meaningless.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise DataValidationError(f"eps {eps} outside [1e-7, 1e-3]")
+    spec = clone_spec_with_dropout(net.spec, 0.0)
+    layers = _runtime_layers(spec)
+    for layer, theirs in zip(layers, net.layers):
+        if isinstance(layer, _ParamLayer):
+            layer.w, layer.b = theirs.w, theirs.b
+    net = Network(spec, layers)
     x, label = sample
     x = np.array(x, dtype=np.float64)
-    saved_rates = [(layer, layer.rate) for layer in net.dropout_layers()]
-    for layer, _ in saved_rates:
-        layer.rate = 0.0
-    try:
-        for attempt in range(16):
-            if net.kink_margin(x) > 10.0 * eps:
-                break
-            jitter = np.random.default_rng(1000 + attempt).uniform(-1, 1, size=x.shape)
-            x = x + 64.0 * eps * jitter
-        labels = np.array([label])
-        _, grads = loss_and_gradients(net, (x[None], labels))
-        # a probe of layer k's parameters changes no activation before layer
-        # k, so each probe runs an inference forward from layer k's input
-        inputs = [x[None]]
-        for layer in net.layers[:-1]:
-            inputs.append(layer.forward(inputs[-1], False, None, None))
+    for attempt in range(16):
+        if net.kink_margin(x) > 10.0 * eps:
+            break
+        jitter = np.random.default_rng(1000 + attempt).uniform(-1, 1, size=x.shape)
+        x = x + 64.0 * eps * jitter
+    labels = np.array([label])
+    _, grads = loss_and_gradients(net, (x[None], labels))
+    # a probe of layer k's parameters changes no activation before layer
+    # k, so each probe runs an inference forward from layer k's input
+    inputs = [x[None]]
+    for layer in net.layers[:-1]:
+        inputs.append(layer.forward(inputs[-1], False, None, None))
 
-        def probe_loss(k):
-            out = inputs[k]
-            for layer in net.layers[k:]:
-                out = layer.forward(out, False, None, None)
-            return _cross_entropy(out, labels)[0]
+    def probe_loss(k):
+        out = inputs[k]
+        for layer in net.layers[k:]:
+            out = layer.forward(out, False, None, None)
+        return _cross_entropy(out, labels)[0]
 
-        worst = 0.0
-        probed = [(k, p) for k, layer in enumerate(net.layers) for p in layer.params()]
-        for (k, p), g in zip(probed, grads):
-            flat_p = p.reshape(-1)
-            flat_g = g.reshape(-1)
-            for i in range(flat_p.size):
-                orig = flat_p[i]
-                flat_p[i] = orig + eps
-                up = probe_loss(k)
-                flat_p[i] = orig - eps
-                down = probe_loss(k)
-                flat_p[i] = orig
-                numeric = (up - down) / (2.0 * eps)
-                analytic = flat_g[i]
-                err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-                worst = max(worst, err)
-        return worst
-    finally:
-        for layer, rate in saved_rates:
-            layer.rate = rate
+    worst = 0.0
+    probed = [(k, p) for k, layer in enumerate(net.layers) for p in layer.params()]
+    for (k, p), g in zip(probed, grads):
+        flat_p = p.reshape(-1)
+        flat_g = g.reshape(-1)
+        for i in range(flat_p.size):
+            orig = flat_p[i]
+            flat_p[i] = orig + eps
+            up = probe_loss(k)
+            flat_p[i] = orig - eps
+            down = probe_loss(k)
+            flat_p[i] = orig
+            numeric = (up - down) / (2.0 * eps)
+            analytic = flat_g[i]
+            err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+            worst = max(worst, err)
+    return worst
 
 
 # --------------------------------------------------------------------------
 # Serialization: magic, text spec block, little-endian float64 weights.
 # --------------------------------------------------------------------------
+
+
+def _parse_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"flag {text!r} is not 0 or 1")
+    return text == "1"
+
+
+# a spec field's declared type -> (writer, reader) of its header token
+_FIELD_CODECS = {
+    "int": (str, parse_int),
+    "float": (repr, parse_float),
+    "bool": (lambda v: str(int(v)), _parse_flag),
+}
+# the conv line carries a stride before its padding flag; it is always 1
+_CONV_STRIDE_AT = 3
 
 
 def _spec_lines(spec: NetworkSpec):
@@ -658,48 +666,29 @@ def _spec_lines(spec: NetworkSpec):
         f"classes {spec.n_classes}",
     ]
     for ls in spec.layers:
+        tokens = [_FIELD_CODECS[f.type][0](getattr(ls, f.name)) for f in fields(ls)]
         if isinstance(ls, Conv2D):
-            lines.append(
-                f"layer conv2d {ls.filters} {ls.kernel_h} {ls.kernel_w} "
-                f"1 {int(ls.same_padding)}"
-            )
-        elif isinstance(ls, ReLU):
-            lines.append("layer relu")
-        elif isinstance(ls, MaxPool):
-            lines.append(f"layer maxpool {ls.size}")
-        elif isinstance(ls, Dropout):
-            lines.append(f"layer dropout {ls.rate!r}")
-        elif isinstance(ls, Dense):
-            lines.append(f"layer dense {ls.units}")
-        elif isinstance(ls, Softmax):
-            lines.append("layer softmax")
+            tokens.insert(_CONV_STRIDE_AT, "1")
+        lines.append(" ".join(["layer", _LAYER_KINDS[type(ls)][0], *tokens]))
     return lines
 
 
-def _parse_spec_line(line: str) -> LayerSpec:
-    kind, *args = line.split()[1:] or [""]
-    try:
-        if kind == "conv2d":
-            f, kh, kw, stride, same = args
-            if stride != "1":
-                raise ValueError(f"stride {stride!r} is not 1")
-            if same not in ("0", "1"):
-                raise ValueError(f"same-padding flag {same!r} is not 0 or 1")
-            return Conv2D(int(f), int(kh), int(kw), same == "1")
-        if kind == "relu" and not args:
-            return ReLU()
-        if kind == "softmax" and not args:
-            return Softmax()
-        (value,) = args
-        if kind == "maxpool":
-            return MaxPool(int(value))
-        if kind == "dropout":
-            return Dropout(float(value))
-        if kind == "dense":
-            return Dense(int(value))
-    except ValueError as exc:
-        raise SerializationError(f"bad layer line {line!r}: {exc}") from exc
-    raise SerializationError(f"bad layer line {line!r}")
+_SPEC_BY_TOKEN = {token: cls for cls, (token, _) in _LAYER_KINDS.items()}
+
+
+def _parse_layer(kind: str, tokens: list[str]) -> LayerSpec:
+    """The spec of a ``layer <kind> <tokens>`` header line; ``ValueError`` if malformed."""
+    cls = _SPEC_BY_TOKEN.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    if cls is Conv2D and len(tokens) > _CONV_STRIDE_AT:
+        stride = tokens.pop(_CONV_STRIDE_AT)
+        if stride != "1":
+            raise ValueError(f"stride {stride!r} is not 1")
+    declared = fields(cls)
+    if len(tokens) != len(declared):
+        raise ValueError(f"{kind} takes {len(declared)} fields, got {len(tokens)}")
+    return cls(*(_FIELD_CODECS[f.type][1](t) for f, t in zip(declared, tokens)))
 
 
 def serialize_model(net: Network, path: str | Path):
@@ -725,20 +714,20 @@ def deserialize_model(path: str | Path) -> Network:
         if not raw:
             raise SerializationError(f"{path}: truncated header")
         line = raw.rstrip(b"\n").decode("ascii", errors="replace")
-        key, _, rest = line.partition(" ")
+        key, *tokens = line.split(" ")
         try:
             if key == "input":
-                input_shape = tuple(int(t) for t in rest.split())
-            elif key == "classes":
-                n_classes = int(rest)
-            elif key == "layer":
-                layers.append(_parse_spec_line(line))
-            elif key == "weights":
-                count = int(rest)
+                input_shape = tuple(parse_int(t) for t in tokens)
+            elif key == "classes" and len(tokens) == 1:
+                n_classes = parse_int(tokens[0])
+            elif key == "layer" and tokens:
+                layers.append(_parse_layer(tokens[0], tokens[1:]))
+            elif key == "weights" and len(tokens) == 1:
+                count = parse_int(tokens[0])
                 break
             else:
-                raise SerializationError(f"{path}: unexpected header line {line!r}")
-        except ValueError as exc:
+                raise ValueError("not an input, classes, layer or weights line")
+        except (ValueError, DataValidationError) as exc:
             raise SerializationError(f"{path}: bad header line {line!r}: {exc}") from exc
     if input_shape is None or n_classes is None:
         raise SerializationError(f"{path}: header missing input/classes lines")
@@ -769,15 +758,12 @@ def deserialize_model(path: str | Path) -> Network:
 
 # --------------------------------------------------------------------------
 # Default architectures. Filter counts and kernel sizes are this
-# package's declared defaults; both classifiers accept any NetworkSpec.
+# package's declared defaults; both classifiers accept any NetworkSpec and
+# set its Dropout rates with clone_spec_with_dropout, the one way to set one.
 # --------------------------------------------------------------------------
 
 
-def default_image_spec(
-    input_shape: tuple[int, int, int],
-    n_classes: int,
-    dropout_rate: float = TrainConfig.dropout_rate,
-) -> NetworkSpec:
+def default_image_spec(input_shape: tuple[int, int, int], n_classes: int) -> NetworkSpec:
     """Three conv/pool blocks then a dense head, for street images."""
     return NetworkSpec(
         layers=(
@@ -790,7 +776,7 @@ def default_image_spec(
             Conv2D(64, 3, 3),
             ReLU(),
             MaxPool(2),
-            Dropout(dropout_rate),
+            Dropout(TrainConfig.dropout_rate),
             Dense(128),
             ReLU(),
             Dense(n_classes),
@@ -801,12 +787,7 @@ def default_image_spec(
     )
 
 
-def default_pixel_spec(
-    n_scenes: int,
-    n_features: int,
-    n_classes: int,
-    dropout_rate: float = TrainConfig.dropout_rate,
-) -> NetworkSpec:
+def default_pixel_spec(n_scenes: int, n_features: int, n_classes: int) -> NetworkSpec:
     """Two same-padded conv layers over a (1, T, F) temporal stack."""
     return NetworkSpec(
         layers=(
@@ -814,7 +795,7 @@ def default_pixel_spec(
             ReLU(),
             Conv2D(16, 3, 3, same_padding=True),
             ReLU(),
-            Dropout(dropout_rate),
+            Dropout(TrainConfig.dropout_rate),
             Dense(64),
             ReLU(),
             Dense(n_classes),

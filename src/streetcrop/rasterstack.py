@@ -50,6 +50,7 @@ import numpy as np
 from .errors import (
     DataValidationError,
     check_floats,
+    parse_date,
     parse_float,
     parse_int,
     read_input,
@@ -395,7 +396,7 @@ def read_manifest(path: str | Path) -> SceneManifest:
         key, value = line.split("=", 1)
         if key == "date":
             try:
-                date = datetime.date.fromisoformat(value)
+                date = parse_date(value, "YYYY-MM-DD")
             except ValueError:
                 raise GridFormatError(f"{path}: line {n}: bad date {value!r}") from None
         elif key == "scale":

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, parse_float, parse_int
 from .geocore import GeoPoint, ShiftParams, shift_to_parcel
 from .imageclassifier import LabeledImage, LabelTaxonomy, read_csv_rows
 from .metrics import AgreementReport, agreement_report
@@ -160,12 +160,12 @@ def write_reference_csv(
 def read_reference_csv(path: str | Path, taxonomy: LabelTaxonomy) -> list[ReferencePoint]:
     def parse(row) -> ReferencePoint:
         return ReferencePoint(
-            location=GeoPoint(float(row["lat"]), float(row["lon"])),
+            location=GeoPoint(parse_float(row["lat"]), parse_float(row["lon"])),
             label=taxonomy.index(row["label"]),
             source_image_id=row["source_image"],
-            shift_m=float(row["shift_m"]),
-            extra_steps=int(row["extra_steps"]),
-            confidence=float(row["confidence"]) if row["confidence"] else None,
+            shift_m=parse_float(row["shift_m"]),
+            extra_steps=parse_int(row["extra_steps"]),
+            confidence=parse_float(row["confidence"]) if row["confidence"] else None,
         )
 
     return read_csv_rows(path, REFERENCE_HEADER, parse, "reference CSV")

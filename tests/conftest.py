@@ -100,6 +100,28 @@ def mutate_bytes(data, edits):
     return bytes(data)
 
 
+#: Each ASCII digit's value in three other scripts: Arabic-Indic, Devanagari, fullwidth.
+OTHER_DIGITS = {str(d): [chr(zero + d) for zero in (0x660, 0x966, 0xFF10)] for d in range(10)}
+
+
+@st.composite
+def spoiled(draw, token, pad=True):
+    """``token`` with one change that Python's ``int`` or ``float`` forgives
+    and the package's ASCII grammar does not: one digit written in another
+    script, a ``_`` between two digits or (with ``pad``) a leading blank."""
+    digits = [i for i, c in enumerate(token) if c in OTHER_DIGITS]
+    pairs = [i for i in digits if i - 1 in digits]
+    kinds = ["digit"] + ["underscore"] * bool(pairs) + ["pad"] * pad
+    kind = draw(st.sampled_from(kinds))
+    if kind == "digit":
+        i = draw(st.sampled_from(digits))
+        return token[:i] + draw(st.sampled_from(OTHER_DIGITS[token[i]])) + token[i + 1 :]
+    if kind == "underscore":
+        i = draw(st.sampled_from(pairs))
+        return token[:i] + "_" + token[i:]
+    return draw(st.sampled_from([" ", "\t"])) + token
+
+
 def mutate_csv_cell(path, row, column, value):
     """Rewrite one data row of a CSV file: ``value`` replaces cell ``column``,
     an empty ``value`` deletes that cell, and a ``column`` past the last

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import BYTE_EDITS, make_grid, mutate_bytes
+from conftest import BYTE_EDITS, make_grid, mutate_bytes, spoiled
 from streetcrop import cli
 from streetcrop.cli import RunConfig, run_command
 from streetcrop.errors import UsageError
@@ -68,15 +68,31 @@ class TestConfig:
         assert RunConfig.load(path, seed=9).seed == 9
 
     @pytest.mark.parametrize(
-        "config,argv", [("seed = -1\n", []), ("seed = 1\n", ["--seed", "-1"])],
+        "config,argv,message",
+        [
+            ("seed = -1\n", [], "config key seed must be a non-negative integer"),
+            ("seed = 1\n", ["--seed", "-1"], "argument --seed: invalid _int value: '-1'"),
+        ],
         ids=["config", "flag"],
     )
-    def test_negative_seed_is_usage_error(self, tmp_path, capsys, config, argv):
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, config, argv, message):
         path = tmp_path / "c.cfg"
         path.write_text("region = illinois\n" + config)
         out = tmp_path / "out"
         assert run_command(["synth", "--config", str(path), "--out", str(out)] + argv) == 1
-        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(spoiled("17"))
+    def test_seed_flag_takes_ascii_digits_only(self, tmp_path, seed):
+        path = tmp_path / "c.cfg"
+        path.write_text("region = illinois\nseed = 1\n")
+        out = tmp_path / "out"
+        argv = ["synth", "--config", str(path), "--out", str(out), "--seed", seed]
+        assert run_command(argv) == 1
         assert not out.exists()
 
     def test_bad_line(self, tmp_path):

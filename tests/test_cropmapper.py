@@ -151,7 +151,8 @@ class TestTrainPixelClassifier:
             [FeatureName.SWIR2], planted_points(truth), stack, TWO_CLASS, FAST_CFG
         )
         assert overall_accuracy(result.confusion) >= 0.9
-        assert [layer.rate for layer in result.net.dropout_layers()] == [FAST_CFG.dropout_rate]
+        rates = [ls.rate for ls in result.net.spec.layers if isinstance(ls, nn.Dropout)]
+        assert rates == [FAST_CFG.dropout_rate]
 
     def test_same_seed_identical_confusion(self, tmp_path):
         stack, truth = planted_scenes(tmp_path)

@@ -1,4 +1,5 @@
 import ast
+import datetime
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from streetcrop.errors import (
     DataValidationError,
     UsageError,
     check_floats,
+    parse_date,
     parse_float,
     parse_int,
     read_input,
@@ -80,6 +82,36 @@ class TestNumeralGrammar:
     def test_non_integers_rejected(self, text):
         with pytest.raises(ValueError, match="not an ASCII integer"):
             parse_int(text)
+
+    @pytest.mark.parametrize(
+        "text,form,expected",
+        [
+            ("2013-07", "YYYY-MM", datetime.date(2013, 7, 1)),
+            ("2013-07-21", "YYYY-MM-DD", datetime.date(2013, 7, 21)),
+            ("2013-07", "YYYY-MM[-DD]", datetime.date(2013, 7, 1)),
+            ("2013-07-21", "YYYY-MM[-DD]", datetime.date(2013, 7, 21)),
+        ],
+    )
+    def test_dates(self, text, form, expected):
+        assert parse_date(text, form) == expected
+
+    @pytest.mark.parametrize(
+        "text,form",
+        [
+            ("2013-07-21", "YYYY-MM"),
+            ("2013-07", "YYYY-MM-DD"),
+            ("20130721", "YYYY-MM-DD"),
+            ("2013-W29-7", "YYYY-MM-DD"),
+            ("2013-7", "YYYY-MM"),
+            ("\u0662013-07", "YYYY-MM"),
+            ("2013-07 ", "YYYY-MM[-DD]"),
+            ("2013-13", "YYYY-MM"),
+            ("2013-02-30", "YYYY-MM[-DD]"),
+        ],
+    )
+    def test_non_dates_rejected(self, text, form):
+        with pytest.raises(ValueError):
+            parse_date(text, form)
 
     def test_check_floats_names_the_first_bad_token(self):
         check_floats(["1", "-2.5e-3", ".5", "7."])

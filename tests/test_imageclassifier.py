@@ -166,7 +166,7 @@ class TestTrainImageClassifier:
             items, items, ILLINOIS, net_spec=spec,
             cfg=nn.TrainConfig(epochs=1, dropout_rate=0.4, seed=0),
         )
-        assert [layer.rate for layer in net.dropout_layers()] == [0.4]
+        assert [ls.rate for ls in net.spec.layers if isinstance(ls, nn.Dropout)] == [0.4]
         path = tmp_path / "model.rtnn"
         nn.serialize_model(net, path)
         assert b"\nlayer dropout 0.4\n" in path.read_bytes()

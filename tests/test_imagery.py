@@ -324,13 +324,13 @@ def boundary_pair(fixture, heading):
 def fixture_layouts(draw):
     """Fixtures within about 12 m of a base point and requests around them.
 
-    Latitudes stay within 60 degrees, where one 1e-4 degree bucket spans more
-    than 5 m both ways. With the base on the equator or the prime meridian,
+    Latitudes reach past 84 degrees, where a 1e-4 degree bucket spans less
+    than a metre east-west. With the base on the equator or the prime meridian,
     each fixture gets a mirror image through the base on that axis, at exactly
     the same distance from it: an equidistant tie broken on the name.
     """
     axis = draw(st.sampled_from(["none", "lat", "lon"]))
-    lat = 0.0 if axis == "lat" else draw(st.floats(-60.0, 60.0))
+    lat = 0.0 if axis == "lat" else draw(st.floats(-84.9, 84.9))
     lon = 0.0 if axis == "lon" else draw(st.floats(-179.0, 179.0))
     base = as_fixture_point(lat, lon)
     meters = st.floats(-12.0, 12.0)
@@ -392,6 +392,17 @@ def test_mirrored_fixtures_tie_and_the_first_name_wins(tmp_path):
     assert geo_distance(p, GeoPoint(45.0, 0.000012)) == geo_distance(p, GeoPoint(45.0, -0.000012))
     rec = FixtureIndex(tmp_path).fetch(StreetRequest(p, Heading.EAST))
     assert rec.id == "45.000000_-0.000012_90" == brute_force(tmp_path, p, Heading.EAST)
+
+
+def test_fixture_within_five_meters_is_found_at_high_latitude(tmp_path):
+    """East-west, a 1e-4 degree bucket spans 1.9 m at 80 degrees: the 5 m
+    reach covers three buckets each way, not one."""
+    fixture = GeoPoint(80.0, 10.00001)
+    write_fixture(tmp_path, fixture, Heading.EAST, tensor(np.zeros((1, 1, 3))))
+    request = GeoPoint(80.0, meters_east(fixture, 4.5))
+    assert geo_distance(request, fixture) == 4.49999999999842
+    found = FixtureIndex(tmp_path).resolve([request], [Heading.EAST])
+    assert found.tolist() == [[0]]
 
 
 def test_polar_candidate_raises_as_the_scalar_distance_does(tmp_path):

@@ -153,7 +153,21 @@ class TestGradients:
         b = nn.gradient_check(net, (x, 0), eps=1e-5)
         assert a == b
         assert a < 1e-4
-        assert net.dropout_layers()[0].rate == 0.5  # restored afterwards
+        assert [ls.rate for ls in net.spec.layers if isinstance(ls, Dropout)] == [0.5]
+
+    def test_check_leaves_its_argument_alone(self):
+        spec = NetworkSpec(
+            (Conv2D(2, 3, 3), ReLU(), MaxPool(2), Dropout(0.4), Dense(3), Softmax()), (1, 6, 6), 3
+        )
+        net = nn.build_network(spec, seed=2)
+        layers = list(net.layers)
+        weights = [p.copy() for p in net.parameters()]
+        nn.gradient_check(net, (np.random.default_rng(2).normal(size=(1, 6, 6)), 1), eps=1e-5)
+        assert net.spec == spec
+        assert net.layers == layers
+        assert [layer.spec for layer in net.layers] == list(spec.layers)
+        for before, after in zip(weights, net.parameters()):
+            np.testing.assert_array_equal(before, after)
 
     def test_eps_bounds(self):
         net = nn.build_network(dense_spec(), seed=0)
@@ -452,7 +466,15 @@ class TestSerialization:
 
 
     @pytest.mark.parametrize(
-        "old,new", [("input 3", "input abc"), ("classes 2", "classes x"), ("weights 8", "weights zz")]
+        "old,new",
+        [
+            ("input 3", "input abc"),
+            ("classes 2", "classes x"),
+            ("weights 8", "weights zz"),
+            ("input 3", "input 0_3"),
+            ("classes 2", "classes  2"),
+            ("weights 8", "weights \u0668"),
+        ],
     )
     def test_malformed_header_value(self, tmp_path, old, new):
         path = tmp_path / "model.rtnn"
@@ -509,7 +531,7 @@ class TestDefaultSpecs:
         assert rates == [TrainConfig().dropout_rate] * 2
 
     def test_clone_with_dropout(self):
-        spec = nn.default_pixel_spec(10, 4, 3, dropout_rate=0.2)
+        spec = nn.default_pixel_spec(10, 4, 3)
         clone = nn.clone_spec_with_dropout(spec, 0.5)
         rates = [ls.rate for ls in clone.layers if isinstance(ls, Dropout)]
         assert rates == [0.5]

@@ -652,6 +652,15 @@ class TestManifests:
         with pytest.raises(GridFormatError, match=f"{path}: line 9: scale"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("value", ["20130413", "2013-W15-6", "2013-04", "2013-04-13T00"])
+    def test_date_other_than_yyyy_mm_dd_rejected(self, tmp_path, value):
+        """``date.fromisoformat`` reads the ISO basic and week forms as 2013-04-13."""
+        path = tmp_path / "scene.manifest"
+        write_manifest(self.manifest(), path)
+        path.write_text(path.read_text().replace("date=2013-04-13", f"date={value}"))
+        with pytest.raises(GridFormatError, match=f"{path}: line 1: bad date"):
+            read_manifest(path)
+
     @settings(
         max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
