@@ -27,7 +27,7 @@ from streetcrop.imageclassifier import (
 from streetcrop.imagery import StreetRequest, fetch_street_image, write_fixture
 
 workdir = Path(tempfile.mkdtemp())
-world = sw.generate_world(sw.square_world_config(ILLINOIS, parcels_per_side=6, seed=4))
+world = sw.generate_world(sw.WorldConfig(ILLINOIS, parcels_per_side=6, seed=4))
 print(f"world: {world.truth.nrows}x{world.truth.ncols} cells, "
       f"{world.parcel_classes.size} parcels, {len(world.road_cell_centers())} road cells")
 

@@ -122,11 +122,11 @@ CONFIG_KEYS = {
     "region": ConfigKey(_region, "california"),
     "seed": ConfigKey(_int),
     "bbox": ConfigKey(_bbox),
-    "synth.parcels_per_side": ConfigKey(_int, "22"),
-    "synth.parcel_cells": ConfigKey(_int, "8"),
-    "synth.proportions": ConfigKey(_floats),
-    "synth.noise_sigma": ConfigKey(_float, "0.01"),
-    "synth.cloud_fraction": ConfigKey(_float, "0.1"),
+    "synth.parcels_per_side": ConfigKey(_int, str(synthworld.WorldConfig.parcels_per_side)),
+    "synth.parcel_cells": ConfigKey(_int, str(synthworld.WorldConfig.parcel_cells)),
+    "synth.proportions": ConfigKey(_floats),  # unset: equal weights
+    "synth.noise_sigma": ConfigKey(_float, str(synthworld.WorldConfig.noise_sigma)),
+    "synth.cloud_fraction": ConfigKey(_float, str(synthworld.WorldConfig.cloud_fraction)),
     "synth.n_per_class": ConfigKey(_int, "220"),
     "synth.fixture_stride": ConfigKey(_int, "3"),
     "grid.spacing_m": ConfigKey(_float, "30"),
@@ -310,11 +310,11 @@ def _selected_features(run: _Run) -> tuple[FeatureName, ...]:
 
 def _cmd_synth(run: _Run):
     cfg = run.cfg
-    world_cfg = synthworld.square_world_config(
+    world_cfg = synthworld.WorldConfig(
         cfg.taxonomy,
         parcels_per_side=cfg["synth.parcels_per_side"],
-        proportions=cfg["synth.proportions"],
         parcel_cells=cfg["synth.parcel_cells"],
+        proportions=cfg["synth.proportions"] or (),
         noise_sigma=cfg["synth.noise_sigma"],
         cloud_fraction=cfg["synth.cloud_fraction"],
         seed=cfg.seed,
@@ -608,12 +608,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed_flag(raw: str) -> int:
+    """``--seed`` is read as the config's ``seed`` key is, and words a mistake alike."""
+    try:
+        return _int(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}: {raw!r}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="streetcrop", description=__doc__.split("\n\n")[0])
     parser.add_argument("command", choices=COMMANDS, metavar="command",
                         help=", ".join(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the run config file")
-    parser.add_argument("--seed", type=_int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=_seed_flag, default=None, help="override the config seed")
     parser.add_argument("--out", default="run", help="artifact directory (default: ./run)")
     return parser
 

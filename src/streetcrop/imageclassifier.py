@@ -78,6 +78,18 @@ class LabeledImage:
     confidence: float | None = None
 
 
+def largest_remainder(weights: Sequence[float], total: int) -> list[int]:
+    """Whole shares of ``total`` for weights summing to 1: each share is
+    floored, then the rest go one each by largest remainder, ties to the
+    lower index. Every share is within one of ``weight * total``."""
+    exact = [w * total for w in weights]
+    shares = [int(e) for e in exact]
+    order = sorted(range(len(shares)), key=lambda i: (-(exact[i] - shares[i]), i))
+    for i in order[: total - sum(shares)]:
+        shares[i] += 1
+    return shares
+
+
 def split_dataset(items: Sequence, ratios: tuple[float, float, float], seed: int):
     """Stratified random (train, val, test) partition.
 
@@ -103,12 +115,7 @@ def split_dataset(items: Sequence, ratios: tuple[float, float, float], seed: int
     for label in sorted(by_class):
         members = by_class[label]
         order = rng.permutation(len(members))
-        n = len(members)
-        exact = [r * n for r in ratios]
-        sizes = [int(e) for e in exact]
-        remainders = sorted(range(3), key=lambda i: (-(exact[i] - sizes[i]), i))
-        for i in remainders[: n - sum(sizes)]:
-            sizes[i] += 1
+        sizes = largest_remainder(ratios, len(members))
         start = 0
         for subset, size in zip(subsets, sizes):
             subset.extend(members[i] for i in order[start : start + size])

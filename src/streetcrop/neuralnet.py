@@ -706,8 +706,7 @@ def deserialize_model(path: str | Path) -> Network:
     buf = io.BytesIO(read_input(path, "model file"))
     if buf.readline().rstrip(b"\n") != MODEL_MAGIC:
         raise SerializationError(f"{path}: bad magic, not a model file")
-    input_shape = None
-    n_classes = None
+    header: dict[str, object] = {}  # the input and classes lines, once each
     layers: list[LayerSpec] = []
     while True:
         raw = buf.readline()
@@ -716,10 +715,12 @@ def deserialize_model(path: str | Path) -> Network:
         line = raw.rstrip(b"\n").decode("ascii", errors="replace")
         key, *tokens = line.split(" ")
         try:
+            if key in header:
+                raise ValueError(f"a second {key} line")
             if key == "input":
-                input_shape = tuple(parse_int(t) for t in tokens)
+                header[key] = tuple(parse_int(t) for t in tokens)
             elif key == "classes" and len(tokens) == 1:
-                n_classes = parse_int(tokens[0])
+                header[key] = parse_int(tokens[0])
             elif key == "layer" and tokens:
                 layers.append(_parse_layer(tokens[0], tokens[1:]))
             elif key == "weights" and len(tokens) == 1:
@@ -729,10 +730,10 @@ def deserialize_model(path: str | Path) -> Network:
                 raise ValueError("not an input, classes, layer or weights line")
         except (ValueError, DataValidationError) as exc:
             raise SerializationError(f"{path}: bad header line {line!r}: {exc}") from exc
-    if input_shape is None or n_classes is None:
+    if len(header) < 2:
         raise SerializationError(f"{path}: header missing input/classes lines")
     try:
-        spec = NetworkSpec(tuple(layers), input_shape, n_classes)
+        spec = NetworkSpec(tuple(layers), header["input"], header["classes"])
         runtime = _runtime_layers(spec)
     except DataValidationError as exc:
         raise SerializationError(f"{path}: inconsistent spec: {exc}") from exc

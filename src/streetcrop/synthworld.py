@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import datetime
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DataValidationError
 from .geocore import METERS_PER_DEGREE, BoundingBox, GeoPoint, Heading
-from .imageclassifier import LabeledImage, LabelTaxonomy, write_catalog
-from .imagery import ImageTensor, StreetImageRecord, encode_image, write_fixture
+from .imageclassifier import LabeledImage, LabelTaxonomy, largest_remainder, write_catalog
+from .imagery import ImageTensor, StreetImageRecord, write_fixture
 from .rasterstack import BAND_NAMES, RasterGrid, SceneManifest, write_grid, write_manifest
 
 NODATA = -9999.0
@@ -51,68 +50,72 @@ SCENE_DATES = tuple(
     datetime.date(2013, 1, 1) + datetime.timedelta(days=doy - 1) for doy in range(96, 286, 21)
 )
 
+#: Street images are dated mid-season, at the middle scene date.
+CAPTURE_DATE = SCENE_DATES[len(SCENE_DATES) // 2]
+#: Render seeds of the training catalog and of the campaign fixtures: a view
+#: in both gets different speckle in each.
+TRAINING_RENDER_SEED = 1
+CAMPAIGN_RENDER_SEED = 2
+
 
 @dataclass(frozen=True)
 class WorldConfig:
+    """A world's inputs; its size in cells and its extent derive from them.
+
+    Empty ``proportions`` mean equal weights; a zero weight leaves a class
+    out. Each error names the ``synth.*`` key that sets the field at fault.
+    """
+
     taxonomy: LabelTaxonomy
-    extent: BoundingBox
+    parcels_per_side: int = 22
     parcel_cells: int = 8
-    class_mix: tuple[str, ...] = ()
     proportions: tuple[float, ...] = ()
     noise_sigma: float = 0.01
     cloud_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
+        n = len(self.taxonomy)
+        weights = tuple(self.proportions) or (1.0 / n,) * n
+        object.__setattr__(self, "proportions", weights)
+        if self.parcels_per_side < 1:
+            raise DataValidationError("synth.parcels_per_side must be at least 1")
         if self.parcel_cells < 2:
-            raise DataValidationError("parcels must span at least 2 raster cells")
-        if len(self.class_mix) != len(self.proportions) or not self.class_mix:
-            raise DataValidationError("class_mix and proportions must align and be nonempty")
-        if abs(sum(self.proportions) - 1.0) > 1e-9:
-            raise DataValidationError("proportions must sum to 1")
-        if any(p < 0 for p in self.proportions):
-            raise DataValidationError("proportions must be non-negative")
-        if self.noise_sigma < 0 or not (0.0 <= self.cloud_fraction < 1.0):
-            raise DataValidationError("bad noise or cloud fraction")
-        for name in self.class_mix:
-            self.taxonomy.index(name)
+            raise DataValidationError("synth.parcel_cells must be at least 2 raster cells")
+        if self.cells > MAX_WORLD_CELLS:
+            raise DataValidationError(
+                f"a world of {self.cells} cells per side exceeds {MAX_WORLD_CELLS}: "
+                "lower synth.parcels_per_side or synth.parcel_cells"
+            )
+        if len(weights) != n:
+            raise DataValidationError(
+                f"synth.proportions has {len(weights)} weights; region {self.taxonomy.region} "
+                f"needs {n}, one per class of {', '.join(self.taxonomy.class_names)}"
+            )
+        if any(p < 0 for p in weights):
+            raise DataValidationError("synth.proportions must be non-negative")
+        if abs(sum(weights) - 1.0) > 1e-9:
+            raise DataValidationError("synth.proportions must sum to 1")
+        if self.noise_sigma < 0:
+            raise DataValidationError("synth.noise_sigma must be non-negative")
+        if not 0.0 <= self.cloud_fraction < 1.0:
+            raise DataValidationError("synth.cloud_fraction must lie in [0, 1)")
 
     @property
     def period_cells(self) -> int:
         return self.parcel_cells + ROAD_CELLS
 
+    @property
+    def cells(self) -> int:
+        """Cells along each side: roads border every parcel row and column."""
+        return self.parcels_per_side * self.period_cells + ROAD_CELLS
 
-def square_world_config(
-    taxonomy: LabelTaxonomy,
-    parcels_per_side: int = 22,
-    class_mix: Sequence[str] | None = None,
-    proportions: Sequence[float] | None = None,
-    **kwargs,
-) -> WorldConfig:
-    """Config whose extent tiles exactly: roads border every parcel row.
-
-    The south-west corner sits at (0, 0): on the equator a meter is the
-    same fraction of a degree east as north.
-    """
-    if class_mix is None:
-        class_mix = taxonomy.class_names
-    if proportions is None:
-        proportions = tuple(1.0 / len(class_mix) for _ in class_mix)
-    cfg = WorldConfig(
-        taxonomy,
-        BoundingBox(0.0, 1.0, 0.0, 1.0),
-        class_mix=tuple(class_mix),
-        proportions=tuple(proportions),
-        **kwargs,
-    )
-    cells = parcels_per_side * cfg.period_cells + ROAD_CELLS
-    if cells > MAX_WORLD_CELLS:
-        raise DataValidationError(
-            f"a world of {cells} cells per side exceeds {MAX_WORLD_CELLS}: "
-            "lower synth.parcels_per_side or synth.parcel_cells"
-        )
-    span = cells * CELLSIZE_DEG
-    return replace(cfg, extent=BoundingBox(0.0, span, 0.0, span))
+    @property
+    def extent(self) -> BoundingBox:
+        """South-west corner at (0, 0): on the equator a meter is the same
+        fraction of a degree east as north."""
+        span = self.cells * CELLSIZE_DEG
+        return BoundingBox(0.0, span, 0.0, span)
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +213,7 @@ class World:
     cfg: WorldConfig
     truth: RasterGrid
     road_mask: RasterGrid
-    parcel_classes: np.ndarray  # (parcels_y, parcels_x) class indices
+    parcel_classes: np.ndarray  # (parcels_per_side, parcels_per_side) class indices
 
     @property
     def taxonomy(self) -> LabelTaxonomy:
@@ -228,52 +231,25 @@ def generate_world(cfg: WorldConfig) -> World:
     parcel (largest-remainder allocation, then a seeded shuffle places
     them on the parcel grid).
     """
-    e = cfg.extent
-    ncols = int(round((e.max_lon_deg - e.min_lon_deg) / CELLSIZE_DEG))
-    nrows = int(round((e.max_lat_deg - e.min_lat_deg) / CELLSIZE_DEG))
-    if min(ncols, nrows) < cfg.period_cells + ROAD_CELLS:
-        raise DataValidationError("extent too small for a single parcel block")
-    parcels_x = (ncols - ROAD_CELLS) // cfg.period_cells
-    parcels_y = (nrows - ROAD_CELLS) // cfg.period_cells
-    n_parcels = parcels_x * parcels_y
-
-    exact = [p * n_parcels for p in cfg.proportions]
-    counts = [int(c) for c in exact]
-    order = sorted(range(len(counts)), key=lambda i: (-(exact[i] - counts[i]), i))
-    for i in order[: n_parcels - sum(counts)]:
-        counts[i] += 1
-    class_indices = [cfg.taxonomy.index(name) for name in cfg.class_mix]
-    assignment = np.repeat(class_indices, counts)
+    n = cfg.parcels_per_side
+    counts = largest_remainder(cfg.proportions, n * n)
+    assignment = np.repeat(np.arange(len(counts)), counts)
     rng = np.random.default_rng([cfg.seed, 0xA11])
     rng.shuffle(assignment)
-    parcel_classes = assignment.reshape(parcels_y, parcels_x)
+    parcel_classes = assignment.reshape(n, n)
 
-    col = np.arange(ncols)
-    row = np.arange(nrows)
-    road_col = (col % cfg.period_cells) < ROAD_CELLS
-    road_row = (row % cfg.period_cells) < ROAD_CELLS
-    # cells past the last full period belong to the trailing road
-    road_col |= col >= ROAD_CELLS + parcels_x * cfg.period_cells
-    road_row |= row >= ROAD_CELLS + parcels_y * cfg.period_cells
-    is_road = road_row[:, None] | road_col[None, :]
-
-    px = np.minimum((col - ROAD_CELLS) // cfg.period_cells, parcels_x - 1)
-    py = np.minimum((row - ROAD_CELLS) // cfg.period_cells, parcels_y - 1)
-    px = np.maximum(px, 0)
-    py = np.maximum(py, 0)
-    truth_values = parcel_classes[py[:, None], px[None, :]].astype(np.float64)
+    cell = np.arange(cfg.cells)
+    road = (cell % cfg.period_cells) < ROAD_CELLS
+    is_road = road[:, None] | road[None, :]
+    parcel = np.maximum((cell - ROAD_CELLS) // cfg.period_cells, 0)
+    truth_values = parcel_classes[parcel[:, None], parcel[None, :]].astype(np.float64)
     truth_values[is_road] = cfg.taxonomy.others_index
 
-    georef = dict(
-        ncols=ncols,
-        nrows=nrows,
-        xll=e.min_lon_deg,
-        yll=e.min_lat_deg,
-        cellsize=CELLSIZE_DEG,
-        nodata=NODATA,
+    e = cfg.extent
+    truth = RasterGrid(
+        cfg.cells, cfg.cells, e.min_lon_deg, e.min_lat_deg, CELLSIZE_DEG, NODATA, truth_values
     )
-    truth = RasterGrid(values=truth_values, **georef)
-    road_mask = RasterGrid(values=is_road.astype(np.float64), **georef)
+    road_mask = truth.like(is_road.astype(np.float64))
     return World(cfg, truth, road_mask, parcel_classes)
 
 
@@ -407,26 +383,22 @@ def synthesize_scenes(world: World, out_dir: str | Path) -> list[SceneManifest]:
 # --------------------------------------------------------------------------
 
 
-def _camera_record(world: World, row: int, col: int, h: Heading, seed: int, images_dir: Path):
-    """Render one view and store it as ``images_dir/<id>.ppm``."""
+def _camera_record(world: World, row: int, col: int, h: Heading, images_dir: Path):
+    """Render one view and store it in fixture layout under ``images_dir``."""
     point = world.truth.cell_center(row, col)
-    image = render_street_image(world, point, h, seed=seed)
-    rec_id = f"{point.lat_deg:.6f}_{point.lon_deg:.6f}_{int(h)}"
-    path = images_dir / f"{rec_id}.ppm"
-    path.write_bytes(encode_image(image))
+    image = render_street_image(world, point, h, seed=TRAINING_RENDER_SEED)
+    path = write_fixture(images_dir, point, h, image)
     return StreetImageRecord(
-        id=rec_id,
+        id=path.stem,
         capture_point=point,
         heading=h,
         image=image,
-        capture_date=SCENE_DATES[len(SCENE_DATES) // 2],
+        capture_date=CAPTURE_DATE,
         path=path,
     )
 
 
-def build_training_catalog(
-    world: World, out_dir: str | Path, n_per_class: int, seed: int = 1
-) -> Path:
+def build_training_catalog(world: World, out_dir: str | Path, n_per_class: int) -> Path:
     """Hand-label-grade catalog: ``n_per_class`` rendered images per class.
 
     Candidate (road cell, heading) pairs are bucketed by facing class,
@@ -438,7 +410,6 @@ def build_training_catalog(
         raise DataValidationError(f"n_per_class must be >= 1, got {n_per_class}")
     out_dir = Path(out_dir)
     images_dir = out_dir / "images"
-    images_dir.mkdir(parents=True, exist_ok=True)
     buckets: dict[int, list[tuple[int, int, Heading]]] = {
         i: [] for i in range(len(world.taxonomy))
     }
@@ -446,7 +417,7 @@ def build_training_catalog(
         point = world.truth.cell_center(row, col)
         for h in Heading:
             buckets[facing_class(world, point, h)].append((row, col, h))
-    rng = np.random.default_rng([world.cfg.seed, seed, 0xCA7])
+    rng = np.random.default_rng([world.cfg.seed, TRAINING_RENDER_SEED, 0xCA7])
     labeled = []
     for label in range(len(world.taxonomy)):
         candidates = buckets[label]
@@ -458,16 +429,14 @@ def build_training_catalog(
         picks = rng.permutation(len(candidates))[:n_per_class]
         for k in picks:
             row, col, h = candidates[k]
-            record = _camera_record(world, row, col, h, seed, images_dir)
+            record = _camera_record(world, row, col, h, images_dir)
             labeled.append(LabeledImage(record, label))
     catalog = out_dir / "catalog.csv"
     write_catalog(labeled, world.taxonomy, catalog)
     return catalog
 
 
-def build_campaign_fixtures(
-    world: World, fixtures_dir: str | Path, stride: int = 3, seed: int = 2
-) -> int:
+def build_campaign_fixtures(world: World, fixtures_dir: str | Path, stride: int) -> int:
     """Write street-image fixtures at every ``stride``-th road cell.
 
     All four headings are rendered per camera point, mimicking an
@@ -476,15 +445,13 @@ def build_campaign_fixtures(
     """
     if stride < 1:
         raise DataValidationError("stride must be >= 1")
-    fixtures_dir = Path(fixtures_dir)
-    date = SCENE_DATES[len(SCENE_DATES) // 2]
     count = 0
     for k, (row, col) in enumerate(world.road_cell_centers()):
         if k % stride:
             continue
         point = world.truth.cell_center(row, col)
         for h in Heading:
-            image = render_street_image(world, point, h, seed=seed)
-            write_fixture(fixtures_dir, point, h, image, date=date)
+            image = render_street_image(world, point, h, seed=CAMPAIGN_RENDER_SEED)
+            write_fixture(fixtures_dir, point, h, image, date=CAPTURE_DATE)
             count += 1
     return count

@@ -67,7 +67,7 @@ def kept_images_from_world(world, stride=2, seed=1):
 @pytest.fixture(scope="session")
 def il_world():
     """Small corn/soybean/others world shared by the slower tests."""
-    cfg = synthworld.square_world_config(ILLINOIS, parcels_per_side=8, seed=7)
+    cfg = synthworld.WorldConfig(ILLINOIS, parcels_per_side=8, seed=7)
     return synthworld.generate_world(cfg)
 
 

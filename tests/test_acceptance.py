@@ -252,7 +252,7 @@ def test_criterion_6_cli_determinism(tmp_path):
 
 def test_criterion_7_synthetic_image_classification(tmp_path):
     with _Timer(600.0, "criterion 7: 7-class street-image test accuracy >= 0.90"):
-        cfg = sw.square_world_config(CALIFORNIA, parcels_per_side=22, seed=21)
+        cfg = sw.WorldConfig(CALIFORNIA, parcels_per_side=22, seed=21)
         world = sw.generate_world(cfg)
         catalog = sw.build_training_catalog(world, tmp_path, n_per_class=220)
         labeled = read_catalog(catalog, CALIFORNIA)
@@ -270,7 +270,7 @@ def test_criterion_7_synthetic_image_classification(tmp_path):
 @pytest.fixture(scope="module")
 def mapping_world(tmp_path_factory):
     """IL world for criteria 8 and 9: parcels 240 m, shift 45 m."""
-    cfg = sw.square_world_config(ILLINOIS, parcels_per_side=10, seed=31, cloud_fraction=0.1)
+    cfg = sw.WorldConfig(ILLINOIS, parcels_per_side=10, cloud_fraction=0.1, seed=31)
     world = sw.generate_world(cfg)
     scenes = sw.synthesize_scenes(world, tmp_path_factory.mktemp("acc_scenes"))
     kept = kept_images_from_world(world, stride=2)

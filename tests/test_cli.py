@@ -71,7 +71,7 @@ class TestConfig:
         "config,argv,message",
         [
             ("seed = -1\n", [], "config key seed must be a non-negative integer"),
-            ("seed = 1\n", ["--seed", "-1"], "argument --seed: invalid _int value: '-1'"),
+            ("seed = 1\n", ["--seed", "-1"], "argument --seed: must be a non-negative integer"),
         ],
         ids=["config", "flag"],
     )
@@ -87,12 +87,14 @@ class TestConfig:
         max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(spoiled("17"))
-    def test_seed_flag_takes_ascii_digits_only(self, tmp_path, seed):
+    def test_seed_flag_takes_ascii_digits_only(self, tmp_path, capsys, seed):
         path = tmp_path / "c.cfg"
         path.write_text("region = illinois\nseed = 1\n")
         out = tmp_path / "out"
         argv = ["synth", "--config", str(path), "--out", str(out), "--seed", seed]
         assert run_command(argv) == 1
+        # worded as a config file's "config key seed is not an integer"
+        assert f"argument --seed: is not an integer: {seed!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_line(self, tmp_path):
@@ -599,6 +601,25 @@ def test_oversized_world_is_data_error(tmp_path, capsys):
     assert run_command(["synth", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "synth.parcels_per_side" in err and "synth.parcel_cells" in err
+    assert not (out / "world").exists()
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        (
+            "synth.proportions = 0.5,0.5\n",
+            "synth.proportions has 2 weights; region illinois needs 3",
+        ),
+        ("synth.parcels_per_side = 0\n", "synth.parcels_per_side must be at least 1"),
+    ],
+    ids=["proportions", "parcels_per_side"],
+)
+def test_world_config_error_names_the_key(tmp_path, capsys, line, message):
+    config = _config(tmp_path, line)
+    out = tmp_path / "out"
+    assert run_command(["synth", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not (out / "world").exists()
 
 

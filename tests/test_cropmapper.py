@@ -248,9 +248,7 @@ class TestPredictCropMap:
         import streetcrop.synthworld as sw
         from conftest import world_shift_params as wsp
 
-        cfg = sw.square_world_config(
-            ILLINOIS, parcels_per_side=5, seed=9, class_mix=("corn",), proportions=(1.0,)
-        )
+        cfg = sw.WorldConfig(ILLINOIS, parcels_per_side=5, proportions=(1.0, 0.0, 0.0), seed=9)
         world = sw.generate_world(cfg)
         scenes = sw.synthesize_scenes(world, tmp_path / "scenes")
         kept = kept_images_from_world(world, stride=3)

@@ -474,6 +474,7 @@ class TestSerialization:
             ("input 3", "input 0_3"),
             ("classes 2", "classes  2"),
             ("weights 8", "weights \u0668"),
+            ("weights 8", "input 3\nclasses 2\nweights 8"),
         ],
     )
     def test_malformed_header_value(self, tmp_path, old, new):

@@ -8,6 +8,7 @@ from streetcrop import synthworld as sw
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import Heading
 from streetcrop.imageclassifier import CALIFORNIA, ILLINOIS
+from streetcrop.imagery import FixtureIndex
 from streetcrop.rasterstack import (
     BAND_NAMES,
     FeatureName,
@@ -36,7 +37,7 @@ def phenology_separation(classes, dates):
 def small_world(taxonomy=ILLINOIS, **kwargs):
     defaults = dict(parcels_per_side=5, seed=3)
     defaults.update(kwargs)
-    return sw.generate_world(sw.square_world_config(taxonomy, **defaults))
+    return sw.generate_world(sw.WorldConfig(taxonomy, **defaults))
 
 
 class TestGenerateWorld:
@@ -52,11 +53,7 @@ class TestGenerateWorld:
         assert (a.parcel_classes != b.parcel_classes).any()
 
     def test_two_class_split_of_100_parcels(self):
-        world = small_world(
-            parcels_per_side=10,
-            class_mix=("corn", "soybean"),
-            proportions=(0.5, 0.5),
-        )
+        world = small_world(parcels_per_side=10, proportions=(0.5, 0.5, 0.0))
         counts = collections.Counter(world.parcel_classes.ravel().tolist())
         assert abs(counts[ILLINOIS.index("corn")] - 50) <= 2
         assert abs(counts[ILLINOIS.index("soybean")] - 50) <= 2
@@ -72,13 +69,11 @@ class TestGenerateWorld:
 
     def test_tiny_parcels_rejected(self):
         with pytest.raises(DataValidationError):
-            sw.square_world_config(ILLINOIS, parcels_per_side=3, parcel_cells=1)
+            sw.WorldConfig(ILLINOIS, parcels_per_side=3, parcel_cells=1)
 
     def test_proportions_must_sum_to_one(self):
         with pytest.raises(DataValidationError):
-            sw.square_world_config(
-                ILLINOIS, class_mix=("corn", "others"), proportions=(0.6, 0.6)
-            )
+            sw.WorldConfig(ILLINOIS, proportions=(0.6, 0.0, 0.6))
 
 
 class TestPhenology:
@@ -257,6 +252,20 @@ class TestCampaign:
         labeled = read_catalog(catalog, ILLINOIS)
         counts = collections.Counter(li.label for li in labeled)
         assert all(counts[i] == 5 for i in range(len(ILLINOIS)))
+
+    def test_training_images_are_fixtures(self, tmp_path):
+        """Each catalog image is the fixture its own point and heading resolve to."""
+        world = small_world()
+        catalog = sw.build_training_catalog(world, tmp_path, n_per_class=5)
+        from streetcrop.imageclassifier import read_catalog
+
+        index = FixtureIndex(tmp_path / "images")
+        for li in read_catalog(catalog, ILLINOIS):
+            k = int(index.resolve([li.record.capture_point], [li.record.heading])[0, 0])
+            assert k >= 0, li.record.id
+            fixture = index.record(k)
+            assert fixture.id == li.record.id
+            np.testing.assert_array_equal(fixture.image.values, li.record.image.values)
 
     def test_insufficient_candidates_rejected(self, tmp_path):
         world = small_world()
