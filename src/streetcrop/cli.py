@@ -326,10 +326,11 @@ def _cmd_synth(run: _Run):
     )
     world_dir = truth_path.parent
     world = synthworld.generate_world(world_cfg)
+    # first, as it checks every class has enough views before it writes
+    synthworld.build_training_catalog(world, catalog.parent, n_per_class=cfg["synth.n_per_class"])
     write_grid(world.truth, truth_path)
     write_grid(world.road_mask, world_dir / "roadmask.grid")
     manifests = synthworld.synthesize_scenes(world, scenes_dir)
-    synthworld.build_training_catalog(world, catalog.parent, n_per_class=cfg["synth.n_per_class"])
     n_fixtures = synthworld.build_campaign_fixtures(
         world, fixtures_dir, stride=cfg["synth.fixture_stride"]
     )
@@ -457,13 +458,13 @@ def _cmd_qc(run: _Run):
 def _cmd_make_refs(run: _Run):
     cfg = run.cfg
     kept = _labeled_catalog(run, "paths.kept_catalog")
+    truth = _truth(run)
     result = refgen.generate_reference_points(
-        kept, cfg.shift_params(), min_per_class=cfg["refs.min_per_class"]
+        kept, cfg.shift_params(), min_per_class=cfg["refs.min_per_class"], world=truth
     )
     points = list(result.points)
     others_count = cfg["refs.others_count"]
     if others_count > 0:
-        truth = _truth(run)
         points += refgen.sample_class_points(
             truth, cfg.taxonomy.others_index, others_count, cfg.seed
         )
@@ -479,8 +480,12 @@ def _cmd_make_refs(run: _Run):
         lines.append(f"class.others.sampled_from_truth={others_count}")
     for label, n in sorted(result.short_classes.items()):
         lines.append(f"short.{cfg.taxonomy.class_names[label]}={n}")
+    if result.dropped_outside:
+        lines.append(f"dropped.outside_extent={result.dropped_outside}")
     summary.write_text("\n".join(lines) + "\n")
     print(f"{len(points)} reference points -> {out}")
+    if result.dropped_outside:
+        print(f"dropped.outside_extent={result.dropped_outside} (shifted off the truth raster)")
     if result.short_classes:
         names = {cfg.taxonomy.class_names[c]: n for c, n in result.short_classes.items()}
         print(f"still short after augmentation: {names}")

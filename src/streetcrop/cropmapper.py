@@ -219,6 +219,8 @@ def predict_crop_map(
 
     Pixels without a single valid observation for some feature become
     nodata. The output grid keeps the scenes' cell size and alignment.
+    Rows are gap-filled in blocks of about ``batch_size`` pixels, and
+    each block is predicted in the network's own inference batches.
     """
     features = list(features)
     expected = (1, stack.n_scenes, len(features))
@@ -243,15 +245,13 @@ def predict_crop_map(
     r0, r1 = rows[0], rows[-1]
     c0, c1 = cols[0], cols[-1]
     out = np.full((r1 - r0 + 1, c1 - c0 + 1), t.nodata)
-    # row blocks of about one inference batch each bound the memory in use
+    # row blocks of about batch_size pixels each bound the memory in use
     block_rows = max(1, batch_size // out.shape[1])
     for top in range(r0, r1 + 1, block_rows):
         bottom = min(top + block_rows, r1 + 1)
         matrix, _, usable = stack.fill_cells(slice(top, bottom), slice(c0, c1 + 1), features)
         if usable.any():
-            labels, _ = neuralnet.predict_batch(
-                net, matrix[usable][:, None], batch_size=batch_size
-            )
+            labels, _ = neuralnet.predict_batch(net, matrix[usable][:, None])
             out[top - r0 : bottom - r0][usable] = labels
     grid = RasterGrid(
         ncols=out.shape[1],

@@ -15,7 +15,8 @@ file relative to the catalog; an empty label marks an image nobody has
 labeled yet (the fetched campaign). Reading a catalog decodes nothing:
 each record keeps its file's path and decodes it the first time
 ``record.image`` is read, so stages that only filter or shift images
-never touch pixels.
+never touch pixels. Stages that feed images to the network read them
+with ``record.read_image()`` instead, one batch at a time, and keep none.
 """
 
 from __future__ import annotations
@@ -124,17 +125,24 @@ def split_dataset(items: Sequence, ratios: tuple[float, float, float], seed: int
 
 
 def _image_batch(records: Sequence[StreetImageRecord]) -> np.ndarray:
-    """Stack images of one size into (n, 3, h, w) network inputs."""
+    """Stack images of one size into (n, 3, h, w) network inputs.
+
+    Each image is read once with ``read_image``, so a record that holds no
+    pixels is decoded into the batch and keeps none afterwards.
+    """
     if not records:
         raise DataValidationError("no images given")
-    shape = records[0].image.values.shape
-    for rec in records:
-        if rec.image.values.shape != shape:
+    first = records[0].read_image().values
+    batch = np.empty((len(records), 3) + first.shape[:2])
+    for i, rec in enumerate(records):
+        values = first if i == 0 else rec.read_image().values
+        if values.shape != first.shape:
             raise DataValidationError(
-                f"mixed image sizes: {rec.id!r} is {rec.image.values.shape}, "
-                f"{records[0].id!r} is {shape}"
+                f"mixed image sizes: {rec.id!r} is {values.shape}, "
+                f"{records[0].id!r} is {first.shape}"
             )
-    return np.stack([np.transpose(rec.image.values, (2, 0, 1)) for rec in records])
+        batch[i] = np.transpose(values, (2, 0, 1))
+    return batch
 
 
 def images_to_arrays(images: Sequence[LabeledImage]):
@@ -172,14 +180,22 @@ def train_image_classifier(
 
 
 def classify_images(net: Network, images: Sequence[StreetImageRecord]) -> list[LabeledImage]:
-    """One LabeledImage per input record, order preserved."""
-    if not images:
-        return []
-    labels, confidences = neuralnet.predict_batch(net, _image_batch(images))
-    return [
-        LabeledImage(rec, int(label), float(conf))
-        for rec, label, conf in zip(images, labels, confidences)
-    ]
+    """One LabeledImage per input record, order preserved.
+
+    Images are decoded and predicted one ``net.inference_batch`` at a
+    time, and a record that held no pixels holds none afterwards, so
+    memory does not grow with the number of images.
+    """
+    labeled = []
+    step = net.inference_batch
+    for start in range(0, len(images), step):
+        chunk = images[start : start + step]
+        labels, confidences = neuralnet.predict_batch(net, _image_batch(chunk))
+        labeled += [
+            LabeledImage(rec, int(label), float(conf))
+            for rec, label, conf in zip(chunk, labels, confidences)
+        ]
+    return labeled
 
 
 def qc_filter(

@@ -99,7 +99,7 @@ class _ImageField:
             return None  # the field's default: no image in memory
         image = rec.__dict__.get("_image")
         if image is None:
-            image = rec.__dict__["_image"] = decode_image(read_input(rec.path, "image"))
+            image = rec.__dict__["_image"] = rec.read_image()
         return image
 
     def __set__(self, rec, image):
@@ -124,6 +124,13 @@ class StreetImageRecord:
     def __post_init__(self):
         if self.__dict__["_image"] is None and self.path is None:
             raise DataValidationError(f"image {self.id!r} has neither pixels nor a file")
+
+    def read_image(self) -> ImageTensor:
+        """The image held in memory, else one decoded from ``path`` that the
+        record does not keep: a stage that streams images through the
+        network reads each one this way, so only a batch is in memory."""
+        image = self.__dict__["_image"]
+        return decode_image(read_input(self.path, "image")) if image is None else image
 
 
 def build_street_request(p: GeoPoint, h: Heading, size_px: tuple[int, int]) -> str:
@@ -329,13 +336,14 @@ class FixtureIndex:
         return found.reshape(len(points), len(headings))
 
     def record(self, k: int) -> StreetImageRecord:
-        """Fixture ``k`` of :meth:`resolve`, its image decoded and its sidecar read."""
+        """Fixture ``k`` of :meth:`resolve`, its sidecar read and its image
+        checked by one decode; the record keeps the path, not the pixels."""
         path = self._paths[k]
+        decode_image(read_input(path, "fixture image"))
         return StreetImageRecord(
             id=path.stem,
             capture_point=self._points[k],
             heading=self._headings[k],
-            image=decode_image(read_input(path, "fixture image")),
             capture_date=_read_sidecar_date(path),
             path=path,
         )

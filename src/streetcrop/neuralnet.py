@@ -22,6 +22,15 @@ so ``backward`` needs a train-mode forward first. Against the previous
 batch-first engine, probabilities, gradients and trained weights agree
 to about 1e-15 relative, because BLAS sums in another order.
 
+Inference runs in batches sized from the network, not from the input:
+``Network.inference_batch`` is ``INFERENCE_BUDGET_BYTES`` (8 MiB) over
+one sample's bytes in the largest array a forward pass builds, the
+im2col columns of the widest conv. That is 43 images for the default
+image net and 364 pixels for the default pixel net on ten scenes of two
+features. A probability may move in its last bits with the batch size,
+because BLAS takes another path for a ragged edge tile of a GEMM, so
+only a tie to within those bits could change a label.
+
 Everything runs in double precision; gradient correctness is checked
 against central finite differences (:func:`gradient_check`).
 """
@@ -42,6 +51,10 @@ MODEL_MAGIC = b"RTNN1"
 
 #: Probabilities are clamped here before the log in the loss.
 PROB_FLOOR = 1e-12
+
+#: Bytes of the largest buffer one inference batch may build: the default
+#: batch of :func:`predict_batch` is this over one sample's share of it.
+INFERENCE_BUDGET_BYTES = 8 * 2**20
 
 
 class ShapeMismatchError(DataValidationError):
@@ -197,6 +210,10 @@ class _Layer:
         """Parameter gradients alone, for a layer whose input gradient nobody reads."""
         return []
 
+    def sample_floats(self) -> int:
+        """Floats per sample of the largest array ``forward`` builds."""
+        return math.prod(self.out_shape)
+
 
 class _ParamLayer(_Layer):
     """A layer with weights ``w`` of shape ``w_shape`` and one bias per row.
@@ -235,6 +252,10 @@ class _ConvLayer(_ParamLayer):
             raise ShapeMismatchError(f"conv output collapsed to {oh}x{ow}")
         w_shape = (spec.filters, c, spec.kernel_h, spec.kernel_w)
         super().__init__(spec, in_shape, (spec.filters, oh, ow), w_shape)
+
+    def sample_floats(self) -> int:
+        # the im2col columns: one row per weight of a filter, one column per output pixel
+        return max(super().sample_floats(), math.prod(self.w_shape[1:] + self.out_shape[1:]))
 
     def _padded_shape(self, n):
         c, h, w = self.in_shape
@@ -430,6 +451,13 @@ class Network:
             out.extend(layer.params())
         return out
 
+    @property
+    def inference_batch(self) -> int:
+        """Samples per inference batch: ``INFERENCE_BUDGET_BYTES`` over the
+        bytes one sample takes in the largest array a forward pass builds."""
+        largest = 8 * max(layer.sample_floats() for layer in self.layers)
+        return max(1, INFERENCE_BUDGET_BYTES // largest)
+
     def forward_batch(self, x, train=False, rng=None, stats=None):
         """Class probabilities ``(n, n_classes)`` for inputs ``(n, *input_shape)``.
 
@@ -522,9 +550,16 @@ def loss_and_gradients(net: Network, batch, rng=None):
     return loss, grads
 
 
-def predict_batch(net: Network, x: np.ndarray, batch_size: int = 256):
+def predict_batch(net: Network, x: np.ndarray, batch_size: int | None = None):
     """(labels, confidences) arrays: the argmax of the inference-mode
-    probabilities and its probability; exact ties take the lowest class."""
+    probabilities and its probability; exact ties take the lowest class.
+
+    ``x`` goes through the network ``batch_size`` samples at a time, by
+    default ``net.inference_batch``, so its largest array (a conv's im2col
+    columns) stays near ``INFERENCE_BUDGET_BYTES`` whatever ``len(x)``.
+    """
+    if batch_size is None:
+        batch_size = net.inference_batch
     labels = np.empty(x.shape[0], dtype=np.int64)
     confs = np.empty(x.shape[0])
     for start in range(0, x.shape[0], batch_size):

@@ -157,6 +157,14 @@ class RasterGrid:
             )
         return row, col
 
+    def contains(self, p: GeoPoint) -> bool:
+        """Whether ``p`` falls in a cell of the grid (see :meth:`cell_index`)."""
+        try:
+            self.cell_index(p)
+        except OutOfExtentError:
+            return False
+        return True
+
     def cell_center(self, row: int, col: int) -> GeoPoint:
         lon = self.xll + (col + 0.5) * self.cellsize
         lat = self.yll + (self.nrows - row - 0.5) * self.cellsize

@@ -48,6 +48,7 @@ class ReferenceGenerationResult:
     points: list[ReferencePoint]
     per_class_counts: dict[int, int]
     short_classes: dict[int, int]  # class index -> achieved count, still < minimum
+    dropped_outside: int = 0  # points that fell outside the world's grid
 
 
 def _point_from_image(li: LabeledImage, sp: ShiftParams) -> ReferencePoint:
@@ -63,7 +64,10 @@ def _point_from_image(li: LabeledImage, sp: ShiftParams) -> ReferencePoint:
 
 
 def generate_reference_points(
-    kept: Sequence[LabeledImage], sp: ShiftParams, min_per_class: int = 0
+    kept: Sequence[LabeledImage],
+    sp: ShiftParams,
+    min_per_class: int = 0,
+    world: RasterGrid | None = None,
 ) -> ReferenceGenerationResult:
     """One shifted point per kept image, plus step-augmented extras.
 
@@ -71,24 +75,39 @@ def generate_reference_points(
     re-derived from its images at ``extra_steps`` 1, 2, ... up to
     ``MAX_EXTRA_STEPS``, never duplicating an (image, extra_steps)
     pair. Classes still short afterwards are reported, not an error.
+    When ``world`` (a grid covering the study area) is given, a point
+    outside it, such as one shifted from an edge camera facing out, is
+    dropped and counted in ``dropped_outside``, not in its class.
     """
-    points = [_point_from_image(li, sp) for li in kept]
+    points: list[ReferencePoint] = []
     by_class: dict[int, list[LabeledImage]] = {}
     for li in kept:
         by_class.setdefault(li.label, []).append(li)
-    counts = {label: len(items) for label, items in by_class.items()}
+    counts = dict.fromkeys(by_class, 0)
+    dropped = 0
+
+    def place(li: LabeledImage, params: ShiftParams):
+        nonlocal dropped
+        point = _point_from_image(li, params)
+        if world is None or world.contains(point.location):
+            points.append(point)
+            counts[li.label] += 1
+        else:
+            dropped += 1
+
+    for li in kept:
+        place(li, sp)
     for label in sorted(by_class):
         step = sp.extra_steps
         while counts[label] < min_per_class and step < MAX_EXTRA_STEPS:
             step += 1
             stepped = replace(sp, extra_steps=step)
             for li in by_class[label]:
-                points.append(_point_from_image(li, stepped))
-                counts[label] += 1
+                place(li, stepped)
                 if counts[label] >= min_per_class:
                     break
     short = {c: n for c, n in counts.items() if n < min_per_class}
-    return ReferenceGenerationResult(points, counts, short)
+    return ReferenceGenerationResult(points, counts, short, dropped)
 
 
 def sample_class_points(

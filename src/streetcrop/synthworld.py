@@ -403,8 +403,8 @@ def build_training_catalog(world: World, out_dir: str | Path, n_per_class: int) 
 
     Candidate (road cell, heading) pairs are bucketed by facing class,
     then a seeded shuffle picks the requested number from each bucket.
-    Images land in ``out_dir/images`` and the catalog in
-    ``out_dir/catalog.csv``.
+    Every bucket is checked before any file is written. Images land in
+    ``out_dir/images`` and the catalog in ``out_dir/catalog.csv``.
     """
     if n_per_class < 1:
         raise DataValidationError(f"n_per_class must be >= 1, got {n_per_class}")
@@ -417,15 +417,15 @@ def build_training_catalog(world: World, out_dir: str | Path, n_per_class: int) 
         point = world.truth.cell_center(row, col)
         for h in Heading:
             buckets[facing_class(world, point, h)].append((row, col, h))
-    rng = np.random.default_rng([world.cfg.seed, TRAINING_RENDER_SEED, 0xCA7])
-    labeled = []
-    for label in range(len(world.taxonomy)):
-        candidates = buckets[label]
+    for label, candidates in buckets.items():
         if len(candidates) < n_per_class:
             raise DataValidationError(
                 f"only {len(candidates)} candidate views of class "
-                f"{world.taxonomy.class_names[label]}, need {n_per_class}"
+                f"{world.taxonomy.class_names[label]}; synth.n_per_class needs {n_per_class}"
             )
+    rng = np.random.default_rng([world.cfg.seed, TRAINING_RENDER_SEED, 0xCA7])
+    labeled = []
+    for label, candidates in buckets.items():
         picks = rng.permutation(len(candidates))[:n_per_class]
         for k in picks:
             row, col, h = candidates[k]

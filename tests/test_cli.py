@@ -612,8 +612,12 @@ def test_oversized_world_is_data_error(tmp_path, capsys):
             "synth.proportions has 2 weights; region illinois needs 3",
         ),
         ("synth.parcels_per_side = 0\n", "synth.parcels_per_side must be at least 1"),
+        (
+            "synth.parcels_per_side = 4\nsynth.proportions = 0.5,0,0.5\nsynth.n_per_class = 5\n",
+            "only 0 candidate views of class soybean; synth.n_per_class needs 5",
+        ),
     ],
-    ids=["proportions", "parcels_per_side"],
+    ids=["proportions", "parcels_per_side", "n_per_class"],
 )
 def test_world_config_error_names_the_key(tmp_path, capsys, line, message):
     config = _config(tmp_path, line)
@@ -640,3 +644,75 @@ def test_every_written_grid_has_a_verified_twin(tmp_path):
         assert digest == hashlib.sha256(text + payload).hexdigest().encode(), grid
         values = np.array(text.decode().split("\n", 6)[6].split(), dtype=np.float64)
         assert payload == values.astype("<f8").tobytes(), grid
+
+
+# The demo-e2e workload's world at seed 1, trained for one epoch only.
+DEMO_CONFIG = """\
+region = illinois
+seed = 1
+synth.parcels_per_side = 8
+synth.n_per_class = 30
+synth.fixture_stride = 3
+synth.cloud_fraction = 0.1
+net.epochs = 1
+"""
+
+
+def test_image_stages_decode_each_image_once(tmp_path, monkeypatch):
+    """fetch checks each fixture it keeps, train-images reads the 90 training
+    images and classify-images each campaign image: one decode apiece."""
+    from streetcrop import imagery
+
+    decoded = []
+    real_decode = imagery.decode_image
+
+    def counting_decode(data):
+        decoded.append(data)
+        return real_decode(data)
+
+    monkeypatch.setattr(imagery, "decode_image", counting_decode)
+    config = tmp_path / "run.cfg"
+    config.write_text(DEMO_CONFIG)
+    out = tmp_path / "run"
+    counts = {}
+    for command in ("synth", "grid", "fetch", "train-images", "classify-images"):
+        decoded.clear()
+        assert run_command([command, "--config", str(config), "--out", str(out)]) == 0, command
+        counts[command] = len(decoded)
+    assert counts == {"synth": 0, "grid": 0, "fetch": 1536, "train-images": 90,
+                      "classify-images": 1536}
+
+
+def test_fetch_of_a_truncated_fixture_is_data_error(mini_run, tmp_path, capsys):
+    config, out = mini_run
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(out / "world" / "fixtures", fixtures)
+    broken = sorted(fixtures.glob("*.ppm"))[0]
+    broken.write_bytes(broken.read_bytes()[:-5])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        config.read_text() + f"paths.fixtures = {fixtures}\npaths.grid_csv = {out / 'grid.csv'}\n"
+    )
+    assert run_command(["fetch", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "payload is" in capsys.readouterr().err
+
+
+def test_make_refs_drops_points_shifted_off_the_world(tmp_path, capsys):
+    """A camera on the north edge facing north shifts its point off the
+    truth raster: make-refs drops and counts it, so validate-refs passes."""
+    truth = tmp_path / "truth.grid"
+    write_grid(make_grid(np.zeros((4, 4))), truth)  # 0.004 degrees a side, all corn
+    catalog = _tiny_catalog(tmp_path, lat="0.0015", lon="0.0015")  # faces east, inside
+    with open(catalog, "a") as fh:
+        fh.write("edge,img.ppm,corn,0.900000,0.0038,0.002,0,2013-07\n")  # faces north
+    config = _config(tmp_path, f"paths.kept_catalog = {catalog}\npaths.truth = {truth}\n")
+    out = tmp_path / "out"
+    assert run_command(["make-refs", "--config", str(config), "--out", str(out)]) == 0
+    assert "dropped.outside_extent=1" in capsys.readouterr().out
+    assert (out / "refs_summary.txt").read_text() == (
+        "points=1\nclass.corn=1\ndropped.outside_extent=1\n"
+    )
+    assert [row.split(",")[3] for row in (out / "refs.csv").read_text().splitlines()[1:]] == [
+        "img"
+    ]
+    assert run_command(["validate-refs", "--config", str(config), "--out", str(out)]) == 0

@@ -1,4 +1,5 @@
 import datetime
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,25 @@ class TestClassifyImages:
         a = classify_images(net, records)
         b = classify_images(net, records)
         assert [(x.label, x.confidence) for x in a] == [(x.label, x.confidence) for x in b]
+
+    def test_memory_does_not_grow_with_the_image_count(self, tmp_path):
+        """600 images of 32 px hold 15 MB of pixels and an all-at-once batch
+        of 256 builds 50 MB of im2col per conv: streamed, neither shows."""
+        records = []
+        for i in range(600):
+            path = tmp_path / f"img_{i}.ppm"
+            path.write_bytes(encode_image(fake_image(i, size=32)))
+            records.append(StreetImageRecord(f"img_{i}", GeoPoint(0.0, 0.0), Heading.EAST, path=path))
+        net = nn.build_network(nn.default_image_spec((3, 32, 32), 3), seed=0)
+        tracemalloc.start()
+        try:
+            labeled = classify_images(net, records)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(labeled) == 600
+        assert peak < 40e6
+        assert held < 5e6  # no record keeps the pixels it was classified from
 
     def test_mixed_image_sizes_are_data_error(self):
         records = [li.record for li in fake_labeled(2, 0) + fake_labeled(1, 0, start=5, size=9)]

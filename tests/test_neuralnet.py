@@ -288,6 +288,29 @@ class TestInference:
             np.testing.assert_array_equal(other_labels, labels)
             np.testing.assert_allclose(other_confs, confs, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec,batch,n",
+        [
+            (nn.default_image_spec((3, 32, 32), 7), 43, 260),
+            (nn.default_pixel_spec(10, 2, 3), 364, 1100),
+        ],
+        ids=["image", "pixel"],
+    )
+    def test_default_nets_predict_alike_at_any_batch(self, spec, batch, n):
+        """The derived batch leaves every label as it was; a probability
+        may move in its last bits with BLAS's tiling of a ragged batch."""
+        net = nn.build_network(spec, seed=3)
+        assert net.inference_batch == batch
+        x = np.random.default_rng(4).random((n,) + spec.input_shape)
+        labels, confs = nn.predict_batch(net, x, batch_size=len(x))
+        for size in (1, 7, batch, 256, 1024):
+            other_labels, other_confs = nn.predict_batch(net, x, batch_size=size)
+            np.testing.assert_array_equal(other_labels, labels)
+            np.testing.assert_allclose(other_confs, confs, rtol=0, atol=1e-15)
+        default_labels, default_confs = nn.predict_batch(net, x)
+        np.testing.assert_array_equal(default_labels, labels)
+        np.testing.assert_allclose(default_confs, confs, rtol=0, atol=1e-15)
+
     def test_inference_forward_leaves_no_cache(self):
         net = self.mixed_net()
         x = np.random.default_rng(14).normal(size=(4, 2, 6, 6))
