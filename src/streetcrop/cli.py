@@ -310,6 +310,8 @@ def _selected_features(run: _Run) -> tuple[FeatureName, ...]:
 
 def _cmd_synth(run: _Run):
     cfg = run.cfg
+    if cfg["synth.fixture_stride"] < 1:  # used last, so checked before anything is written
+        raise DataValidationError("synth.fixture_stride must be at least 1")
     world_cfg = synthworld.WorldConfig(
         cfg.taxonomy,
         parcels_per_side=cfg["synth.parcels_per_side"],

@@ -219,8 +219,10 @@ def predict_crop_map(
 
     Pixels without a single valid observation for some feature become
     nodata. The output grid keeps the scenes' cell size and alignment.
-    Rows are gap-filled in blocks of about ``batch_size`` pixels, and
-    each block is predicted in the network's own inference batches.
+    Every feature plane is read on the calling thread first. Rows are then
+    gap-filled in blocks of about ``batch_size`` pixels, spread over one
+    thread per usable CPU; each thread predicts its blocks in batches of
+    its share of the network's inference batch and writes only their rows.
     """
     features = list(features)
     expected = (1, stack.n_scenes, len(features))
@@ -245,14 +247,22 @@ def predict_crop_map(
     r0, r1 = rows[0], rows[-1]
     c0, c1 = cols[0], cols[-1]
     out = np.full((r1 - r0 + 1, c1 - c0 + 1), t.nodata)
+    for feature in features:
+        stack.feature_plane(feature)  # read here, so no worker reads a band
     # row blocks of about batch_size pixels each bound the memory in use
     block_rows = max(1, batch_size // out.shape[1])
-    for top in range(r0, r1 + 1, block_rows):
+    tops = range(r0, r1 + 1, block_rows)
+    inference_batch = neuralnet._worker_batch(net, len(tops))
+
+    def fill_and_predict(k):
+        top = tops[k]
         bottom = min(top + block_rows, r1 + 1)
         matrix, _, usable = stack.fill_cells(slice(top, bottom), slice(c0, c1 + 1), features)
         if usable.any():
-            labels, _ = neuralnet.predict_batch(net, matrix[usable][:, None])
+            labels, _ = neuralnet.predict_batch(net, matrix[usable][:, None], inference_batch)
             out[top - r0 : bottom - r0][usable] = labels
+
+    neuralnet._fan_out(fill_and_predict, len(tops))
     grid = RasterGrid(
         ncols=out.shape[1],
         nrows=out.shape[0],

@@ -16,7 +16,8 @@ labeled yet (the fetched campaign). Reading a catalog decodes nothing:
 each record keeps its file's path and decodes it the first time
 ``record.image`` is read, so stages that only filter or shift images
 never touch pixels. Stages that feed images to the network read them
-with ``record.read_image()`` instead, one batch at a time, and keep none.
+with ``record.read_image()`` instead, one batch per thread at a time, and
+keep none.
 """
 
 from __future__ import annotations
@@ -182,20 +183,25 @@ def train_image_classifier(
 def classify_images(net: Network, images: Sequence[StreetImageRecord]) -> list[LabeledImage]:
     """One LabeledImage per input record, order preserved.
 
-    Images are decoded and predicted one ``net.inference_batch`` at a
-    time, and a record that held no pixels holds none afterwards, so
-    memory does not grow with the number of images.
+    Images are decoded and predicted in chunks, spread over one thread per
+    usable CPU; a chunk is that thread's share of ``net.inference_batch``.
+    A record that held no pixels holds none afterwards, so memory does not
+    grow with the number of images.
     """
-    labeled = []
-    step = net.inference_batch
-    for start in range(0, len(images), step):
-        chunk = images[start : start + step]
+    step = neuralnet._worker_batch(net, len(images))
+    starts = range(0, len(images), step)
+    chunks: list[list[LabeledImage]] = [[] for _ in starts]
+
+    def decode_and_predict(k):
+        chunk = images[starts[k] : starts[k] + step]
         labels, confidences = neuralnet.predict_batch(net, _image_batch(chunk))
-        labeled += [
+        chunks[k] = [
             LabeledImage(rec, int(label), float(conf))
             for rec, label, conf in zip(chunk, labels, confidences)
         ]
-    return labeled
+
+    neuralnet._fan_out(decode_and_predict, len(starts))
+    return [li for chunk in chunks for li in chunk]
 
 
 def qc_filter(

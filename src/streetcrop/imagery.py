@@ -130,7 +130,7 @@ class StreetImageRecord:
         record does not keep: a stage that streams images through the
         network reads each one this way, so only a batch is in memory."""
         image = self.__dict__["_image"]
-        return decode_image(read_input(self.path, "image")) if image is None else image
+        return _decode_file(self.path, "image") if image is None else image
 
 
 def build_street_request(p: GeoPoint, h: Heading, size_px: tuple[int, int]) -> str:
@@ -185,6 +185,14 @@ def decode_image(data: bytes) -> ImageTensor:
         raise ImageDecodeError(f"payload is {len(payload)} bytes, expected {expected}")
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
     return ImageTensor(raw.astype(np.float64) / 255.0)
+
+
+def _decode_file(path: Path, what: str) -> ImageTensor:
+    """:func:`decode_image` of the file ``path``; a decode error names the file."""
+    try:
+        return decode_image(read_input(path, what))
+    except ImageDecodeError as exc:
+        raise ImageDecodeError(f"{path}: {exc}") from None
 
 
 def fixture_filename(p: GeoPoint, h: Heading) -> str:
@@ -339,7 +347,7 @@ class FixtureIndex:
         """Fixture ``k`` of :meth:`resolve`, its sidecar read and its image
         checked by one decode; the record keeps the path, not the pixels."""
         path = self._paths[k]
-        decode_image(read_input(path, "fixture image"))
+        _decode_file(path, "fixture image")
         return StreetImageRecord(
             id=path.stem,
             capture_point=self._points[k],

@@ -15,7 +15,9 @@ the same weights on one platform.
 Inside a network the activations sit batch-last in memory, ``(c, h, w,
 n)`` for spatial layers and ``(units, n)`` for dense ones: a conv is one
 2-D GEMM over an im2col column matrix each way, MaxPool is a maximum over
-strided slices. Every layer still takes and returns arrays shaped ``(n,
+strided slices. A same-padded conv pads nothing: each kernel tap copies
+only its in-bounds span into zeroed columns, and a tap that sees only
+padding is skipped. Every layer still takes and returns arrays shaped ``(n,
 ...)``; a network hands them free transposed views, and a C-ordered input
 is copied once. Only a train-mode forward stores what ``backward`` needs,
 so ``backward`` needs a train-mode forward first. Against the previous
@@ -29,7 +31,12 @@ im2col columns of the widest conv. That is 43 images for the default
 image net and 364 pixels for the default pixel net on ten scenes of two
 features. A probability may move in its last bits with the batch size,
 because BLAS takes another path for a ragged edge tile of a GEMM, so
-only a tie to within those bits could change a label.
+only a tie to within those bits could change a label. The map and image
+classifiers spread their inference over one thread per CPU the process
+may use (:func:`_fan_out`); those threads share the one budget, each
+predicting in batches of ``inference_batch // W`` for ``W`` threads, so
+outputs depend on ``W`` only in those last bits. Training stays on the
+calling thread.
 
 Everything runs in double precision; gradient correctness is checked
 against central finite differences (:func:`gradient_check`).
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Union
@@ -238,8 +246,7 @@ class _ConvLayer(_ParamLayer):
         c, h, w = in_shape
         if spec.same_padding:
             oh, ow = h, w
-            pad_h, pad_w = spec.kernel_h - 1, spec.kernel_w - 1
-            self.pads = (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
+            pt, pl = (spec.kernel_h - 1) // 2, (spec.kernel_w - 1) // 2
         else:
             if spec.kernel_h > h or spec.kernel_w > w:
                 raise ShapeMismatchError(
@@ -247,41 +254,38 @@ class _ConvLayer(_ParamLayer):
                 )
             oh = h - spec.kernel_h + 1
             ow = w - spec.kernel_w + 1
-            self.pads = (0, 0, 0, 0)
+            pt = pl = 0
         if oh < 1 or ow < 1:
             raise ShapeMismatchError(f"conv output collapsed to {oh}x{ow}")
         w_shape = (spec.filters, c, spec.kernel_h, spec.kernel_w)
         super().__init__(spec, in_shape, (spec.filters, oh, ow), w_shape)
+        # per kernel tap (i, j): the output window whose input under that tap
+        # lies inside the unpadded input, and that input window; a tap that
+        # sees only padding is left out, as its im2col rows stay zero
+        self._taps = []
+        for i in range(spec.kernel_h):
+            r0, r1 = max(0, pt - i), min(oh, h + pt - i)
+            for j in range(spec.kernel_w):
+                c0, c1 = max(0, pl - j), min(ow, w + pl - j)
+                if r0 < r1 and c0 < c1:
+                    out_win = (slice(None), i, j, slice(r0, r1), slice(c0, c1))
+                    in_win = (slice(None), slice(r0 + i - pt, r1 + i - pt),
+                              slice(c0 + j - pl, c1 + j - pl))
+                    self._taps.append((out_win, in_win))
 
     def sample_floats(self) -> int:
         # the im2col columns: one row per weight of a filter, one column per output pixel
         return max(super().sample_floats(), math.prod(self.w_shape[1:] + self.out_shape[1:]))
 
-    def _padded_shape(self, n):
-        c, h, w = self.in_shape
-        pt, pb, pl, pr = self.pads
-        return (c, h + pt + pb, w + pl + pr, n)
-
-    def _windows(self, xp):
-        """The view of a padded batch-last array under each kernel tap."""
-        _, oh, ow = self.out_shape
-        for i in range(self.spec.kernel_h):
-            for j in range(self.spec.kernel_w):
-                yield i, j, xp[:, i : i + oh, j : j + ow]
-
     def forward(self, x, train, rng, stats):
-        c, h, w = self.in_shape
-        n = x.shape[0]
-        pt, _, pl, _ = self.pads
-        if any(self.pads):
-            xp = np.zeros(self._padded_shape(n))
-            xp[:, pt : pt + h, pl : pl + w] = _batch_last_view(x)
-        else:
-            xp = _batch_last(x)
+        xb = _batch_last(x)
+        n = xb.shape[-1]
         f, oh, ow = self.out_shape
-        cols = np.empty((c, self.spec.kernel_h, self.spec.kernel_w, oh, ow, n))
-        for i, j, window in self._windows(xp):
-            cols[:, i, j] = window
+        # a same conv's taps cover its columns only in part; the rest is padding
+        alloc = np.zeros if self.spec.same_padding else np.empty
+        cols = alloc(self.w_shape[1:] + (oh, ow, n))
+        for out_win, in_win in self._taps:
+            cols[out_win] = xb[in_win]
         cols = cols.reshape(-1, oh * ow * n)
         out = self.w.reshape(f, -1) @ cols
         out += self.b[:, None]
@@ -299,12 +303,10 @@ class _ConvLayer(_ParamLayer):
         n = dout.shape[0]
         dcols = self.w.reshape(self.w_shape[0], -1).T @ dob.reshape(self.w_shape[0], -1)
         dc = dcols.reshape(self.w_shape[1:] + self.out_shape[1:] + (n,))
-        dxp = np.zeros(self._padded_shape(n))
-        for i, j, window in self._windows(dxp):
-            window += dc[:, i, j]
-        _, h, w = self.in_shape
-        pt, _, pl, _ = self.pads
-        return _batch_first(dxp[:, pt : pt + h, pl : pl + w]), grads
+        dx = np.zeros(self.in_shape + (n,))
+        for out_win, in_win in self._taps:
+            dx[in_win] += dc[out_win]
+        return _batch_first(dx), grads
 
 
 class _ReLULayer(_Layer):
@@ -567,6 +569,60 @@ def predict_batch(net: Network, x: np.ndarray, batch_size: int | None = None):
         labels[start : start + probs.shape[0]] = probs.argmax(axis=1)
         confs[start : start + probs.shape[0]] = probs.max(axis=1)
     return labels, confs
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(n: int) -> int:
+    """Threads :func:`_fan_out` runs ``n`` items on: one per usable CPU, at most ``n``."""
+    return max(1, min(_usable_cpus(), n))
+
+
+def _worker_batch(net: Network, n: int) -> int:
+    """One worker's share of ``net.inference_batch`` when :func:`_fan_out`
+    spreads ``n`` items: the workers' batches together stay in budget."""
+    return max(1, net.inference_batch // _workers(n))
+
+
+def _fan_out(work, n: int) -> None:
+    """Run ``work(k)`` for every ``k`` in ``range(n)`` on ``W = _workers(n)`` threads.
+
+    The calling thread takes ``k = 0, W, 2W, ...`` and ``W - 1`` helper
+    threads, from a pool made for this call, take the rest; each worker
+    runs its items in ascending order and stops at its first error. Every
+    helper is joined before this returns, and the error of the lowest
+    failing ``k`` is raised on the calling thread. With ``W = 1`` the items
+    run inline and no thread is started. Inference callers share
+    ``INFERENCE_BUDGET_BYTES`` by predicting in batches of
+    :func:`_worker_batch`.
+    """
+    w = _workers(n)
+    if w == 1:
+        for k in range(n):
+            work(k)
+        return
+    # imported here: at module level it adds about 5 ms to the CLI's import (2-vCPU x86-64)
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run(first):
+        for k in range(first, n, w):
+            try:
+                work(k)
+            except Exception as exc:
+                return k, exc
+        return None
+
+    with ThreadPoolExecutor(w - 1) as pool:
+        helpers = [pool.submit(run, first) for first in range(1, w)]
+        failures = [run(0)] + [helper.result() for helper in helpers]
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def accuracy(net: Network, x: np.ndarray, labels: np.ndarray) -> float:

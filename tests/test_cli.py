@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import re
 import shutil
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import BYTE_EDITS, make_grid, mutate_bytes, spoiled
-from streetcrop import cli
+from streetcrop import cli, neuralnet
 from streetcrop.cli import RunConfig, run_command
 from streetcrop.errors import UsageError
 from streetcrop.geocore import GeoPoint, Heading
@@ -616,8 +617,9 @@ def test_oversized_world_is_data_error(tmp_path, capsys):
             "synth.parcels_per_side = 4\nsynth.proportions = 0.5,0,0.5\nsynth.n_per_class = 5\n",
             "only 0 candidate views of class soybean; synth.n_per_class needs 5",
         ),
+        ("synth.fixture_stride = 0\n", "synth.fixture_stride must be at least 1"),
     ],
-    ids=["proportions", "parcels_per_side", "n_per_class"],
+    ids=["proportions", "parcels_per_side", "n_per_class", "fixture_stride"],
 )
 def test_world_config_error_names_the_key(tmp_path, capsys, line, message):
     config = _config(tmp_path, line)
@@ -625,6 +627,46 @@ def test_world_config_error_names_the_key(tmp_path, capsys, line, message):
     assert run_command(["synth", "--config", str(config), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "world").exists()
+
+
+@pytest.fixture(scope="module")
+def serial_chain(tmp_path_factory):
+    """The whole chain on one thread: (config, out, classified.csv and crop_map.grid bytes)."""
+    base = tmp_path_factory.mktemp("serial")
+    config = base / "run.cfg"
+    config.write_text(MINI_CONFIG)
+    out = base / "run"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neuralnet, "_usable_cpus", lambda: 1)
+        mp.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # one worker makes no pool
+        for command in cli.COMMANDS:
+            assert run_command([command, "--config", str(config), "--out", str(out)]) == 0
+    return config, out, (out / "classified.csv").read_bytes(), (out / "crop_map.grid").read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_worker_count_leaves_the_outputs_byte_equal(serial_chain, monkeypatch, cpus):
+    config, out, classified, crop_map = serial_chain
+    monkeypatch.setattr(neuralnet, "_usable_cpus", lambda: cpus)
+    for command in ("classify-images", "map"):
+        assert run_command([command, "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "classified.csv").read_bytes() == classified
+    assert (out / "crop_map.grid").read_bytes() == crop_map
+
+
+def test_truncated_image_in_a_helper_chunk_is_data_error(
+    serial_chain, tmp_path, monkeypatch, capsys
+):
+    """412 campaign images go in 21-image chunks on two workers; chunk 1 is the helper's."""
+    config, out, _, _ = serial_chain
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    rows = (copy / "campaign.csv").read_text().splitlines()
+    broken = copy / rows[1 + 25].split(",")[1]
+    broken.write_bytes(broken.read_bytes()[:-5])
+    monkeypatch.setattr(neuralnet, "_usable_cpus", lambda: 2)
+    assert run_command(["classify-images", "--config", str(config), "--out", str(copy)]) == 2
+    assert f"{broken}: payload is" in capsys.readouterr().err
 
 
 def test_every_written_grid_has_a_verified_twin(tmp_path):

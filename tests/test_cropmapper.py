@@ -1,4 +1,5 @@
 import datetime
+import threading
 
 import numpy as np
 import pytest
@@ -238,6 +239,21 @@ class TestPredictCropMap:
             result.net, stack, features, world.cfg.extent, ILLINOIS, batch_size=7
         )
         np.testing.assert_array_equal(blocks.grid.values, whole.grid.values)
+
+    @pytest.mark.parametrize("batch_size", [1024, 7])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_worker_count_does_not_change_the_map(
+        self, il_pipeline, monkeypatch, cpus, batch_size
+    ):
+        world, stack, features, _, result = il_pipeline
+        args = (result.net, stack, features, world.cfg.extent, ILLINOIS, batch_size)
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+        serial = predict_crop_map(*args)
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        spread = predict_crop_map(*args)
+        assert threading.active_count() == before
+        np.testing.assert_array_equal(spread.grid.values, serial.grid.values)
 
     def test_feature_mismatch_rejected(self, il_pipeline):
         world, stack, features, _, result = il_pipeline

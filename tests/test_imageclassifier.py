@@ -1,4 +1,5 @@
 import datetime
+import threading
 import tracemalloc
 
 import numpy as np
@@ -223,6 +224,38 @@ class TestClassifyImages:
         assert len(labeled) == 600
         assert peak < 40e6
         assert held < 5e6  # no record keeps the pixels it was classified from
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_worker_count_does_not_change_the_labels(self, monkeypatch, cpus):
+        """100 images in chunks of 43, 21 or 14: labels equal, confidences to the last bits."""
+        records = [li.record for li in fake_labeled(100, 0, size=32)]
+        net = nn.build_network(nn.default_image_spec((3, 32, 32), 3), seed=0)
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+        serial = classify_images(net, records)
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        spread = classify_images(net, records)
+        assert threading.active_count() == before
+        assert [li.record.id for li in spread] == [r.id for r in records]
+        assert [li.label for li in spread] == [li.label for li in serial]
+        np.testing.assert_allclose(
+            [li.confidence for li in spread], [li.confidence for li in serial], rtol=0, atol=1e-15
+        )
+
+    def test_bad_file_in_a_helper_chunk_names_the_file(self, tmp_path, monkeypatch):
+        records = []
+        for i in range(30):
+            path = tmp_path / f"img_{i}.ppm"
+            path.write_bytes(encode_image(fake_image(i, size=32)))
+            records.append(StreetImageRecord(path.stem, GeoPoint(0.0, 0.0), Heading.EAST, path=path))
+        broken = tmp_path / "img_25.ppm"  # chunk 1 of 21-image chunks: the helper's
+        broken.write_bytes(broken.read_bytes()[:-5])
+        net = nn.build_network(nn.default_image_spec((3, 32, 32), 3), seed=0)
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(ImageDecodeError, match="img_25.ppm: payload is"):
+            classify_images(net, records)
+        assert threading.active_count() == before
 
     def test_mixed_image_sizes_are_data_error(self):
         records = [li.record for li in fake_labeled(2, 0) + fake_labeled(1, 0, start=5, size=9)]

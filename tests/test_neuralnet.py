@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -246,6 +249,8 @@ class TestConvOracle:
         "spec0-in_shape0-pads0": (Conv2D(3, 3, 3), (2, 6, 5), (0, 0, 0, 0)),
         "spec2-in_shape2-pads2": (Conv2D(3, 3, 3, same_padding=True), (2, 5, 4), (1, 1, 1, 1)),
         "spec3-in_shape3-pads3": (Conv2D(3, 2, 4, same_padding=True), (2, 5, 4), (0, 1, 1, 2)),
+        # one column wide, as the pixel net at one feature: six of nine taps see only padding
+        "one-column": (Conv2D(3, 3, 3, same_padding=True), (2, 5, 1), (1, 1, 1, 1)),
     }
 
     @pytest.mark.parametrize("spec,in_shape,pads", list(CASES.values()), ids=list(CASES))
@@ -321,6 +326,73 @@ class TestInference:
                 assert getattr(layer, attr, None) is None, (type(layer).__name__, attr)
         with pytest.raises(RuntimeError):
             net.layers[0].backward(np.ones((4, 3, 6, 6)))
+
+
+class TestFanOut:
+    """``_fan_out`` with the usable CPUs forced to a count, not read from the host."""
+
+    @staticmethod
+    def force_cpus(monkeypatch, n):
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: n)
+
+    def test_calling_thread_takes_every_wth_item(self, monkeypatch):
+        self.force_cpus(monkeypatch, 3)
+        owner = {}
+
+        def work(k):
+            owner[k] = threading.get_ident()
+
+        nn._fan_out(work, 10)
+        assert sorted(owner) == list(range(10))
+        assert {k for k, ident in owner.items() if ident == threading.get_ident()} == {0, 3, 6, 9}
+
+    def test_one_worker_runs_inline_without_a_pool(self, monkeypatch):
+        self.force_cpus(monkeypatch, 1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        seen = []
+        nn._fan_out(seen.append, 5)
+        assert seen == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("cpus,n,expected", [(4, 0, 1), (4, 2, 2), (2, 9, 2), (1, 9, 1)])
+    def test_workers_are_capped_at_the_items(self, monkeypatch, cpus, n, expected):
+        self.force_cpus(monkeypatch, cpus)
+        assert nn._workers(n) == expected
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_lowest_failing_item_raises_and_every_thread_is_joined(self, monkeypatch, cpus):
+        self.force_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+
+        def work(k):  # at two or three workers, a helper holds the lowest failing item
+            if k in (5, 6, 7):
+                raise ValueError(f"item {k}")
+
+        with pytest.raises(ValueError, match="item 5"):
+            nn._fan_out(work, 9)
+        assert threading.active_count() == before
+        nn._fan_out(lambda k: None, 9)
+        assert threading.active_count() == before
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        """Eight workers switching every microsecond: every item runs exactly once."""
+        self.force_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = [0] * 2000
+
+            def work(k):
+                counts[k] += 1
+
+            for _ in range(5):
+                nn._fan_out(work, len(counts))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [5] * 2000
 
 
 class TestDropout:
