@@ -266,13 +266,14 @@ class _Run:
         (self.out / f"{self.command}.manifest").write_text("\n".join(lines) + "\n")
 
 
-def _scenes(run: _Run) -> SceneStack:
+def _scene_manifests(run: _Run):
+    """The scene manifests under ``paths.scenes``, by date. Read them before
+    the feature selection, so a command manifest lists the scenes first."""
     scenes_dir = run.input_path("paths.scenes")
     manifest_paths = sorted(scenes_dir.glob("*.manifest"))
     if not manifest_paths:
         raise DataValidationError(f"no scene manifests in {scenes_dir}")
-    manifests = sorted((read_manifest(p) for p in manifest_paths), key=lambda m: m.scene_date)
-    return SceneStack.from_manifests(manifests)
+    return sorted((read_manifest(p) for p in manifest_paths), key=lambda m: m.scene_date)
 
 
 def _truth(run: _Run):
@@ -509,10 +510,9 @@ def _cmd_validate_refs(run: _Run):
 def _cmd_select_features(run: _Run):
     cfg = run.cfg
     points = refgen.read_reference_csv(run.input_path("paths.refs_csv"), cfg.taxonomy)
-    stack = _scenes(run)
+    stack = SceneStack.from_manifests(_scene_manifests(run), cfg["features.candidates"])
     result = cropmapper.forward_select(
-        cfg["features.candidates"], points, stack, cfg.taxonomy,
-        cfg.train_config(default_epochs=20),
+        points, stack, cfg.taxonomy, cfg.train_config(default_epochs=20)
     )
     report = cropmapper.selection_report_text(result)
     run.report("selection.txt").write_text(report)
@@ -524,13 +524,12 @@ def _cmd_select_features(run: _Run):
 def _cmd_train_mapper(run: _Run):
     cfg = run.cfg
     points = refgen.read_reference_csv(run.input_path("paths.refs_csv"), cfg.taxonomy)
-    stack = _scenes(run)
-    features = _selected_features(run)
+    stack = SceneStack.from_manifests(_scene_manifests(run), _selected_features(run))
     base_cfg = cfg.train_config(default_epochs=20)
     sweep = cfg["net.dropout_grid"]
     results = [
         (rate, cropmapper.train_pixel_classifier(
-            features, points, stack, cfg.taxonomy, replace(base_cfg, dropout_rate=rate)
+            points, stack, cfg.taxonomy, replace(base_cfg, dropout_rate=rate)
         ))
         for rate in sweep or (base_cfg.dropout_rate,)
     ]
@@ -552,15 +551,14 @@ def _cmd_train_mapper(run: _Run):
 def _cmd_map(run: _Run):
     cfg = run.cfg
     net = neuralnet.deserialize_model(run.input_path("paths.pixel_model"))
-    stack = _scenes(run)
-    features = _selected_features(run)
+    stack = SceneStack.from_manifests(_scene_manifests(run), _selected_features(run))
     bbox = cfg["bbox"]
     if bbox is None:
         t = stack.template
         bbox = BoundingBox(
             t.yll, t.yll + t.nrows * t.cellsize, t.xll, t.xll + t.ncols * t.cellsize
         )
-    crop_map = cropmapper.predict_crop_map(net, stack, features, bbox, cfg.taxonomy)
+    crop_map = cropmapper.predict_crop_map(net, stack, bbox, cfg.taxonomy)
     map_path = run.output_path("paths.map_grid")
     legend = cropmapper.write_crop_map(crop_map, map_path)
     run.outputs.append(legend)

@@ -73,11 +73,11 @@ class MapEvaluation:
     truth_area_counts: dict[int, int]
 
 
-def _point_stacks(stack: SceneStack, points: Sequence[ReferencePoint], features):
+def _point_stacks(stack: SceneStack, points: Sequence[ReferencePoint]):
     """(x, y, dropped): model inputs and labels of every usable point."""
     cells = [stack.template.cell_index(pt.location) for pt in points]
     rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
-    matrix, _, usable = stack.fill_cells(rows, cols, features)
+    matrix, _, usable = stack.fill_cells(rows, cols)
     if not usable.any():
         raise DataValidationError("no usable reference points")
     labels = np.array([pt.label for pt in points], dtype=np.int64)
@@ -112,13 +112,12 @@ def _train_once(x, y, train_idx, val_idx, n_classes: int, cfg: TrainConfig):
 
 
 def forward_select(
-    candidates: Sequence[FeatureName],
     refpoints: Sequence[ReferencePoint],
     stack: SceneStack,
     taxonomy: LabelTaxonomy,
     cfg: TrainConfig = TrainConfig(epochs=20),
 ) -> FeatureSelectionResult:
-    """Greedy forward selection of model input features.
+    """Greedy forward selection among the stack's features.
 
     Each step trains one model per remaining candidate appended to the
     incumbent set and keeps the best candidate only if it strictly
@@ -128,12 +127,10 @@ def forward_select(
     initialization noise. Points unusable for any candidate are dropped
     up front so every model sees identical samples.
     """
-    candidates = list(candidates)
+    candidates = stack.features
     if len(candidates) < 2:
         raise DataValidationError("forward selection needs at least 2 candidates")
-    if len(set(candidates)) != len(candidates):
-        raise DataValidationError("candidate features must be unique")
-    x_all, y, dropped = _point_stacks(stack, refpoints, candidates)
+    x_all, y, dropped = _point_stacks(stack, refpoints)
     train_idx, val_idx = _stratified_split(y, cfg.seed)
 
     enum_order = list(FeatureName)
@@ -176,20 +173,18 @@ def forward_select(
 
 
 def train_pixel_classifier(
-    features: Sequence[FeatureName],
     refpoints: Sequence[ReferencePoint],
     stack: SceneStack,
     taxonomy: LabelTaxonomy,
     cfg: TrainConfig = TrainConfig(epochs=20),
 ) -> PixelTrainResult:
-    """Train the pixel network on reference-point stacks.
+    """Train the pixel network on reference-point stacks of the stack's features.
 
     Returns the network plus the held-out confusion matrix from the
     stratified 80/20 split. Unusable (fully masked) points are dropped
     with a count; a class missing from the reference set, or thinned
     below ``MIN_POINTS_PER_CLASS``, is an error.
     """
-    features = list(features)
     labels = np.array([pt.label for pt in refpoints], dtype=np.int64)
     for idx, name in enumerate(taxonomy.class_names):
         n = int((labels == idx).sum()) if labels.size else 0
@@ -197,7 +192,7 @@ def train_pixel_classifier(
             raise DataValidationError(
                 f"class {name!r} has {n} reference points; need {MIN_POINTS_PER_CLASS}"
             )
-    x, y, dropped = _point_stacks(stack, refpoints, features)
+    x, y, dropped = _point_stacks(stack, refpoints)
     train_idx, val_idx = _stratified_split(y, cfg.seed)
     if np.unique(y[train_idx]).size != len(taxonomy):
         raise DataValidationError("a class vanished from the training split")
@@ -210,7 +205,6 @@ def train_pixel_classifier(
 def predict_crop_map(
     net: Network,
     stack: SceneStack,
-    features: Sequence[FeatureName],
     extent: BoundingBox,
     taxonomy: LabelTaxonomy,
     batch_size: int = 1024,
@@ -219,13 +213,12 @@ def predict_crop_map(
 
     Pixels without a single valid observation for some feature become
     nodata. The output grid keeps the scenes' cell size and alignment.
-    Every feature plane is read on the calling thread first. Rows are then
-    gap-filled in blocks of about ``batch_size`` pixels, spread over one
-    thread per usable CPU; each thread predicts its blocks in batches of
-    its share of the network's inference batch and writes only their rows.
+    Rows are gap-filled in blocks of about ``batch_size`` pixels, spread
+    over one thread per usable CPU; each thread predicts its blocks in
+    batches of its share of the network's inference batch and writes only
+    their rows.
     """
-    features = list(features)
-    expected = (1, stack.n_scenes, len(features))
+    expected = (1, stack.n_scenes, len(stack.features))
     if tuple(net.spec.input_shape) != expected:
         raise DataValidationError(
             f"network input {net.spec.input_shape} does not match {expected}; "
@@ -247,8 +240,6 @@ def predict_crop_map(
     r0, r1 = rows[0], rows[-1]
     c0, c1 = cols[0], cols[-1]
     out = np.full((r1 - r0 + 1, c1 - c0 + 1), t.nodata)
-    for feature in features:
-        stack.feature_plane(feature)  # read here, so no worker reads a band
     # row blocks of about batch_size pixels each bound the memory in use
     block_rows = max(1, batch_size // out.shape[1])
     tops = range(r0, r1 + 1, block_rows)
@@ -257,7 +248,7 @@ def predict_crop_map(
     def fill_and_predict(k):
         top = tops[k]
         bottom = min(top + block_rows, r1 + 1)
-        matrix, _, usable = stack.fill_cells(slice(top, bottom), slice(c0, c1 + 1), features)
+        matrix, _, usable = stack.fill_cells(slice(top, bottom), slice(c0, c1 + 1))
         if usable.any():
             labels, _ = neuralnet.predict_batch(net, matrix[usable][:, None], inference_batch)
             out[top - r0 : bottom - r0][usable] = labels

@@ -13,11 +13,10 @@ Every stage hands images on through one catalog codec:
 :func:`write_catalog` and :func:`read_catalog`. A row names the image
 file relative to the catalog; an empty label marks an image nobody has
 labeled yet (the fetched campaign). Reading a catalog decodes nothing:
-each record keeps its file's path and decodes it the first time
-``record.image`` is read, so stages that only filter or shift images
-never touch pixels. Stages that feed images to the network read them
-with ``record.read_image()`` instead, one batch per thread at a time, and
-keep none.
+each record keeps only its file's path, so stages that only filter or
+shift images never touch pixels. Stages that feed images to the network
+decode them with ``record.read_image()``, one batch per thread at a time,
+and keep none.
 """
 
 from __future__ import annotations
@@ -278,8 +277,8 @@ def write_catalog(labeled: Iterable[LabeledImage], taxonomy: LabelTaxonomy, path
 def read_catalog(path: str | Path, taxonomy: LabelTaxonomy) -> list[LabeledImage]:
     """Load a catalog without decoding any image.
 
-    Each record carries its image file's path and decodes it on first use
-    of ``record.image``; a row whose file does not exist is an error.
+    Each record carries its image file's path, which ``record.read_image()``
+    decodes; a row whose file does not exist is an error.
     """
     base = Path(path).parent.absolute()
 

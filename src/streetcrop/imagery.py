@@ -11,6 +11,11 @@ coordinates in ASCII digits, plus an optional ``<same>.meta`` sidecar
 holding ``date=YYYY-MM`` (or ``YYYY-MM-DD``) lines. A
 :class:`FixtureIndex` holds the fixtures as coordinate arrays and
 resolves any number of requests in one array pass.
+
+A :class:`StreetImageRecord` read from a fixture or a catalog keeps its
+file's path, not its pixels: :meth:`StreetImageRecord.read_image` decodes
+the file on every call. Only a record built in memory (a live fetch)
+holds its ``image``.
 """
 
 from __future__ import annotations
@@ -90,47 +95,31 @@ class StreetRequest:
             raise DataValidationError(f"image size {self.size_px} outside 1..{MAX_IMAGE_PX}")
 
 
-class _ImageField:
-    """A record's ``image``: held in memory, or decoded from its ``path``
-    on first read and kept from then on."""
-
-    def __get__(self, rec, owner=None):
-        if rec is None:
-            return None  # the field's default: no image in memory
-        image = rec.__dict__.get("_image")
-        if image is None:
-            image = rec.__dict__["_image"] = rec.read_image()
-        return image
-
-    def __set__(self, rec, image):
-        rec.__dict__["_image"] = image
-
-
 @dataclass(frozen=True)
 class StreetImageRecord:
     """One street image and where it was taken.
 
     ``path`` is the image file a record was read from (a catalog row or a
-    fixture); a record built in memory may have no file.
+    fixture); ``image`` holds pixels only for a record built in memory (a
+    live fetch), which may have no file. :meth:`read_image` gets either.
     """
 
     id: str
     capture_point: GeoPoint
     heading: Heading
-    image: ImageTensor = _ImageField()
+    image: ImageTensor | None = None
     capture_date: datetime.date | None = None
     path: Path | None = None
 
     def __post_init__(self):
-        if self.__dict__["_image"] is None and self.path is None:
+        if self.image is None and self.path is None:
             raise DataValidationError(f"image {self.id!r} has neither pixels nor a file")
 
     def read_image(self) -> ImageTensor:
-        """The image held in memory, else one decoded from ``path`` that the
-        record does not keep: a stage that streams images through the
+        """The image held in memory, else one decoded from ``path`` on every
+        call and kept nowhere: a stage that streams images through the
         network reads each one this way, so only a batch is in memory."""
-        image = self.__dict__["_image"]
-        return _decode_file(self.path, "image") if image is None else image
+        return _decode_file(self.path, "image") if self.image is None else self.image
 
 
 def build_street_request(p: GeoPoint, h: Heading, size_px: tuple[int, int]) -> str:

@@ -33,6 +33,10 @@ so stored integers become reflectance in [0, 1] on ingest. The synthetic
 world writes ``round(reflectance * 10000)`` with ``scale=0.0001``, as
 Landsat surface-reflectance products store reflectance. Without the line
 band values are reflectance as stored; QA grids are never scaled.
+
+A :class:`SceneStack` is built for one feature list and reads its grids
+then: the QA grids, and each band a feature needs, once. After that it
+reads no file.
 """
 
 from __future__ import annotations
@@ -457,29 +461,53 @@ def _gap_fill(x: np.ndarray, values: np.ndarray, valid: np.ndarray) -> np.ndarra
     return filled
 
 
-class SceneStack:
-    """All scenes of a campaign behind one gap-filling access path.
+def _band_cubes(manifests: Sequence[SceneManifest], name: str, template: RasterGrid):
+    """(values, not-nodata) cubes of one band, its grids read and scaled."""
+    grids = []
+    for manifest in manifests:
+        grid = read_grid(manifest.band_paths[name], scale=manifest.scale)
+        if not grid.same_georef(template):
+            raise GeoreferenceMismatchError(
+                f"band {name} of {manifest.scene_date} is not co-registered"
+            )
+        grids.append(grid)
+    return np.stack([g.values for g in grids]), np.stack([g.valid_mask() for g in grids])
 
-    The QA grids are read up front; each band is read from its grids,
-    scaled by their manifest's ``scale``, the first time a feature needs
-    it. A feature is observed in a cell where the QA is clear (0), none of
-    the feature's own bands is nodata and, for an index, the denominator
-    is usable.
+
+class SceneStack:
+    """The temporal-spectral stack of a campaign: T dates by F features.
+
+    :meth:`from_manifests` reads every grid the features need and builds
+    each feature's (values, observed) cube; after that the stack reads no
+    file and changes no state, so threads may share it. A feature is
+    observed in a cell where the QA is clear (0), none of the feature's
+    own bands is nodata and, for an index, the denominator is usable.
     """
 
     def __init__(
-        self, manifests: Sequence[SceneManifest], template: RasterGrid, clear: np.ndarray
+        self,
+        dates: Sequence[datetime.date],
+        template: RasterGrid,
+        planes: dict[FeatureName, tuple[np.ndarray, np.ndarray]],
     ):
-        self.manifests = tuple(manifests)
-        self.dates = tuple(m.scene_date for m in self.manifests)
+        self.dates = tuple(dates)
         self.template = template
-        self.clear = clear  # (T, nrows, ncols) bool, QA == 0
+        self.features = tuple(planes)
+        self._planes = planes
         self._x = np.array([d.toordinal() for d in self.dates], dtype=np.float64)
-        self._bands: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._planes: dict[FeatureName, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
-    def from_manifests(cls, manifests: Sequence[SceneManifest]) -> "SceneStack":
+    def from_manifests(
+        cls, manifests: Sequence[SceneManifest], features: Sequence[FeatureName]
+    ) -> "SceneStack":
+        """Read the QA grids, then each feature's bands (each band once,
+        scaled by its manifest's ``scale``) and build that feature's cubes."""
+        features = tuple(features)
+        if not features:
+            raise DataValidationError("feature list must be nonempty")
+        for n, feature in enumerate(features):
+            if feature in features[:n]:
+                raise DataValidationError(f"feature {feature.value} is listed twice")
         if not manifests:
             raise DataValidationError("no scenes given")
         dates = [m.scene_date for m in manifests]
@@ -488,39 +516,29 @@ class SceneStack:
         qa = [read_grid(m.qa_path) for m in manifests]
         if not all(grid.same_georef(qa[0]) for grid in qa):
             raise GeoreferenceMismatchError("scene grids are not co-registered")
-        return cls(manifests, qa[0], np.stack([grid.values == 0 for grid in qa]))
+        template, clear = qa[0], np.stack([grid.values == 0 for grid in qa])
+        del qa  # only the mask is kept while the bands are read
+        bands: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        planes = {}
+        for feature in features:
+            names = _INDEX_BANDS.get(feature, (feature.value,))
+            for name in names:
+                if name not in bands:
+                    bands[name] = _band_cubes(manifests, name, template)
+            values, valid = _feature_arrays(feature, {n: bands[n] for n in names})
+            planes[feature] = (values, valid & clear)
+        return cls(dates, template, planes)
 
     @property
     def n_scenes(self) -> int:
         return len(self.dates)
 
-    def _band(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(values, not-nodata) cubes of one band, read on first use."""
-        if name not in self._bands:
-            grids = []
-            for manifest in self.manifests:
-                grid = read_grid(manifest.band_paths[name], scale=manifest.scale)
-                if not grid.same_georef(self.template):
-                    raise GeoreferenceMismatchError(
-                        f"band {name} of {manifest.scene_date} is not co-registered"
-                    )
-                grids.append(grid)
-            self._bands[name] = (
-                np.stack([g.values for g in grids]),
-                np.stack([g.valid_mask() for g in grids]),
-            )
-        return self._bands[name]
-
     def feature_plane(self, feature: FeatureName) -> tuple[np.ndarray, np.ndarray]:
         """(values, observed) cubes of shape (T, nrows, ncols) for one feature."""
-        if feature not in self._planes:
-            names = _INDEX_BANDS.get(feature, (feature.value,))
-            values, valid = _feature_arrays(feature, {n: self._band(n) for n in names})
-            self._planes[feature] = (values, valid & self.clear)
         return self._planes[feature]
 
-    def fill_cells(self, rows, cols, features: Sequence[FeatureName]):
-        """Gap-filled series of the cells ``[rows, cols]`` for ``features``.
+    def fill_cells(self, rows, cols):
+        """Gap-filled series of the cells ``[rows, cols]`` for the stack's features.
 
         ``rows`` and ``cols`` index the raster as in numpy: two ints, two
         slices (a block) or two equal-length integer arrays (scattered
@@ -529,11 +547,8 @@ class SceneStack:
         ``cells``) is false where some feature has no observation in any
         scene, and those cells' matrix entries are meaningless.
         """
-        if not features:
-            raise DataValidationError("feature list must be nonempty")
         filled, observed = [], []
-        for feature in features:
-            values, valid = self.feature_plane(feature)
+        for values, valid in self._planes.values():
             valid = valid[:, rows, cols]
             filled.append(_gap_fill(self._x, values[:, rows, cols], valid))
             observed.append(valid)
@@ -541,13 +556,11 @@ class SceneStack:
         observed = np.moveaxis(np.stack(observed, axis=-1), 0, -2)
         return matrix, observed, observed.any(axis=-2).all(axis=-1)
 
-    def stack_at_cell(
-        self, row: int, col: int, features: Sequence[FeatureName]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def stack_at_cell(self, row: int, col: int) -> tuple[np.ndarray, np.ndarray]:
         """Gap-filled (T, F) matrix and observed mask at one raster cell."""
-        matrix, observed, usable = self.fill_cells(row, col, features)
+        matrix, observed, usable = self.fill_cells(row, col)
         if not usable:
-            feature = features[int(np.argmin(observed.any(axis=0)))]
+            feature = self.features[int(np.argmin(observed.any(axis=0)))]
             raise UnusablePixelError(
                 f"cell ({row}, {col}) has no valid {feature.value} observation"
             )

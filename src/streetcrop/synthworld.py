@@ -392,7 +392,6 @@ def _camera_record(world: World, row: int, col: int, h: Heading, images_dir: Pat
         id=path.stem,
         capture_point=point,
         heading=h,
-        image=image,
         capture_date=CAPTURE_DATE,
         path=path,
     )

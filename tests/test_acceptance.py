@@ -312,11 +312,11 @@ def test_criterion_9_synthetic_mapping_and_selection(mapping_world, tmp_path):
         points = points + refgen.sample_class_points(
             world.truth, ILLINOIS.others_index, 200, seed=31
         )
-        stack = SceneStack.from_manifests(scenes)
+        stack = SceneStack.from_manifests(scenes, list(FeatureName))
         cfg = nn.TrainConfig(epochs=20, seed=31)
 
         # greedy selection over all ten candidates
-        result = cropmapper.forward_select(list(FeatureName), points, stack, ILLINOIS, cfg)
+        result = cropmapper.forward_select(points, stack, ILLINOIS, cfg)
         k = len(FeatureName)
         assert result.models_trained <= k * (k + 1) // 2
         hist = result.incumbent_history
@@ -329,9 +329,10 @@ def test_criterion_9_synthetic_mapping_and_selection(mapping_world, tmp_path):
         # and Red would win ties, so SWIR2 must be chosen on merit
         from test_cropmapper import TWO_CLASS, planted_points, planted_scenes
 
-        p_scenes, p_truth = planted_scenes(tmp_path / "planted", informative="SWIR2")
+        p_scenes, p_truth = planted_scenes(
+            tmp_path / "planted", [FeatureName.Red, FeatureName.SWIR2], informative="SWIR2"
+        )
         planted = cropmapper.forward_select(
-            [FeatureName.Red, FeatureName.SWIR2],
             planted_points(p_truth),
             p_scenes,
             TWO_CLASS,

@@ -333,6 +333,29 @@ class TestMalformedRows:
         assert run_command(["train-mapper", "--config", str(config), "--out", str(tmp_path)]) == 2
         assert f"{selection}:3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,line",
+        [
+            ("select-features", "features.candidates = EVI,SWIR2,EVI"),
+            ("train-mapper", "features.selected = EVI,EVI"),
+        ],
+        ids=["candidates", "selected"],
+    )
+    def test_repeated_feature_is_data_error(self, mini_run, tmp_path, capsys, command, line):
+        config, out = mini_run
+        refs = tmp_path / "refs.csv"
+        refs.write_text(
+            "lat,lon,label,source_image,confidence,shift_m,extra_steps\n"
+            "0.001,0.001,corn,img_a,,45.0,0\n"
+        )
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            config.read_text()
+            + f"{line}\npaths.refs_csv = {refs}\npaths.scenes = {out / 'world' / 'scenes'}\n"
+        )
+        assert run_command([command, "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "feature EVI is listed twice" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value", [("lon", "x"), ("extra_steps", "1.5")])
     def test_bad_reference_field_is_data_error(self, tmp_path, capsys, field, value):
         row = {"lat": "0.001", "lon": "0.001", "label": "corn", "source_image": "img_a",

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import kept_images_from_world, make_grid, world_shift_params, write_scene
 from streetcrop import neuralnet as nn
+from streetcrop import rasterstack
 from streetcrop.cropmapper import (
     evaluate_crop_map,
     forward_select,
@@ -33,8 +34,9 @@ FAST_CFG = nn.TrainConfig(epochs=20, seed=0)
 TWO_CLASS = LabelTaxonomy("toy", ("cropA", "others"))
 
 
-def planted_scenes(tmp_path, n_dates=6, n=8, informative="SWIR2"):
-    """A SceneStack over scenes where exactly one band separates two classes.
+def planted_scenes(tmp_path, features, n_dates=6, n=8, informative="SWIR2"):
+    """A SceneStack of ``features`` over scenes where exactly one band
+    separates two classes.
 
     Class 0 occupies the top half of an n x n grid, class 1 the bottom.
     Every band is identical between classes except ``informative``.
@@ -53,7 +55,7 @@ def planted_scenes(tmp_path, n_dates=6, n=8, informative="SWIR2"):
                 values[n // 2 :] += 0.3
             bands[band] = np.clip(values, 0, 1)
         scenes.append(write_scene(tmp_path / f"s{i}", date, bands, np.zeros((n, n))))
-    return SceneStack.from_manifests(scenes), make_grid(truth, cellsize=0.001)
+    return SceneStack.from_manifests(scenes, features), make_grid(truth, cellsize=0.001)
 
 
 def planted_points(truth):
@@ -64,68 +66,53 @@ def planted_points(truth):
 
 class TestForwardSelect:
     def test_informative_feature_selected_noise_rejected(self, tmp_path):
-        stack, truth = planted_scenes(tmp_path, informative="SWIR2")
+        stack, truth = planted_scenes(
+            tmp_path, [FeatureName.Red, FeatureName.SWIR2], informative="SWIR2"
+        )
         points = planted_points(truth)
         # Red precedes SWIR2 in the tie-break order, so winning on order
         # alone is impossible: SWIR2 must win on accuracy.
-        result = forward_select(
-            [FeatureName.Red, FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG
-        )
+        result = forward_select(points, stack, TWO_CLASS, FAST_CFG)
         assert result.selected[0] == FeatureName.SWIR2
         assert FeatureName.Red not in result.selected
         assert result.stopping_reason == "no_improvement"
 
     def test_incumbent_history_strictly_increasing(self, tmp_path):
-        stack, truth = planted_scenes(tmp_path)
-        points = planted_points(truth)
-        result = forward_select(
-            [FeatureName.Red, FeatureName.Blue, FeatureName.SWIR2],
-            points,
-            stack,
-            TWO_CLASS,
-            FAST_CFG,
+        stack, truth = planted_scenes(
+            tmp_path, [FeatureName.Red, FeatureName.Blue, FeatureName.SWIR2]
         )
+        points = planted_points(truth)
+        result = forward_select(points, stack, TWO_CLASS, FAST_CFG)
         hist = result.incumbent_history
         assert all(b > a for a, b in zip(hist, hist[1:]))
 
     def test_model_count_bounded_by_triangular_number(self, tmp_path):
-        stack, truth = planted_scenes(tmp_path)
-        points = planted_points(truth)
         candidates = [FeatureName.Red, FeatureName.Green, FeatureName.Blue, FeatureName.SWIR2]
-        result = forward_select(candidates, points, stack, TWO_CLASS, FAST_CFG)
+        stack, truth = planted_scenes(tmp_path, candidates)
+        points = planted_points(truth)
+        result = forward_select(points, stack, TWO_CLASS, FAST_CFG)
         k = len(candidates)
         assert result.models_trained <= k * (k + 1) // 2
 
     def test_selected_beats_best_single_feature(self, tmp_path):
-        stack, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path, [FeatureName.Red, FeatureName.SWIR2])
         points = planted_points(truth)
-        result = forward_select(
-            [FeatureName.Red, FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG
-        )
+        result = forward_select(points, stack, TWO_CLASS, FAST_CFG)
         best_single = max(result.step_accuracies[0].values())
         assert result.incumbent_history[-1] >= best_single
 
     def test_fewer_than_two_candidates_rejected(self, tmp_path):
-        stack, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path, [FeatureName.NDVI])
         with pytest.raises(DataValidationError):
-            forward_select([FeatureName.NDVI], planted_points(truth), stack, TWO_CLASS, FAST_CFG)
+            forward_select(planted_points(truth), stack, TWO_CLASS, FAST_CFG)
 
     def test_duplicate_candidates_rejected(self, tmp_path):
-        stack, truth = planted_scenes(tmp_path)
         with pytest.raises(DataValidationError):
-            forward_select(
-                [FeatureName.NDVI, FeatureName.NDVI],
-                planted_points(truth),
-                stack,
-                TWO_CLASS,
-                FAST_CFG,
-            )
+            planted_scenes(tmp_path, [FeatureName.NDVI, FeatureName.NDVI])
 
     def test_report_text(self, tmp_path):
-        stack, truth = planted_scenes(tmp_path)
-        result = forward_select(
-            [FeatureName.Red, FeatureName.SWIR2], planted_points(truth), stack, TWO_CLASS, FAST_CFG
-        )
+        stack, truth = planted_scenes(tmp_path, [FeatureName.Red, FeatureName.SWIR2])
+        result = forward_select(planted_points(truth), stack, TWO_CLASS, FAST_CFG)
         report = selection_report_text(result)
         assert "MODEL INPUT" in report
         assert "SWIR2" in report
@@ -134,32 +121,30 @@ class TestForwardSelect:
 
 class TestTrainPixelClassifier:
     def test_single_class_rejected(self, tmp_path):
-        stack, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path, [FeatureName.SWIR2])
         points = sample_class_points(truth, 0, 20, seed=1)
         with pytest.raises(DataValidationError):
-            train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG)
+            train_pixel_classifier(points, stack, TWO_CLASS, FAST_CFG)
 
     def test_minimum_points_per_class(self, tmp_path):
-        stack, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path, [FeatureName.SWIR2])
         points = sample_class_points(truth, 0, 20, seed=1)
         points += sample_class_points(truth, 1, 3, seed=2)
         with pytest.raises(DataValidationError):
-            train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG)
+            train_pixel_classifier(points, stack, TWO_CLASS, FAST_CFG)
 
     def test_learns_planted_separation(self, tmp_path):
-        stack, truth = planted_scenes(tmp_path)
-        result = train_pixel_classifier(
-            [FeatureName.SWIR2], planted_points(truth), stack, TWO_CLASS, FAST_CFG
-        )
+        stack, truth = planted_scenes(tmp_path, [FeatureName.SWIR2])
+        result = train_pixel_classifier(planted_points(truth), stack, TWO_CLASS, FAST_CFG)
         assert overall_accuracy(result.confusion) >= 0.9
         rates = [ls.rate for ls in result.net.spec.layers if isinstance(ls, nn.Dropout)]
         assert rates == [FAST_CFG.dropout_rate]
 
     def test_same_seed_identical_confusion(self, tmp_path):
-        stack, truth = planted_scenes(tmp_path)
+        stack, truth = planted_scenes(tmp_path, [FeatureName.SWIR2])
         points = planted_points(truth)
-        a = train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG)
-        b = train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, FAST_CFG)
+        a = train_pixel_classifier(points, stack, TWO_CLASS, FAST_CFG)
+        b = train_pixel_classifier(points, stack, TWO_CLASS, FAST_CFG)
         np.testing.assert_array_equal(a.confusion.counts, b.confusion.counts)
 
     def test_unusable_points_dropped_with_count(self, tmp_path):
@@ -186,10 +171,36 @@ class TestTrainPixelClassifier:
 
         points = [p for p in points if truth.cell_index(p.location) != (0, 0)]
         points.append(replace(points[0], location=truth.cell_center(0, 0)))
-        result = train_pixel_classifier(
-            [FeatureName.SWIR2], points, SceneStack.from_manifests(scenes), TWO_CLASS, FAST_CFG
-        )
+        stack = SceneStack.from_manifests(scenes, [FeatureName.SWIR2])
+        result = train_pixel_classifier(points, stack, TWO_CLASS, FAST_CFG)
         assert result.dropped_unusable == 1
+
+
+def test_a_built_stack_reads_no_grid(tmp_path, monkeypatch):
+    """Every call that reads a built stack returns the same with grid reads
+    failing, the map at 2 and 3 workers included."""
+    stack, truth = planted_scenes(tmp_path, [FeatureName.Red, FeatureName.SWIR2])
+    points = planted_points(truth)
+    extent = BoundingBox(0.0, 8 * 0.001, 0.0, 8 * 0.001)
+
+    def results():
+        out = [*stack.fill_cells(slice(None), slice(None)), *stack.stack_at_cell(3, 4)]
+        out.append(forward_select(points, stack, TWO_CLASS, FAST_CFG))
+        trained = train_pixel_classifier(points, stack, TWO_CLASS, FAST_CFG)
+        out += [trained.history, trained.confusion.counts]
+        for cpus in (2, 3):
+            monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
+            crop_map = predict_crop_map(trained.net, stack, extent, TWO_CLASS, batch_size=16)
+            out.append(crop_map.grid.values)
+        return out
+
+    expected = results()
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a built stack read a grid")
+
+    monkeypatch.setattr(rasterstack, "read_grid", no_read)
+    np.testing.assert_equal(results(), expected)
 
 
 @pytest.fixture(scope="module")
@@ -198,34 +209,32 @@ def il_pipeline(il_world, il_scenes):
     kept = kept_images_from_world(il_world, stride=3)
     points = generate_reference_points(kept, world_shift_params(il_world)).points
     points += sample_class_points(il_world.truth, ILLINOIS.others_index, 120, seed=5)
-    stack = SceneStack.from_manifests(il_scenes)
     features = [FeatureName.EVI, FeatureName.ENDVI, FeatureName.SWIR1, FeatureName.SWIR2]
-    result = train_pixel_classifier(
-        features, points, stack, ILLINOIS, nn.TrainConfig(epochs=10, seed=4)
-    )
-    return il_world, stack, features, points, result
+    stack = SceneStack.from_manifests(il_scenes, features)
+    result = train_pixel_classifier(points, stack, ILLINOIS, nn.TrainConfig(epochs=10, seed=4))
+    return il_world, stack, points, result
 
 
 class TestPredictCropMap:
     def test_map_matches_truth_on_synthetic_world(self, il_pipeline):
-        world, stack, features, _, result = il_pipeline
-        crop_map = predict_crop_map(result.net, stack, features, world.cfg.extent, ILLINOIS)
+        world, stack, _, result = il_pipeline
+        crop_map = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
         ev = evaluate_crop_map(crop_map, world.truth)
         assert overall_accuracy(ev.confusion) >= 0.9
 
     def test_prediction_independent_of_visit_order(self, il_pipeline):
-        world, stack, features, _, result = il_pipeline
-        a = predict_crop_map(result.net, stack, features, world.cfg.extent, ILLINOIS)
-        b = predict_crop_map(result.net, stack, features, world.cfg.extent, ILLINOIS)
+        world, stack, _, result = il_pipeline
+        a = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
+        b = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
         np.testing.assert_array_equal(a.grid.values, b.grid.values)
 
     def test_map_restricted_to_refpoints_reproduces_heldout_predictions(self, il_pipeline):
-        world, stack, features, points, result = il_pipeline
-        crop_map = predict_crop_map(result.net, stack, features, world.cfg.extent, ILLINOIS)
+        world, stack, points, result = il_pipeline
+        crop_map = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
         x, labels = [], []
         for pt in points[:50]:
             row, col = stack.template.cell_index(pt.location)
-            matrix, _ = stack.stack_at_cell(row, col, features)
+            matrix, _ = stack.stack_at_cell(row, col)
             x.append(matrix[None])
             labels.append((row, col))
         pred, _ = nn.predict_batch(result.net, np.stack(x))
@@ -233,11 +242,9 @@ class TestPredictCropMap:
             assert crop_map.grid.values[row, col] == float(label)
 
     def test_row_blocks_do_not_change_the_map(self, il_pipeline):
-        world, stack, features, _, result = il_pipeline
-        whole = predict_crop_map(result.net, stack, features, world.cfg.extent, ILLINOIS)
-        blocks = predict_crop_map(
-            result.net, stack, features, world.cfg.extent, ILLINOIS, batch_size=7
-        )
+        world, stack, _, result = il_pipeline
+        whole = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
+        blocks = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS, batch_size=7)
         np.testing.assert_array_equal(blocks.grid.values, whole.grid.values)
 
     @pytest.mark.parametrize("batch_size", [1024, 7])
@@ -245,8 +252,8 @@ class TestPredictCropMap:
     def test_worker_count_does_not_change_the_map(
         self, il_pipeline, monkeypatch, cpus, batch_size
     ):
-        world, stack, features, _, result = il_pipeline
-        args = (result.net, stack, features, world.cfg.extent, ILLINOIS, batch_size)
+        world, stack, _, result = il_pipeline
+        args = (result.net, stack, world.cfg.extent, ILLINOIS, batch_size)
         monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
         serial = predict_crop_map(*args)
         monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
@@ -255,10 +262,11 @@ class TestPredictCropMap:
         assert threading.active_count() == before
         np.testing.assert_array_equal(spread.grid.values, serial.grid.values)
 
-    def test_feature_mismatch_rejected(self, il_pipeline):
-        world, stack, features, _, result = il_pipeline
+    def test_feature_mismatch_rejected(self, il_pipeline, il_scenes):
+        world, _, _, result = il_pipeline
+        stack = SceneStack.from_manifests(il_scenes, [FeatureName.NDVI])
         with pytest.raises(DataValidationError):
-            predict_crop_map(result.net, stack, [FeatureName.NDVI], world.cfg.extent, ILLINOIS)
+            predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
 
     def test_uniform_world_maps_uniformly_inside_parcels(self, tmp_path):
         import streetcrop.synthworld as sw
@@ -277,9 +285,9 @@ class TestPredictCropMap:
 
         points += [replace(p, label=ILLINOIS.index("soybean")) for p in soy]
         features = [FeatureName.EVI, FeatureName.SWIR2]
-        stack = SceneStack.from_manifests(scenes)
-        result = train_pixel_classifier(features, points, stack, ILLINOIS, FAST_CFG)
-        crop_map = predict_crop_map(result.net, stack, features, cfg.extent, ILLINOIS)
+        stack = SceneStack.from_manifests(scenes, features)
+        result = train_pixel_classifier(points, stack, ILLINOIS, FAST_CFG)
+        crop_map = predict_crop_map(result.net, stack, cfg.extent, ILLINOIS)
         parcel_cells = world.road_mask.values == 0
         mapped = crop_map.grid.values[parcel_cells]
         corn = ILLINOIS.index("corn")
@@ -306,10 +314,10 @@ class TestPredictCropMap:
         points += sample_class_points(truth, 1, 6, seed=2)
         points = [p for p in points if truth.cell_index(p.location) != (1, 1)]
         cfg = nn.TrainConfig(epochs=5, seed=0)
-        stack = SceneStack.from_manifests(scenes)
-        result = train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, cfg)
+        stack = SceneStack.from_manifests(scenes, [FeatureName.SWIR2])
+        result = train_pixel_classifier(points, stack, TWO_CLASS, cfg)
         extent = BoundingBox(0.0, n * 0.001, 0.0, n * 0.001)
-        crop_map = predict_crop_map(result.net, stack, [FeatureName.SWIR2], extent, TWO_CLASS)
+        crop_map = predict_crop_map(result.net, stack, extent, TWO_CLASS)
         assert crop_map.grid.values[1, 1] == crop_map.grid.nodata
         assert (crop_map.grid.values != crop_map.grid.nodata).sum() == n * n - 1
 
@@ -335,10 +343,10 @@ class TestPredictCropMap:
         points += sample_class_points(truth, 1, 6, seed=2)
         points = [p for p in points if truth.cell_index(p.location) != (2, 2)]
         cfg = nn.TrainConfig(epochs=5, seed=0)
-        stack = SceneStack.from_manifests(scenes)
-        result = train_pixel_classifier([FeatureName.SWIR2], points, stack, TWO_CLASS, cfg)
+        stack = SceneStack.from_manifests(scenes, [FeatureName.SWIR2])
+        result = train_pixel_classifier(points, stack, TWO_CLASS, cfg)
         extent = BoundingBox(0.0, n * 0.001, 0.0, n * 0.001)
-        crop_map = predict_crop_map(result.net, stack, [FeatureName.SWIR2], extent, TWO_CLASS)
+        crop_map = predict_crop_map(result.net, stack, extent, TWO_CLASS)
         assert crop_map.grid.values[1, 1] != crop_map.grid.nodata
         assert crop_map.grid.values[2, 2] == crop_map.grid.nodata
         assert (crop_map.grid.values != crop_map.grid.nodata).sum() == n * n - 1

@@ -336,26 +336,25 @@ class TestCatalogIO:
             assert loaded.confidence == pytest.approx(orig.confidence)
             assert loaded.record.capture_date.strftime("%Y-%m") == "2013-07"
             np.testing.assert_array_equal(
-                loaded.record.image.values, orig.record.image.values
+                loaded.record.read_image().values, orig.record.image.values
             )
 
     def test_missing_catalog(self, tmp_path):
         with pytest.raises(DataValidationError):
             read_catalog(tmp_path / "absent.csv", ILLINOIS)
 
-    def test_read_decodes_on_first_use_only(self, tmp_path):
+    def test_read_image_decodes_on_every_call_and_keeps_nothing(self, tmp_path):
         catalog = write_two_row_catalog(tmp_path)
         ppm = tmp_path / "images" / "img_0.ppm"
-        intact = ppm.read_bytes()
-        ppm.write_bytes(intact[:20])
-        labeled = read_catalog(catalog, ILLINOIS)
-        assert labeled[0].record.path.resolve() == ppm.resolve()
-        with pytest.raises(ImageDecodeError):
-            labeled[0].record.image
-        ppm.write_bytes(intact)
-        image = labeled[0].record.image
-        assert image is labeled[0].record.image
+        record = read_catalog(catalog, ILLINOIS)[0].record
+        assert record.path.resolve() == ppm.resolve()
+        image = record.read_image()
         np.testing.assert_array_equal(image.values, fake_image(0).values)
+        assert record.image is None
+        ppm.write_bytes(ppm.read_bytes()[:20])
+        with pytest.raises(ImageDecodeError) as err:
+            record.read_image()
+        assert str(record.path) in str(err.value)
 
     def test_unlabeled_rows_round_trip(self, tmp_path):
         catalog = write_two_row_catalog(tmp_path)

@@ -130,7 +130,7 @@ class TestFixtures:
         rec = fetch_street_image(StreetRequest(p, Heading.EAST), tmp_path)
         assert rec.id == fixture_filename(p, Heading.EAST)[: -len(".ppm")]
         assert rec.capture_date == datetime.date(2012, 7, 1)
-        assert rec.image.values[0, 0, 0] == pytest.approx(0.5, abs=1e-2)
+        assert rec.read_image().values[0, 0, 0] == pytest.approx(0.5, abs=1e-2)
 
     def test_within_tolerance(self, tmp_path):
         p = GeoPoint(35.5, -119.3)
@@ -166,7 +166,7 @@ class TestFixtures:
         self.make_fixture(tmp_path, near, Heading.NORTH, fill=0.25)
         self.make_fixture(tmp_path, far, Heading.NORTH, fill=0.75)
         rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
-        assert rec.image.values[0, 0, 0] == pytest.approx(0.25, abs=1e-2)
+        assert rec.read_image().values[0, 0, 0] == pytest.approx(0.25, abs=1e-2)
 
     def test_equidistant_tie_breaks_on_filename(self, tmp_path):
         """The fixture 1e-6° west sits in an earlier bucket than the one 1e-6° east."""

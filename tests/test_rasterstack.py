@@ -375,15 +375,16 @@ class TestGridTwin:
 
 
 def one_scene_stack(tmp_path, nir, qa):
-    """A one-scene SceneStack whose bands all hold ``nir`` under QA grid ``qa``."""
+    """A one-scene NIR SceneStack whose bands all hold ``nir`` under QA grid ``qa``."""
     date = datetime.date(2013, 4, 13)
     bands = {b: np.asarray(nir, dtype=float) for b in BAND_NAMES}
-    return SceneStack.from_manifests([write_scene(tmp_path, date, bands, np.asarray(qa))])
+    scene = write_scene(tmp_path, date, bands, np.asarray(qa))
+    return SceneStack.from_manifests([scene], [FeatureName.NIR])
 
 
 def nir_observed(stack):
     """(NIR values, observed) planes of a one-scene stack."""
-    matrix, observed, _ = stack.fill_cells(slice(None), slice(None), [FeatureName.NIR])
+    matrix, observed, _ = stack.fill_cells(slice(None), slice(None))
     return matrix[..., 0, 0], observed[..., 0, 0]
 
 
@@ -445,12 +446,12 @@ class TestQuantisedScenes:
             stored.append(read_manifest(path))
             series.append(bands)
         bands = {b: np.stack([s[b] for s in series]) for b in BAND_NAMES}
-        float_stack = SceneStack.from_manifests(floats)
-        int_stack = SceneStack.from_manifests(stored)
         largest = 0.0
         for feature in FeatureName:
-            a, a_obs, a_use = float_stack.fill_cells(slice(None), slice(None), [feature])
-            b, b_obs, b_use = int_stack.fill_cells(slice(None), slice(None), [feature])
+            float_stack = SceneStack.from_manifests(floats, [feature])
+            int_stack = SceneStack.from_manifests(stored, [feature])
+            a, a_obs, a_use = float_stack.fill_cells(slice(None), slice(None))
+            b, b_obs, b_use = int_stack.fill_cells(slice(None), slice(None))
             assert (a_obs == b_obs).all() and (a_use == b_use).all()
             bound = np.moveaxis(quantisation_bound(feature, bands), 0, -1)[..., None]
             series_bound = np.where(a_obs, bound, 0.0).max(axis=-2, keepdims=True) + 1e-12
@@ -470,10 +471,10 @@ class TestQaMask:
 
     def test_all_masked(self, tmp_path):
         stack = one_scene_stack(tmp_path, [[0.1, 0.2]], [[1, 4]])
-        _, observed, usable = stack.fill_cells(0, slice(None), [FeatureName.NIR])
+        _, observed, usable = stack.fill_cells(0, slice(None))
         assert not observed.any() and not usable.any()
         with pytest.raises(UnusablePixelError):
-            stack.stack_at_cell(0, 1, [FeatureName.NIR])
+            stack.stack_at_cell(0, 1)
 
     def test_checkerboard_masks_half(self, tmp_path):
         qa = np.indices((4, 4)).sum(axis=0) % 2 * 4  # codes 0 and 4
@@ -491,10 +492,10 @@ class TestQaMask:
         np.testing.assert_array_equal(once[0][once[1]], twice[0][twice[1]])
 
     def test_georef_mismatch(self, tmp_path):
-        stack = one_scene_stack(tmp_path, [[0.1]], [[0]])
-        write_grid(make_grid([[0]], xll=1.0), stack.manifests[0].qa_path)
+        scene = uniform_scene(tmp_path, datetime.date(2013, 4, 13), 0.1, shape=(1, 1))
+        write_grid(make_grid([[0]], xll=1.0), scene.qa_path)
         with pytest.raises(GeoreferenceMismatchError):
-            SceneStack.from_manifests(stack.manifests).fill_cells(0, 0, [FeatureName.NIR])
+            SceneStack.from_manifests([scene], [FeatureName.NIR])
 
 
 class TestComputeIndex:
@@ -685,9 +686,9 @@ def uniform_scene(tmp_path, date, value, qa=0, shape=(2, 2)):
 
 def stack_at_point(scenes, features):
     """Gap-filled (T, F) matrix and observed mask of the cell holding (0.001, 0.001)."""
-    stack = SceneStack.from_manifests(scenes)
+    stack = SceneStack.from_manifests(scenes, features)
     row, col = stack.template.cell_index(GeoPoint(0.001, 0.001))
-    return stack.stack_at_cell(row, col, features)
+    return stack.stack_at_cell(row, col)
 
 
 class TestFeatureStack:
@@ -749,10 +750,11 @@ class TestFeatureStack:
             bands = {b: np.full((1, 2), 0.3) for b in BAND_NAMES}
             bands["Blue"][0, 0] = -9999.0
             scenes.append(write_scene(tmp_path / date.isoformat(), date, bands, np.zeros((1, 2))))
-        stack = SceneStack.from_manifests(scenes)
-        _, observed, usable = stack.fill_cells(0, slice(None), [FeatureName.NDVI])
+        stack = SceneStack.from_manifests(scenes, [FeatureName.NDVI])
+        _, observed, usable = stack.fill_cells(0, slice(None))
         assert observed.all() and usable.all()
-        _, observed, usable = stack.fill_cells(0, slice(None), [FeatureName.EVI])
+        stack = SceneStack.from_manifests(scenes, [FeatureName.EVI])
+        _, observed, usable = stack.fill_cells(0, slice(None))
         assert not observed[0].any() and observed[1].all()
         assert usable.tolist() == [False, True]
 
@@ -760,18 +762,41 @@ class TestFeatureStack:
         dates = self.dates(2)
         scenes = [uniform_scene(tmp_path, d, 0.5) for d in dates]
         with pytest.raises(DataValidationError):
-            SceneStack.from_manifests(list(reversed(scenes)))
+            SceneStack.from_manifests(list(reversed(scenes)), [FeatureName.NIR])
 
     def test_duplicate_dates_rejected(self, tmp_path):
         date = self.dates(1)[0]
         scenes = [uniform_scene(tmp_path / str(i), date, 0.5) for i in range(2)]
         with pytest.raises(DataValidationError):
-            SceneStack.from_manifests(scenes)
+            SceneStack.from_manifests(scenes, [FeatureName.NIR])
 
     def test_empty_feature_list_rejected(self, tmp_path):
         scenes = [uniform_scene(tmp_path, d, 0.5) for d in self.dates(3)]
         with pytest.raises(DataValidationError):
-            SceneStack.from_manifests(scenes).fill_cells(0, 0, [])
+            SceneStack.from_manifests(scenes, [])
+
+    def test_repeated_feature_rejected_naming_it(self, tmp_path):
+        scenes = [uniform_scene(tmp_path, d, 0.5) for d in self.dates(2)]
+        features = [FeatureName.EVI, FeatureName.NIR, FeatureName.EVI]
+        with pytest.raises(DataValidationError, match="feature EVI is listed twice"):
+            SceneStack.from_manifests(scenes, features)
+
+    def test_band_no_feature_needs_is_not_read(self, tmp_path):
+        """An NDVI stack reads NIR and Red only, so a corrupt Green grid
+        does not stop it from building."""
+        scenes = [uniform_scene(tmp_path, d, 0.5) for d in self.dates(2)]
+        Path(scenes[1].band_paths["Green"]).write_text("not a grid\n")
+        stack = SceneStack.from_manifests(scenes, [FeatureName.NDVI])
+        _, observed, usable = stack.fill_cells(0, 0)
+        assert observed.all() and usable
+
+    def test_corrupt_band_a_feature_needs_fails_the_build(self, tmp_path):
+        scenes = [uniform_scene(tmp_path, d, 0.5) for d in self.dates(2)]
+        nir = scenes[1].band_paths["NIR"]
+        Path(nir).write_text("not a grid\n")
+        with pytest.raises(GridFormatError) as err:
+            SceneStack.from_manifests(scenes, [FeatureName.NDVI])
+        assert nir in str(err.value)
 
 
 @st.composite
@@ -801,10 +826,8 @@ class TestGapFillOracle:
                 bands["NIR"] = nir[t]
                 qa = np.where(clear[t], 0.0, 1.0)
                 scenes.append(write_scene(Path(tmp) / str(t), date, bands, qa))
-            stack = SceneStack.from_manifests(scenes)
-            matrix, observed, usable = stack.fill_cells(
-                slice(None), slice(None), [FeatureName.NIR]
-            )
+            stack = SceneStack.from_manifests(scenes, [FeatureName.NIR])
+            matrix, observed, usable = stack.fill_cells(slice(None), slice(None))
         x = np.array([start.toordinal() + d for d in days], dtype=np.float64)
         np.testing.assert_array_equal(observed[..., 0], np.moveaxis(clear, 0, -1))
         np.testing.assert_array_equal(usable, clear.any(axis=0))
