@@ -527,12 +527,16 @@ def _cmd_train_mapper(run: _Run):
     stack = SceneStack.from_manifests(_scene_manifests(run), _selected_features(run))
     base_cfg = cfg.train_config(default_epochs=20)
     sweep = cfg["net.dropout_grid"]
-    results = [
-        (rate, cropmapper.train_pixel_classifier(
-            points, stack, cfg.taxonomy, replace(base_cfg, dropout_rate=rate)
-        ))
-        for rate in sweep or (base_cfg.dropout_rate,)
-    ]
+    for rate in sweep or ():
+        if not 0.0 <= rate < 1.0:
+            raise DataValidationError(f"net.dropout_grid rate {rate} must be in [0, 1)")
+    rates = sweep or (base_cfg.dropout_rate,)
+
+    def train_at(k):
+        rate_cfg = replace(base_cfg, dropout_rate=rates[k])
+        return cropmapper.train_pixel_classifier(points, stack, cfg.taxonomy, rate_cfg)
+
+    results = list(zip(rates, neuralnet._fan_out(train_at, len(rates))))
     best_rate, result = max(results, key=lambda t: t[1].history[-1])
     if sweep:
         rows = "".join(f"{rate},{r.history[-1]:.6f}\n" for rate, r in results)

@@ -125,7 +125,8 @@ def forward_select(
     candidate in the FeatureName enumeration. All candidates within a
     step share one seed, so comparisons are not confounded by
     initialization noise. Points unusable for any candidate are dropped
-    up front so every model sees identical samples.
+    up front so every model sees identical samples. A step's candidates
+    train in parallel, one per worker process (:func:`neuralnet._fan_out`).
     """
     candidates = stack.features
     if len(candidates) < 2:
@@ -144,14 +145,16 @@ def forward_select(
     while remaining:
         step_seed = cfg.seed + 7919 * (len(selected) + 1)
         step_cfg = replace(cfg, seed=step_seed)
-        accuracies: dict[FeatureName, float] = {}
-        for candidate in remaining:
-            cols = [candidates.index(f) for f in selected + [candidate]]
+
+        def final_accuracy(k):
+            cols = [candidates.index(f) for f in selected + [remaining[k]]]
             _, history = _train_once(
                 x_all[..., cols], y, train_idx, val_idx, len(taxonomy), step_cfg
             )
-            accuracies[candidate] = history[-1]
-            models += 1
+            return history[-1]
+
+        accuracies = dict(zip(remaining, neuralnet._fan_out(final_accuracy, len(remaining))))
+        models += len(remaining)
         step_accuracies.append(accuracies)
         best = max(remaining, key=lambda f: accuracies[f])  # first max wins ties
         if accuracies[best] > incumbent:
@@ -214,9 +217,9 @@ def predict_crop_map(
     Pixels without a single valid observation for some feature become
     nodata. The output grid keeps the scenes' cell size and alignment.
     Rows are gap-filled in blocks of about ``batch_size`` pixels, spread
-    over one thread per usable CPU; each thread predicts its blocks in
-    batches of its share of the network's inference batch and writes only
-    their rows.
+    over worker processes (:func:`neuralnet._fan_out`); each worker
+    predicts its blocks in batches of its share of the network's inference
+    batch and returns their labels.
     """
     expected = (1, stack.n_scenes, len(stack.features))
     if tuple(net.spec.input_shape) != expected:
@@ -239,21 +242,21 @@ def predict_crop_map(
         raise DataValidationError("extent does not cover any scene pixels")
     r0, r1 = rows[0], rows[-1]
     c0, c1 = cols[0], cols[-1]
-    out = np.full((r1 - r0 + 1, c1 - c0 + 1), t.nodata)
     # row blocks of about batch_size pixels each bound the memory in use
-    block_rows = max(1, batch_size // out.shape[1])
+    block_rows = max(1, batch_size // (c1 - c0 + 1))
     tops = range(r0, r1 + 1, block_rows)
     inference_batch = neuralnet._worker_batch(net, len(tops))
 
     def fill_and_predict(k):
-        top = tops[k]
-        bottom = min(top + block_rows, r1 + 1)
-        matrix, _, usable = stack.fill_cells(slice(top, bottom), slice(c0, c1 + 1))
+        bottom = min(tops[k] + block_rows, r1 + 1)
+        matrix, _, usable = stack.fill_cells(slice(tops[k], bottom), slice(c0, c1 + 1))
+        block = np.full(usable.shape, t.nodata)
         if usable.any():
             labels, _ = neuralnet.predict_batch(net, matrix[usable][:, None], inference_batch)
-            out[top - r0 : bottom - r0][usable] = labels
+            block[usable] = labels
+        return block
 
-    neuralnet._fan_out(fill_and_predict, len(tops))
+    out = np.concatenate(neuralnet._fan_out(fill_and_predict, len(tops)))
     grid = RasterGrid(
         ncols=out.shape[1],
         nrows=out.shape[0],

@@ -15,7 +15,7 @@ file relative to the catalog; an empty label marks an image nobody has
 labeled yet (the fetched campaign). Reading a catalog decodes nothing:
 each record keeps only its file's path, so stages that only filter or
 shift images never touch pixels. Stages that feed images to the network
-decode them with ``record.read_image()``, one batch per thread at a time,
+decode them with ``record.read_image()``, one batch per worker at a time,
 and keep none.
 """
 
@@ -182,25 +182,25 @@ def train_image_classifier(
 def classify_images(net: Network, images: Sequence[StreetImageRecord]) -> list[LabeledImage]:
     """One LabeledImage per input record, order preserved.
 
-    Images are decoded and predicted in chunks, spread over one thread per
-    usable CPU; a chunk is that thread's share of ``net.inference_batch``.
-    A record that held no pixels holds none afterwards, so memory does not
-    grow with the number of images.
+    Images are decoded and predicted in chunks, spread over worker
+    processes (:func:`neuralnet._fan_out`); a chunk is one worker's share
+    of ``net.inference_batch``, and only its labels and confidences come
+    back, so each LabeledImage holds the caller's own record. A record
+    that held no pixels holds none afterwards, so memory does not grow
+    with the number of images.
     """
     step = neuralnet._worker_batch(net, len(images))
     starts = range(0, len(images), step)
-    chunks: list[list[LabeledImage]] = [[] for _ in starts]
 
     def decode_and_predict(k):
-        chunk = images[starts[k] : starts[k] + step]
-        labels, confidences = neuralnet.predict_batch(net, _image_batch(chunk))
-        chunks[k] = [
-            LabeledImage(rec, int(label), float(conf))
-            for rec, label, conf in zip(chunk, labels, confidences)
-        ]
+        labels, confidences = neuralnet.predict_batch(
+            net, _image_batch(images[starts[k] : starts[k] + step])
+        )
+        return list(zip(labels.tolist(), confidences.tolist()))
 
-    neuralnet._fan_out(decode_and_predict, len(starts))
-    return [li for chunk in chunks for li in chunk]
+    chunks = neuralnet._fan_out(decode_and_predict, len(starts))
+    predictions = [p for chunk in chunks for p in chunk]
+    return [LabeledImage(rec, label, conf) for rec, (label, conf) in zip(images, predictions)]
 
 
 def qc_filter(

@@ -31,12 +31,16 @@ im2col columns of the widest conv. That is 43 images for the default
 image net and 364 pixels for the default pixel net on ten scenes of two
 features. A probability may move in its last bits with the batch size,
 because BLAS takes another path for a ragged edge tile of a GEMM, so
-only a tie to within those bits could change a label. The map and image
-classifiers spread their inference over one thread per CPU the process
-may use (:func:`_fan_out`); those threads share the one budget, each
-predicting in batches of ``inference_batch // W`` for ``W`` threads, so
-outputs depend on ``W`` only in those last bits. Training stays on the
-calling thread.
+only a tie to within those bits could change a label.
+
+Independent items run on ``W`` forked worker processes
+(:func:`_fan_out`): a forward-selection step's candidates, a dropout
+sweep's rates, the map's row blocks and the image classifier's chunks.
+Workers and BLAS threads share the CPUs the process may use, so ``W`` is
+those CPUs over BLAS's threads (:func:`_workers`); with BLAS unpinned
+that is 1 and everything runs inline. Inference workers share the one
+budget, each predicting in batches of ``inference_batch // W``, so
+outputs depend on ``W`` only in those last bits.
 
 Everything runs in double precision; gradient correctness is checked
 against central finite differences (:func:`gradient_check`).
@@ -47,6 +51,9 @@ from __future__ import annotations
 import io
 import math
 import os
+import pickle
+import re
+import traceback
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Union
@@ -151,6 +158,9 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """How :func:`train` runs. Each error names the ``net.*`` config key
+    that sets the field at fault."""
+
     epochs: int = 20
     learning_rate: float = 0.01
     momentum: float = 0.9
@@ -161,15 +171,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise DataValidationError("epochs must be >= 1")
+            raise DataValidationError("net.epochs must be >= 1")
         if self.learning_rate <= 0:
-            raise DataValidationError("learning rate must be > 0")
+            raise DataValidationError("net.learning_rate must be > 0")
         if not (0.0 <= self.momentum < 1.0):
-            raise DataValidationError("momentum must be in [0, 1)")
+            raise DataValidationError("net.momentum must be in [0, 1)")
         if self.batch_size < 1:
-            raise DataValidationError("batch size must be >= 1")
+            raise DataValidationError("net.batch_size must be >= 1")
         if not (0.0 <= self.dropout_rate < 1.0):
-            raise DataValidationError("dropout rate must be in [0, 1)")
+            raise DataValidationError("net.dropout_rate must be in [0, 1)")
 
 
 # --------------------------------------------------------------------------
@@ -578,9 +588,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+#: The variables OpenBLAS takes its thread count from, in the order it reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads() -> int:
+    """Threads BLAS runs a GEMM on, read as OpenBLAS reads them: the first of
+    :data:`_BLAS_THREAD_VARS` whose value starts with a positive integer (as
+    C's ``atoi`` reads it); with none, BLAS uses every usable CPU."""
+    for name in _BLAS_THREAD_VARS:
+        lead = re.match(r"\s*\+?([0-9]+)", os.environ.get(name, ""))
+        if lead and int(lead[1]) > 0:
+            return int(lead[1])
+    return _usable_cpus()
+
+
 def _workers(n: int) -> int:
-    """Threads :func:`_fan_out` runs ``n`` items on: one per usable CPU, at most ``n``."""
-    return max(1, min(_usable_cpus(), n))
+    """Processes :func:`_fan_out` runs ``n`` items on: as many as the usable
+    CPUs hold beside each one's BLAS threads, at least 1 and at most ``n``."""
+    return max(1, min(n, _usable_cpus() // _blas_threads()))
 
 
 def _worker_batch(net: Network, n: int) -> int:
@@ -589,40 +615,89 @@ def _worker_batch(net: Network, n: int) -> int:
     return max(1, net.inference_batch // _workers(n))
 
 
-def _fan_out(work, n: int) -> None:
-    """Run ``work(k)`` for every ``k`` in ``range(n)`` on ``W = _workers(n)`` threads.
+def _run_items(work, first: int, n: int, step: int):
+    """``(values, failure)``: ``work(k)`` for ``k = first, first + step, ...``
+    below ``n`` up to the first error, which ``failure`` holds as ``(k, exc)``."""
+    values = []
+    for k in range(first, n, step):
+        try:
+            values.append(work(k))
+        except Exception as exc:
+            return values, (k, exc)
+    return values, None
 
-    The calling thread takes ``k = 0, W, 2W, ...`` and ``W - 1`` helper
-    threads, from a pool made for this call, take the rest; each worker
-    runs its items in ascending order and stops at its first error. Every
-    helper is joined before this returns, and the error of the lowest
-    failing ``k`` is raised on the calling thread. With ``W = 1`` the items
-    run inline and no thread is started. Inference callers share
-    ``INFERENCE_BUDGET_BYTES`` by predicting in batches of
-    :func:`_worker_batch`.
+
+def _fan_out(work, n: int) -> list:
+    """``[work(k) for k in range(n)]``, spread over ``W = _workers(n)`` processes.
+
+    The calling process runs ``k = 0, W, 2W, ...`` and ``W - 1`` children,
+    forked for this call, run the rest; each runs its items in ascending
+    order up to its first error, and a child sends its values back pickled
+    over a pipe. So ``work`` reads whatever the caller holds, but only what
+    it returns comes back. The error of the lowest failing ``k`` is raised
+    with its type and message. A child that ends without reporting (killed
+    by a signal, or ``os._exit``) counts as failing at its first item, with
+    a :class:`ChildProcessError` naming its items and wait status. Every
+    child is reaped before this returns or raises. With ``W = 1``, or where
+    ``os.fork`` does not exist, the items run inline and nothing is forked.
+    Inference callers share ``INFERENCE_BUDGET_BYTES`` by predicting in
+    batches of :func:`_worker_batch`.
+
+    A fork copies only the calling thread. The package starts no thread,
+    and OpenBLAS shuts its thread pool down before a fork
+    (``pthread_atfork``), so a child holds no lock another thread took.
     """
-    w = _workers(n)
+    w = _workers(n) if hasattr(os, "fork") else 1
     if w == 1:
-        for k in range(n):
-            work(k)
-        return
-    # imported here: at module level it adds about 5 ms to the CLI's import (2-vCPU x86-64)
-    from concurrent.futures import ThreadPoolExecutor
-
-    def run(first):
-        for k in range(first, n, w):
+        return [work(k) for k in range(n)]
+    children = []  # (first item, pid, read end of its pipe)
+    reports, statuses = {}, {}
+    try:
+        for first in range(1, w):
+            read_end, write_end = os.pipe()
             try:
-                work(k)
-            except Exception as exc:
-                return k, exc
-        return None
-
-    with ThreadPoolExecutor(w - 1) as pool:
-        helpers = [pool.submit(run, first) for first in range(1, w)]
-        failures = [run(0)] + [helper.result() for helper in helpers]
-    failures = [f for f in failures if f is not None]
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the child reports, then exits without unwinding into the caller
+                status = 1
+                try:
+                    for fd in [read_end] + [r for _, _, r in children]:
+                        os.close(fd)
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(_run_items(work, first, n, w), pipe)
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((first, pid, read_end))
+        reports[0] = _run_items(work, 0, n, w)
+        for first, _, read_end in children:  # to EOF: the child closes its end when done
+            reports[first] = b"".join(iter(lambda: os.read(read_end, 1 << 20), b""))
+    finally:
+        for first, pid, read_end in children:
+            os.close(read_end)  # a child still writing gets EPIPE and exits
+            statuses[first] = os.waitpid(pid, 0)[1]
+    outcomes = [reports[0]]
+    for first, _, _ in children:
+        if statuses[first] == 0:
+            outcomes.append(pickle.loads(reports[first]))
+        else:
+            items = ", ".join(map(str, range(first, n, w)))
+            outcomes.append(([], (first, ChildProcessError(
+                f"worker for items {items} ended with wait status {statuses[first]}"
+            ))))
+    failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
+    values = [None] * n
+    for first, (done, _) in enumerate(outcomes):
+        values[first::w] = done
+    return values
 
 
 def accuracy(net: Network, x: np.ndarray, labels: np.ndarray) -> float:

@@ -479,7 +479,7 @@ class SceneStack:
 
     :meth:`from_manifests` reads every grid the features need and builds
     each feature's (values, observed) cube; after that the stack reads no
-    file and changes no state, so threads may share it. A feature is
+    file and changes no state, so forked workers read it as built. A feature is
     observed in a cell where the QA is clear (0), none of the feature's
     own bands is nodata and, for an index, the denominator is usable.
     """

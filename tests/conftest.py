@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from streetcrop.geocore import Heading, ShiftParams
 from streetcrop.imageclassifier import ILLINOIS, LabeledImage
 from streetcrop.imagery import StreetImageRecord
 from streetcrop.rasterstack import BAND_NAMES, RasterGrid, SceneManifest, write_grid, write_manifest
-from streetcrop import synthworld
+from streetcrop import neuralnet, synthworld
 
 
 def make_grid(values, xll=0.0, yll=0.0, cellsize=0.001, nodata=-9999.0) -> RasterGrid:
@@ -41,6 +42,19 @@ def write_scene(directory, date, band_values, qa_values, **grid_kwargs) -> Scene
         {b: str(directory / p) for b, p in band_paths.items()},
         str(directory / qa_name),
     )
+
+
+def force_workers(monkeypatch, n):
+    """Make ``neuralnet._fan_out`` run on ``n`` workers (at most one per
+    item): ``n`` usable CPUs with one BLAS thread each, not read from the host."""
+    monkeypatch.setattr(neuralnet, "_usable_cpus", lambda: n)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def assert_no_child_left():
+    """Every process a fan-out forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def kept_images_from_world(world, stride=2, seed=1):

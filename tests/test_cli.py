@@ -1,5 +1,5 @@
-import concurrent.futures
 import hashlib
+import os
 import re
 import shutil
 from pathlib import Path
@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import BYTE_EDITS, make_grid, mutate_bytes, spoiled
+from conftest import (
+    BYTE_EDITS,
+    assert_no_child_left,
+    force_workers,
+    make_grid,
+    mutate_bytes,
+    spoiled,
+)
 from streetcrop import cli, neuralnet
 from streetcrop.cli import RunConfig, run_command
 from streetcrop.errors import UsageError
@@ -652,44 +659,107 @@ def test_world_config_error_names_the_key(tmp_path, capsys, line, message):
     assert not (out / "world").exists()
 
 
+#: What the fanned-out stages write: classify-images, select-features, train-mapper and map.
+FANNED_OUT = (
+    "classified.csv",
+    "selection.txt",
+    "selection.csv",
+    "dropout_sweep.csv",
+    "pixel_model.rtnn",
+    "crop_map.grid",
+)
+
+
 @pytest.fixture(scope="module")
 def serial_chain(tmp_path_factory):
-    """The whole chain on one thread: (config, out, classified.csv and crop_map.grid bytes)."""
+    """The whole chain, with a dropout sweep, on one worker: (config, out,
+    the bytes of each file of :data:`FANNED_OUT`)."""
     base = tmp_path_factory.mktemp("serial")
     config = base / "run.cfg"
-    config.write_text(MINI_CONFIG)
+    config.write_text(MINI_CONFIG + "net.dropout_grid = 0.1,0.3\n")
     out = base / "run"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neuralnet, "_usable_cpus", lambda: 1)
-        mp.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # one worker makes no pool
+        force_workers(mp, 1)
+        mp.setattr(os, "fork", None)  # one worker forks nothing
         for command in cli.COMMANDS:
             assert run_command([command, "--config", str(config), "--out", str(out)]) == 0
-    return config, out, (out / "classified.csv").read_bytes(), (out / "crop_map.grid").read_bytes()
+    return config, out, {name: (out / name).read_bytes() for name in FANNED_OUT}
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_worker_count_leaves_the_outputs_byte_equal(serial_chain, monkeypatch, cpus):
-    config, out, classified, crop_map = serial_chain
-    monkeypatch.setattr(neuralnet, "_usable_cpus", lambda: cpus)
-    for command in ("classify-images", "map"):
+    config, out, serial = serial_chain
+    force_workers(monkeypatch, cpus)
+    for command in ("classify-images", "select-features", "train-mapper", "map"):
         assert run_command([command, "--config", str(config), "--out", str(out)]) == 0
-    assert (out / "classified.csv").read_bytes() == classified
-    assert (out / "crop_map.grid").read_bytes() == crop_map
+        assert_no_child_left()
+    assert (out / "classified.csv").read_bytes() == serial["classified.csv"]
+    assert (out / "crop_map.grid").read_bytes() == serial["crop_map.grid"]
+    assert {name: (out / name).read_bytes() for name in FANNED_OUT} == serial
 
 
 def test_truncated_image_in_a_helper_chunk_is_data_error(
     serial_chain, tmp_path, monkeypatch, capsys
 ):
-    """412 campaign images go in 21-image chunks on two workers; chunk 1 is the helper's."""
-    config, out, _, _ = serial_chain
+    """412 campaign images go in 21-image chunks on two workers; chunk 1 is the child's."""
+    config, out, _ = serial_chain
     copy = tmp_path / "run"
     shutil.copytree(out, copy)
     rows = (copy / "campaign.csv").read_text().splitlines()
     broken = copy / rows[1 + 25].split(",")[1]
     broken.write_bytes(broken.read_bytes()[:-5])
-    monkeypatch.setattr(neuralnet, "_usable_cpus", lambda: 2)
+    force_workers(monkeypatch, 2)
     assert run_command(["classify-images", "--config", str(config), "--out", str(copy)]) == 2
     assert f"{broken}: payload is" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+def test_a_dead_worker_is_data_error(serial_chain, tmp_path, monkeypatch, capsys):
+    """A child that dies mid-stage is an ``OSError`` to the CLI: exit 2."""
+    parent, predict_batch = os.getpid(), neuralnet.predict_batch
+
+    def dying_predict_batch(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return predict_batch(*args)
+
+    config, out, serial = serial_chain
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    monkeypatch.setattr(neuralnet, "predict_batch", dying_predict_batch)
+    force_workers(monkeypatch, 2)
+    assert run_command(["classify-images", "--config", str(config), "--out", str(copy)]) == 2
+    assert "data error: worker for items 1, 3, 5," in capsys.readouterr().err
+    assert (copy / "classified.csv").read_bytes() == serial["classified.csv"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("net.epochs = 0", "net.epochs must be >= 1"),
+        ("net.learning_rate = 0", "net.learning_rate must be > 0"),
+        ("net.momentum = 1", "net.momentum must be in [0, 1)"),
+        ("net.batch_size = 0", "net.batch_size must be >= 1"),
+        ("net.dropout_rate = 1", "net.dropout_rate must be in [0, 1)"),
+        ("net.dropout_grid = 0.1,1.5", "net.dropout_grid rate 1.5 must be in [0, 1)"),
+    ],
+    ids=["epochs", "learning_rate", "momentum", "batch_size", "dropout_rate", "dropout_grid"],
+)
+def test_train_config_error_names_the_key(serial_chain, tmp_path, capsys, line, message):
+    config, out, _ = serial_chain
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(
+        config.read_text()
+        + f"paths.refs_csv = {out / 'refs.csv'}\n"
+        + f"paths.scenes = {out / 'world' / 'scenes'}\n"
+        + f"paths.selection = {out / 'selection.csv'}\n"
+        + line + "\n"
+    )
+    bad_out = tmp_path / "out"
+    assert run_command(["train-mapper", "--config", str(bad), "--out", str(bad_out)]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not (bad_out / "pixel_model.rtnn").exists()
 
 
 def test_every_written_grid_has_a_verified_twin(tmp_path):

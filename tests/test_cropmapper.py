@@ -1,10 +1,16 @@
 import datetime
-import threading
 
 import numpy as np
 import pytest
 
-from conftest import kept_images_from_world, make_grid, world_shift_params, write_scene
+from conftest import (
+    assert_no_child_left,
+    force_workers,
+    kept_images_from_world,
+    make_grid,
+    world_shift_params,
+    write_scene,
+)
 from streetcrop import neuralnet as nn
 from streetcrop import rasterstack
 from streetcrop.cropmapper import (
@@ -189,7 +195,7 @@ def test_a_built_stack_reads_no_grid(tmp_path, monkeypatch):
         trained = train_pixel_classifier(points, stack, TWO_CLASS, FAST_CFG)
         out += [trained.history, trained.confusion.counts]
         for cpus in (2, 3):
-            monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
+            force_workers(monkeypatch, cpus)
             crop_map = predict_crop_map(trained.net, stack, extent, TWO_CLASS, batch_size=16)
             out.append(crop_map.grid.values)
         return out
@@ -254,12 +260,11 @@ class TestPredictCropMap:
     ):
         world, stack, _, result = il_pipeline
         args = (result.net, stack, world.cfg.extent, ILLINOIS, batch_size)
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+        force_workers(monkeypatch, 1)
         serial = predict_crop_map(*args)
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
-        before = threading.active_count()
+        force_workers(monkeypatch, cpus)
         spread = predict_crop_map(*args)
-        assert threading.active_count() == before
+        assert_no_child_left()
         np.testing.assert_array_equal(spread.grid.values, serial.grid.values)
 
     def test_feature_mismatch_rejected(self, il_pipeline, il_scenes):

@@ -1,5 +1,4 @@
 import datetime
-import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate_csv_cell
+from conftest import assert_no_child_left, force_workers, mutate_csv_cell
 from streetcrop import neuralnet as nn
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import GeoPoint, Heading
@@ -230,13 +229,13 @@ class TestClassifyImages:
         """100 images in chunks of 43, 21 or 14: labels equal, confidences to the last bits."""
         records = [li.record for li in fake_labeled(100, 0, size=32)]
         net = nn.build_network(nn.default_image_spec((3, 32, 32), 3), seed=0)
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+        force_workers(monkeypatch, 1)
         serial = classify_images(net, records)
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
-        before = threading.active_count()
+        force_workers(monkeypatch, cpus)
         spread = classify_images(net, records)
-        assert threading.active_count() == before
+        assert_no_child_left()
         assert [li.record.id for li in spread] == [r.id for r in records]
+        assert all(li.record is r for li, r in zip(spread, records))  # the caller's own records
         assert [li.label for li in spread] == [li.label for li in serial]
         np.testing.assert_allclose(
             [li.confidence for li in spread], [li.confidence for li in serial], rtol=0, atol=1e-15
@@ -251,11 +250,10 @@ class TestClassifyImages:
         broken = tmp_path / "img_25.ppm"  # chunk 1 of 21-image chunks: the helper's
         broken.write_bytes(broken.read_bytes()[:-5])
         net = nn.build_network(nn.default_image_spec((3, 32, 32), 3), seed=0)
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-        before = threading.active_count()
+        force_workers(monkeypatch, 2)
         with pytest.raises(ImageDecodeError, match="img_25.ppm: payload is"):
             classify_images(net, records)
-        assert threading.active_count() == before
+        assert_no_child_left()
 
     def test_mixed_image_sizes_are_data_error(self):
         records = [li.record for li in fake_labeled(2, 0) + fake_labeled(1, 0, start=5, size=9)]

@@ -1,13 +1,13 @@
-import concurrent.futures
+import contextlib
 import math
-import sys
-import threading
+import os
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import BYTE_EDITS, mutate_bytes
+from conftest import BYTE_EDITS, assert_no_child_left, force_workers, mutate_bytes
 from streetcrop import neuralnet as nn
 from streetcrop.errors import DataValidationError
 from streetcrop.neuralnet import (
@@ -328,71 +328,138 @@ class TestInference:
             net.layers[0].backward(np.ones((4, 3, 6, 6)))
 
 
-class TestFanOut:
-    """``_fan_out`` with the usable CPUs forced to a count, not read from the host."""
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds``."""
 
-    @staticmethod
-    def force_cpus(monkeypatch, n):
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: n)
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestFanOut:
+    """``_fan_out`` with the workers forced to a count, not read from the host."""
 
     def test_calling_thread_takes_every_wth_item(self, monkeypatch):
-        self.force_cpus(monkeypatch, 3)
-        owner = {}
+        force_workers(monkeypatch, 3)
+        owners = nn._fan_out(lambda k: os.getpid(), 10)
+        assert_no_child_left()
+        assert [k for k, pid in enumerate(owners) if pid == os.getpid()] == [0, 3, 6, 9]
+        assert owners[1] == owners[4] == owners[7] != owners[2] == owners[5] == owners[8]
+        assert os.getpid() not in (owners[1], owners[2])
 
-        def work(k):
-            owner[k] = threading.get_ident()
-
-        nn._fan_out(work, 10)
-        assert sorted(owner) == list(range(10))
-        assert {k for k, ident in owner.items() if ident == threading.get_ident()} == {0, 3, 6, 9}
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_values_come_back_in_item_order(self, monkeypatch, workers):
+        force_workers(monkeypatch, workers)
+        values = nn._fan_out(lambda k: (k, np.full(k, k / 3)), 7)
+        assert_no_child_left()
+        assert [k for k, _ in values] == list(range(7))
+        for k, array in values:
+            np.testing.assert_array_equal(array, np.full(k, k / 3))
+        assert nn._fan_out(lambda k: k, 0) == []
 
     def test_one_worker_runs_inline_without_a_pool(self, monkeypatch):
-        self.force_cpus(monkeypatch, 1)
+        force_workers(monkeypatch, 1)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was made")
+        def no_fork():
+            raise AssertionError("a process was forked")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         seen = []
-        nn._fan_out(seen.append, 5)
+        assert nn._fan_out(lambda k: seen.append(k) or -k, 5) == [0, -1, -2, -3, -4]
         assert seen == [0, 1, 2, 3, 4]
+
+    def test_a_platform_without_fork_runs_inline(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        assert nn._fan_out(lambda k: os.getpid(), 4) == [os.getpid()] * 4
 
     @pytest.mark.parametrize("cpus,n,expected", [(4, 0, 1), (4, 2, 2), (2, 9, 2), (1, 9, 1)])
     def test_workers_are_capped_at_the_items(self, monkeypatch, cpus, n, expected):
-        self.force_cpus(monkeypatch, cpus)
+        force_workers(monkeypatch, cpus)
         assert nn._workers(n) == expected
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_lowest_failing_item_raises_and_every_thread_is_joined(self, monkeypatch, cpus):
-        self.force_cpus(monkeypatch, cpus)
-        before = threading.active_count()
+    @pytest.mark.parametrize(
+        "env,expected",
+        [
+            ({}, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "abc"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+        ],
+        ids=["unset", "1", "2", "3", "0", "abc", "0-goto2", "abc-omp1", "4-omp1"],
+    )
+    def test_workers_leave_the_blas_threads_their_cpus(self, monkeypatch, env, expected):
+        """Four usable CPUs; BLAS threads as OpenBLAS reads them, every CPU when unset."""
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 4)
+        for name in nn._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert nn._workers(9) == expected
 
-        def work(k):  # at two or three workers, a helper holds the lowest failing item
-            if k in (5, 6, 7):
-                raise ValueError(f"item {k}")
+    @pytest.mark.parametrize("failing,lowest", [((5, 6, 7), 5), ((6, 7), 6)], ids=["child", "caller"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_failing_item_raises_and_every_child_is_reaped(
+        self, monkeypatch, workers, failing, lowest
+    ):
+        """At two or three workers, item 5 is a child's and item 6 the caller's."""
+        force_workers(monkeypatch, workers)
 
-        with pytest.raises(ValueError, match="item 5"):
-            nn._fan_out(work, 9)
-        assert threading.active_count() == before
-        nn._fan_out(lambda k: None, 9)
-        assert threading.active_count() == before
+        def work(k):
+            if k in failing:
+                raise nn.TrainingDivergedError(f"item {k}")
+            return k
+
+        with deadline(30):
+            with pytest.raises(nn.TrainingDivergedError) as raised:
+                nn._fan_out(work, 9)
+            assert_no_child_left()
+            assert type(raised.value) is nn.TrainingDivergedError
+            assert str(raised.value) == f"item {lowest}"
+            assert nn._fan_out(lambda k: k, 9) == list(range(9))
+            assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "die,status",
+        [(lambda: os._exit(1), 256), (lambda: os.kill(os.getpid(), signal.SIGKILL), 9)],
+        ids=["exit-1", "sigkill"],
+    )
+    def test_a_dead_child_raises_child_process_error(self, monkeypatch, die, status):
+        force_workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        def work(k):
+            if k == 4 and os.getpid() != parent:
+                die()
+            return k
+
+        with deadline(30):
+            with pytest.raises(
+                ChildProcessError, match=f"items 1, 4, 7 ended with wait status {status}$"
+            ):
+                nn._fan_out(work, 9)
+        assert_no_child_left()
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
-        """Eight workers switching every microsecond: every item runs exactly once."""
-        self.force_cpus(monkeypatch, 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            counts = [0] * 2000
-
-            def work(k):
-                counts[k] += 1
-
+        """Eight workers, five times over: every item's value comes back once, in order."""
+        force_workers(monkeypatch, 8)
+        with deadline(60):
             for _ in range(5):
-                nn._fan_out(work, len(counts))
-        finally:
-            sys.setswitchinterval(interval)
-        assert counts == [5] * 2000
+                assert nn._fan_out(lambda k: k * k, 2000) == [k * k for k in range(2000)]
+                assert_no_child_left()
 
 
 class TestDropout:
