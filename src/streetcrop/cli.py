@@ -12,10 +12,10 @@ where a human edits the rejection list consumed by ``qc``.
 
 Config files are flat ``key = value`` text with section prefixes
 (``shift.road_width_y_m = 12``). :data:`CONFIG_KEYS` holds every key with
-its parser and default; an unknown key or a malformed value is a usage
-error before any command runs. A ``paths.*`` key locates an artifact
-that chains stages, by default under ``--out``; a configured path
-resolves against the config file's directory. Every command writes a
+its parser and default; an unknown key, a malformed value or a key set
+twice is a usage error before any command runs. A ``paths.*`` key
+locates an artifact that chains stages, by default under ``--out``; a
+configured path resolves against the config file's directory. Every command writes a
 ``<command>.manifest`` recording the config hash, seed and input/output
 paths; rerunning a command with identical config, seed and inputs
 reproduces its artifacts byte for byte.
@@ -173,6 +173,7 @@ class RunConfig(dict):
         path = Path(path)
         text = read_input_text(path, "config", UsageError)
         cfg = cls({k: None if d is None else parse(d) for k, (parse, d) in CONFIG_KEYS.items()})
+        lines: dict[str, int] = {}  # key -> the line that set it
         for n, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -186,6 +187,9 @@ class RunConfig(dict):
                 value = CONFIG_KEYS[key].parse(raw)
             except ValueError as exc:
                 raise UsageError(f"{path}:{n}: config key {key} {exc}: {raw!r}") from None
+            if key in lines:
+                raise UsageError(f"{path}:{n}: config key {key} already set on line {lines[key]}")
+            lines[key] = n
             cfg[key] = path.parent.resolve() / value if isinstance(value, Path) else value
         if seed is not None:
             cfg["seed"] = seed

@@ -283,12 +283,8 @@ def evaluate_crop_map(crop_map: CropMap, truth: RasterGrid) -> MapEvaluation:
     pred = np.rint(grid.values[both]).astype(np.int64)
     ref = np.rint(truth.values[both]).astype(np.int64)
     cm = confusion_matrix(pred, ref, crop_map.taxonomy.class_names)
-    col_sums = cm.counts.sum(axis=0)
-    keep = [i for i in range(len(cm.class_names)) if col_sums[i] > 0]
-    agreement = AgreementReport(
-        tuple(cm.class_names[i] for i in keep),
-        tuple(int(cm.counts[i, i]) for i in keep),
-        tuple(int(col_sums[i]) for i in keep),
+    agreement = AgreementReport.of_classes(
+        cm.class_names, np.diag(cm.counts).tolist(), cm.counts.sum(axis=0).tolist()
     )
     return MapEvaluation(cm, agreement, area_counts(grid), area_counts(truth))
 

@@ -6,8 +6,8 @@ preconditions derives from :class:`DataValidationError`, so callers
 bugs. The CLI maps :class:`UsageError` to exit 1, :class:`DataValidationError`
 to exit 2 and anything else to exit 3.
 
-Every input file (config, grids, manifests, CSVs, legends, sidecars,
-images and models) is read through :func:`read_input` or
+Every input file (config, grids, manifests, CSVs, legends, images and
+models) is read through :func:`read_input` or
 :func:`read_input_text`. A file that is missing, a directory or otherwise
 unreadable, and text that is not UTF-8, raise the caller's error class
 naming the file, never a bare ``OSError`` or ``UnicodeDecodeError``.

@@ -7,10 +7,10 @@ static street-view API exists behind ``source="live"`` but everything
 else, tests included, runs against a fixture directory.
 
 Fixture layout: ``<lat>_<lon>_<headingDeg>.ppm`` with 6-decimal
-coordinates in ASCII digits, plus an optional ``<same>.meta`` sidecar
-holding ``date=YYYY-MM`` (or ``YYYY-MM-DD``) lines. A
-:class:`FixtureIndex` holds the fixtures as coordinate arrays and
-resolves any number of requests in one array pass.
+coordinates in ASCII digits; a dated fixture's PPM header holds a
+``# date=YYYY-MM`` (or ``YYYY-MM-DD``) comment, and no other file is
+read. A :class:`FixtureIndex` holds the fixtures as coordinate arrays
+and resolves any number of requests in one array pass.
 
 A :class:`StreetImageRecord` read from a fixture or a catalog keeps its
 file's path, not its pixels: :meth:`StreetImageRecord.read_image` decodes
@@ -21,6 +21,7 @@ holds its ``image``.
 from __future__ import annotations
 
 import datetime
+import io
 import os
 import re
 import urllib.error
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, parse_date, parse_int, read_input, read_input_text
+from .errors import DataValidationError, parse_date, parse_int, read_input
 from .geocore import MAX_SUPPORTED_LAT_DEG, METERS_PER_DEGREE, GeoPoint, Heading, geo_distance
 
 #: Maximum camera-to-fixture distance for a fixture to satisfy a request.
@@ -62,9 +63,11 @@ class TransportError(DataValidationError):
 
 @dataclass(frozen=True)
 class ImageTensor:
-    """RGB image with float values in [0, 1], shape (height, width, 3)."""
+    """RGB image with float values in [0, 1], shape (height, width, 3), and
+    the capture date its PPM header carries, if any."""
 
     values: np.ndarray
+    date: datetime.date | None = None
 
     def __post_init__(self):
         v = self.values
@@ -134,24 +137,39 @@ def build_street_request(p: GeoPoint, h: Heading, size_px: tuple[int, int]) -> s
 
 
 def encode_image(img: ImageTensor) -> bytes:
-    """Serialize to binary PPM, quantizing to 1/255 steps."""
+    """Serialize to binary PPM, quantizing to 1/255 steps; a dated image's
+    header holds its year and month as a ``# date=YYYY-MM`` comment."""
     raw = np.rint(img.values * 255.0).astype(np.uint8)
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
+    d = img.date
+    comment = "" if d is None else f"# date={d.year:04d}-{d.month:02d}\n"
+    header = f"P6\n{comment}{img.width} {img.height}\n255\n".encode("ascii")
     return header + raw.tobytes()
 
 
 def decode_image(data: bytes) -> ImageTensor:
-    """Parse a binary PPM (P6, maxval 255) into a unit-range tensor."""
-    if len(data) < 2 or data[:2] != b"P6":
+    """Parse a binary PPM (P6, maxval 255) into a unit-range tensor. Header
+    comments are skipped but for one ``# date=YYYY-MM[-DD]``, the tensor's
+    ``date``; a malformed date or a second date comment is an error."""
+    if data[:2] != b"P6":
         raise ImageDecodeError("bad magic, expected P6")
     pos = 2
     fields = []
+    date = None
     while len(fields) < 3:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
         if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
+            end = data.find(b"\n", pos)
+            if end < 0:
+                raise ImageDecodeError("truncated header")
+            comment, pos = data[pos + 1 : end].lstrip(), end
+            if comment.startswith(b"date="):
+                if date is not None:
+                    raise ImageDecodeError("second date comment in header")
+                try:
+                    date = parse_date(comment[len(b"date=") :].decode("latin-1"), "YYYY-MM[-DD]")
+                except ValueError as exc:
+                    raise ImageDecodeError(f"unparsable date comment: {exc}") from None
             continue
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
@@ -173,7 +191,7 @@ def decode_image(data: bytes) -> ImageTensor:
     if len(payload) != expected:
         raise ImageDecodeError(f"payload is {len(payload)} bytes, expected {expected}")
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return ImageTensor(raw.astype(np.float64) / 255.0)
+    return ImageTensor(raw.astype(np.float64) / 255.0, date)
 
 
 def _decode_file(path: Path, what: str) -> ImageTensor:
@@ -188,7 +206,7 @@ def fixture_filename(p: GeoPoint, h: Heading) -> str:
     return f"{p.lat_deg:.6f}_{p.lon_deg:.6f}_{int(h)}.ppm"
 
 
-_FIXTURE_STEM = re.compile(r"^(-?[0-9]+\.[0-9]{6})_(-?[0-9]+\.[0-9]{6})_([0-9]+)$")
+_FIXTURE_NAME = re.compile(r"(-?[0-9]+\.[0-9]{6})_(-?[0-9]+\.[0-9]{6})_([0-9]+)\.ppm")
 
 
 def write_fixture(
@@ -198,39 +216,19 @@ def write_fixture(
     image: ImageTensor,
     date: datetime.date | None = None,
 ) -> Path:
-    """Store an image (and optional date sidecar) in fixture layout."""
+    """Store an image in fixture layout, ``date`` (if given) in its header."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / fixture_filename(point, heading)
-    path.write_bytes(encode_image(image))
-    if date is not None:
-        path.with_suffix(".meta").write_text(f"date={date.year:04d}-{date.month:02d}\n")
+    path.write_bytes(encode_image(ImageTensor(image.values, date)))
     return path
-
-
-def _read_sidecar_date(ppm_path: Path) -> datetime.date | None:
-    meta = ppm_path.with_suffix(".meta")
-    if not meta.exists():
-        return None
-    for line in read_input_text(meta, "fixture sidecar").splitlines():
-        line = line.strip()
-        if line.startswith("date="):
-            value = line[len("date=") :]
-            try:
-                return parse_date(value, "YYYY-MM[-DD]")
-            except ValueError:
-                raise DataValidationError(f"unparsable date {value!r} in {meta}") from None
-    return None
 
 
 def _scan_fixtures(directory: Path):
     for name in sorted(os.listdir(directory)):
-        if not name.endswith(".ppm"):
-            continue
-        m = _FIXTURE_STEM.match(name[: -len(".ppm")])
-        if m is None:
-            continue
-        yield directory / name, GeoPoint(float(m.group(1)), float(m.group(2))), int(m.group(3))
+        m = _FIXTURE_NAME.fullmatch(name)
+        if m is not None:
+            yield directory / name, GeoPoint(float(m[1]), float(m[2])), int(m[3])
 
 
 _HEADINGS = {int(h) for h in Heading}
@@ -333,15 +331,14 @@ class FixtureIndex:
         return found.reshape(len(points), len(headings))
 
     def record(self, k: int) -> StreetImageRecord:
-        """Fixture ``k`` of :meth:`resolve`, its sidecar read and its image
-        checked by one decode; the record keeps the path, not the pixels."""
+        """Fixture ``k`` of :meth:`resolve`, its image checked and its date
+        read by one decode; the record keeps the path, not the pixels."""
         path = self._paths[k]
-        _decode_file(path, "fixture image")
         return StreetImageRecord(
             id=path.stem,
             capture_point=self._points[k],
             heading=self._headings[k],
-            capture_date=_read_sidecar_date(path),
+            capture_date=_decode_file(path, "fixture image").date,
             path=path,
         )
 
@@ -393,8 +390,6 @@ def _decode_any(data: bytes) -> ImageTensor:
     if data[:2] == b"P6":
         return decode_image(data)
     try:
-        import io
-
         from PIL import Image
     except ImportError as exc:
         raise ImageDecodeError(

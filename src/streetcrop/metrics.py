@@ -121,6 +121,12 @@ class AgreementReport:
             if m > t or m < 0:
                 raise DataValidationError("matching count exceeds total")
 
+    @classmethod
+    def of_classes(cls, class_names, matching, totals) -> "AgreementReport":
+        """The report over the classes with points, from per-class counts."""
+        keep = [i for i, t in enumerate(totals) if t > 0]
+        return cls(*(tuple(v[i] for i in keep) for v in (class_names, matching, totals)))
+
     def fraction(self, cls) -> float:
         idx = self.class_names.index(cls) if isinstance(cls, str) else int(cls)
         if self.totals[idx] == 0:
@@ -158,13 +164,7 @@ def agreement_report(points, truth: RasterGrid, class_names: Sequence[str]) -> t
             matching[label] += 1
         else:
             disagreeing.append(pt)
-    keep = [i for i in range(k) if totals[i] > 0]
-    report = AgreementReport(
-        tuple(class_names[i] for i in keep),
-        tuple(matching[i] for i in keep),
-        tuple(totals[i] for i in keep),
-    )
-    return report, disagreeing
+    return AgreementReport.of_classes(class_names, matching, totals), disagreeing
 
 
 def area_counts(class_map: RasterGrid) -> dict[int, int]:

@@ -398,6 +398,7 @@ def read_manifest(path: str | Path) -> SceneManifest:
     date = scale = None
     band_paths: dict[str, str] = {}
     qa_path = None
+    lines: dict[str, int] = {}  # key -> the line that set it
     text = read_input_text(path, "manifest", GridFormatError)
     for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -406,6 +407,9 @@ def read_manifest(path: str | Path) -> SceneManifest:
         if "=" not in line:
             raise GridFormatError(f"{path}: bad manifest line {n}: {line!r}")
         key, value = line.split("=", 1)
+        if key in lines:
+            raise GridFormatError(f"{path}: line {n}: {key} already set on line {lines[key]}")
+        lines[key] = n
         if key == "date":
             try:
                 date = parse_date(value, "YYYY-MM-DD")

@@ -1,3 +1,4 @@
+import datetime
 import hashlib
 import os
 import re
@@ -16,7 +17,7 @@ from conftest import (
     mutate_bytes,
     spoiled,
 )
-from streetcrop import cli, neuralnet
+from streetcrop import cli, neuralnet, synthworld
 from streetcrop.cli import RunConfig, run_command
 from streetcrop.errors import UsageError
 from streetcrop.geocore import GeoPoint, Heading
@@ -200,6 +201,13 @@ class TestArtifacts:
         assert list((out / "world" / "scenes").glob("*.manifest"))
         assert list((out / "world" / "fixtures").glob("*.ppm"))
 
+    def test_synth_writes_one_file_per_fixture(self, mini_run):
+        _, out = mini_run
+        names = os.listdir(out / "world" / "fixtures")
+        assert names and all(name.endswith(".ppm") for name in names)
+        rows = (out / "campaign.csv").read_text().splitlines()[1:]
+        assert {row.rsplit(",", 1)[1] for row in rows} == {f"{synthworld.CAPTURE_DATE:%Y-%m}"}
+
     def test_manifest_written_per_command(self, mini_run):
         _, out = mini_run
         manifest = (out / "grid.manifest").read_text()
@@ -218,6 +226,48 @@ class TestArtifacts:
         before = (out / "grid.csv").read_bytes()
         assert run_command(["grid", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "grid.csv").read_bytes() == before
+
+
+class TestRepeatedKeys:
+    @pytest.mark.parametrize(
+        "key,text,lines",
+        [
+            ("seed", "bbox = 0.0,0.001,0.0,0.001\nseed = 2\n", (2, 4)),
+            ("grid.spacing_m", "grid.spacing_m = 30\nbbox = 0.0,0.001,0.0,0.001\n"
+             "grid.spacing_m = 50\n", (3, 5)),
+        ],
+        ids=["seed", "grid.spacing_m"],
+    )
+    def test_repeated_config_key_is_usage_error(self, tmp_path, capsys, key, text, lines):
+        config = _config(tmp_path, text)
+        out = tmp_path / "out"
+        assert run_command(["grid", "--config", str(config), "--out", str(out)]) == 1
+        first, second = lines
+        assert f"{config}:{second}: config key {key} already set on line {first}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["date", "band.NIR"])
+    def test_repeated_manifest_key_is_data_error(self, mini_run, tmp_path, capsys, key):
+        config, out = mini_run
+        scenes = tmp_path / "scenes"
+        shutil.copytree(out / "world" / "scenes", scenes)
+        manifest = sorted(scenes.glob("*.manifest"))[0]
+        lines = manifest.read_text().splitlines()
+        first = next(n for n, line in enumerate(lines, start=1) if line.startswith(key + "="))
+        manifest.write_text("\n".join(lines + [lines[first - 1]]) + "\n")
+        refs = tmp_path / "refs.csv"
+        refs.write_text(
+            "lat,lon,label,source_image,confidence,shift_m,extra_steps\n"
+            "0.001,0.001,corn,img_a,,45.0,0\n"
+        )
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config.read_text() + f"paths.refs_csv = {refs}\npaths.scenes = {scenes}\n")
+        code = run_command(["select-features", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        message = f"{manifest}: line {len(lines) + 1}: {key} already set on line {first}"
+        assert message in capsys.readouterr().err
 
 
 class TestPipelineChain:
@@ -280,6 +330,14 @@ def _tiny_catalog(tmp_path, **cells):
         "id,path,label,confidence,lat,lon,heading,date\n" + ",".join(row.values()) + "\n"
     )
     return catalog
+
+
+def _set(text, line):
+    """Config ``text`` with ``line`` in place of any line setting its key:
+    a key set twice is a usage error."""
+    key = line.split("=", 1)[0].strip()
+    kept = [old for old in text.splitlines() if old.split("=", 1)[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
 
 
 def _config(tmp_path, text):
@@ -357,8 +415,8 @@ class TestMalformedRows:
         )
         bad = tmp_path / "bad.cfg"
         bad.write_text(
-            config.read_text()
-            + f"{line}\npaths.refs_csv = {refs}\npaths.scenes = {out / 'world' / 'scenes'}\n"
+            _set(config.read_text(), line)
+            + f"paths.refs_csv = {refs}\npaths.scenes = {out / 'world' / 'scenes'}\n"
         )
         assert run_command([command, "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "feature EVI is listed twice" in capsys.readouterr().err
@@ -491,15 +549,17 @@ def _bad_byte_in_legend(tmp_path):
 
 
 def _bad_byte_in_fixture_meta(tmp_path):
+    """A bad byte in the date comment of a fixture's header (where the
+    ``.meta`` sidecar of this case's name once held the date)."""
     point = GeoPoint(0.001, 0.002)
     fixtures = tmp_path / "fixtures"
-    ppm = write_fixture(fixtures, point, Heading.NORTH, ImageTensor(np.zeros((2, 2, 3))))
-    meta = ppm.with_suffix(".meta")
-    meta.write_bytes(b"date=2013-07\xff\n")
+    date = datetime.date(2013, 7, 1)
+    ppm = write_fixture(fixtures, point, Heading.NORTH, ImageTensor(np.zeros((2, 2, 3))), date)
+    ppm.write_bytes(ppm.read_bytes().replace(b"date=2013-07\n", b"date=2013-07\xff\n", 1))
     grid = tmp_path / "grid.csv"
     grid.write_text(f"lat,lon\n{point.lat_deg!r},{point.lon_deg!r}\n")
     text = f"paths.grid_csv = {grid}\npaths.fixtures = {fixtures}\n"
-    return "fetch", _config(tmp_path, text), meta
+    return "fetch", _config(tmp_path, text), ppm
 
 
 def _output_is_a_directory(tmp_path):
@@ -750,11 +810,10 @@ def test_train_config_error_names_the_key(serial_chain, tmp_path, capsys, line, 
     config, out, _ = serial_chain
     bad = tmp_path / "bad.cfg"
     bad.write_text(
-        config.read_text()
+        _set(config.read_text(), line)
         + f"paths.refs_csv = {out / 'refs.csv'}\n"
         + f"paths.scenes = {out / 'world' / 'scenes'}\n"
         + f"paths.selection = {out / 'selection.csv'}\n"
-        + line + "\n"
     )
     bad_out = tmp_path / "out"
     assert run_command(["train-mapper", "--config", str(bad), "--out", str(bad_out)]) == 2

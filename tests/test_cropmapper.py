@@ -26,7 +26,7 @@ from streetcrop.cropmapper import (
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import BoundingBox
 from streetcrop.imageclassifier import ILLINOIS, LabelTaxonomy
-from streetcrop.metrics import overall_accuracy
+from streetcrop.metrics import AgreementReport, overall_accuracy
 from streetcrop.rasterstack import (
     BAND_NAMES,
     FeatureName,
@@ -365,6 +365,13 @@ class TestEvaluate:
         ev = evaluate_crop_map(crop_map, make_grid(values.copy(), cellsize=0.001))
         assert overall_accuracy(ev.confusion) == 1.0
         assert ev.map_area_counts == ev.truth_area_counts
+
+    def test_agreement_omits_classes_absent_from_the_truth(self):
+        truth = make_grid(np.zeros((2, 2)), cellsize=0.001)
+        mapped = make_grid(np.array([[0.0, 1.0], [0.0, 0.0]]), cellsize=0.001)
+        ev = evaluate_crop_map(CropMap(mapped, TWO_CLASS), truth)
+        assert ev.agreement == AgreementReport(TWO_CLASS.class_names[:1], (3,), (4,))
+        assert type(ev.agreement.matching[0]) is int
 
     def test_georeference_mismatch(self):
         grid = make_grid(np.zeros((2, 2)), cellsize=0.001)

@@ -198,28 +198,74 @@ class TestFixtures:
                 StreetRequest(GeoPoint(0, 0), Heading.NORTH), tmp_path / "nope"
             )
 
+    def fixture_with_header(self, directory, point, heading, comments):
+        """An undated fixture whose header gets ``comments`` after its magic."""
+        path = self.make_fixture(directory, point, heading)
+        path.write_bytes(path.read_bytes().replace(b"P6\n", b"P6\n" + comments, 1))
+        return path
+
+    def test_date_is_in_the_header(self, tmp_path):
+        p = GeoPoint(35.5, -119.3)
+        path = self.make_fixture(tmp_path, p, Heading.NORTH, date=datetime.date(2013, 7, 20))
+        assert path.read_bytes().startswith(b"P6\n# date=2013-07\n4 4\n255\n")
+        assert list(tmp_path.iterdir()) == [path]
+        rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
+        assert rec.capture_date == datetime.date(2013, 7, 1)  # the header keeps the month
+
+    # The three tests below keep the names they had when a ``.meta`` sidecar
+    # held the date; they check the same values in the header's date comment.
     def test_non_ascii_sidecar_date_is_data_error(self, tmp_path):
         p = GeoPoint(35.5, -119.3)
-        path = self.make_fixture(tmp_path, p, Heading.NORTH)
-        meta = path.with_suffix(".meta")
-        meta.write_text("date=\u0662\u0660\u0661\u0663-07\n")
-        with pytest.raises(DataValidationError, match=str(meta)):
+        comment = "# date=\u0662\u0660\u0661\u0663-07\n".encode()
+        path = self.fixture_with_header(tmp_path, p, Heading.NORTH, comment)
+        with pytest.raises(ImageDecodeError, match=str(path)):
             fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
 
     @pytest.mark.parametrize("value", ["2013-7", "2013-07-1", "2013-13", "13-07", " 2013-07"])
     def test_malformed_sidecar_date_is_data_error(self, tmp_path, value):
         p = GeoPoint(35.5, -119.3)
-        path = self.make_fixture(tmp_path, p, Heading.NORTH)
-        path.with_suffix(".meta").write_text(f"date={value}")
-        with pytest.raises(DataValidationError, match="unparsable date"):
+        comment = f"# date={value}\n".encode()
+        path = self.fixture_with_header(tmp_path, p, Heading.NORTH, comment)
+        with pytest.raises(ImageDecodeError, match=f"{path}: unparsable date"):
             fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
 
     def test_sidecar_day_is_kept(self, tmp_path):
         p = GeoPoint(35.5, -119.3)
-        path = self.make_fixture(tmp_path, p, Heading.NORTH)
-        path.with_suffix(".meta").write_text("date=2013-07-21\n")
+        self.fixture_with_header(tmp_path, p, Heading.NORTH, b"# date=2013-07-21\n")
         rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
         assert rec.capture_date == datetime.date(2013, 7, 21)
+
+    def test_second_date_comment_is_data_error(self, tmp_path):
+        p = GeoPoint(35.5, -119.3)
+        comments = b"# date=2013-07\n# made by hand\n# date=2013-07\n"
+        path = self.fixture_with_header(tmp_path, p, Heading.NORTH, comments)
+        with pytest.raises(ImageDecodeError, match=f"{path}: second date comment"):
+            fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
+
+    def test_other_comments_are_ignored(self, tmp_path):
+        p = GeoPoint(35.5, -119.3)
+        comments = b"# made by hand\n#dated 2099\n#date=2013-08\n# updated=2099-01\n"
+        self.fixture_with_header(tmp_path, p, Heading.NORTH, comments)
+        rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
+        assert rec.capture_date == datetime.date(2013, 8, 1)
+        assert rec.read_image().values[0, 0, 0] == pytest.approx(0.5, abs=1e-2)
+
+    def test_a_stale_meta_file_is_not_read(self, tmp_path):
+        p = GeoPoint(35.5, -119.3)
+        path = self.make_fixture(tmp_path, p, Heading.NORTH, date=datetime.date(2012, 7, 1))
+        path.with_suffix(".meta").write_bytes(b"date=2099-01\n")
+        rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
+        assert rec.capture_date == datetime.date(2012, 7, 1)
+        path.with_suffix(".meta").write_bytes(b"date=\xff\n")
+        rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
+        assert rec.capture_date == datetime.date(2012, 7, 1)
+
+    def test_undated_fixture_has_no_date(self, tmp_path):
+        p = GeoPoint(35.5, -119.3)
+        path = self.make_fixture(tmp_path, p, Heading.NORTH)
+        path.with_suffix(".meta").write_bytes(b"date=2013-07\n")
+        rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
+        assert rec.capture_date is None
 
     def test_non_ascii_digits_in_a_name_are_no_fixture(self, tmp_path):
         """``\\d`` would match the Arabic-Indic digit and read the name as 35.5."""

@@ -195,6 +195,10 @@ class TestAgreementReport:
         report, _ = agreement_report(pts, self.truth_grid(), ("a", "b"))
         assert report.class_names == ("a",)
 
+    def test_of_classes_keeps_the_classes_with_points(self):
+        report = AgreementReport.of_classes(("a", "b", "c"), [1, 0, 2], [2, 0, 3])
+        assert report == AgreementReport(("a", "c"), (1, 2), (2, 3))
+
     def test_out_of_extent_point(self):
         from streetcrop.geocore import GeoPoint
 

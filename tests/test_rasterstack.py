@@ -1,5 +1,6 @@
 import datetime
 import hashlib
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -651,6 +652,18 @@ class TestManifests:
         write_manifest(self.manifest(), path)
         path.write_text(path.read_text() + f"scale={value}\n")
         with pytest.raises(GridFormatError, match=f"{path}: line 9: scale"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("key", ["date", "band.NIR", "qa", "scale"])
+    def test_repeated_key_rejected(self, tmp_path, key):
+        """Two lines for one key: neither is read over the other."""
+        path = tmp_path / "scene.manifest"
+        write_manifest(self.manifest(0.0001), path)
+        lines = path.read_text().splitlines()
+        first = next(n for n, line in enumerate(lines, start=1) if line.startswith(key + "="))
+        path.write_text("\n".join(lines + [lines[first - 1]]) + "\n")
+        message = f"{path}: line {len(lines) + 1}: {key} already set on line {first}"
+        with pytest.raises(GridFormatError, match=re.escape(message)):
             read_manifest(path)
 
     @pytest.mark.parametrize("value", ["20130413", "2013-W15-6", "2013-04", "2013-04-13T00"])

@@ -149,14 +149,17 @@ def manifest_case(d):
 
 
 def sidecar_case(d):
+    """The date token of a fixture's ``# date=`` header comment (the date a
+    ``.meta`` sidecar held before it moved into the header)."""
     fixtures = fixture_dir(d)
-    path = next(fixtures.glob("*.meta"))
+    path = next(fixtures.glob("*.ppm"))
 
     def read(p):
         return FixtureIndex(fixtures).record(0).capture_date
 
-    spans = [value_span(path.read_text(), "date")]
-    return Written(path, spans, read, DATE, DataValidationError, lambda p, line: str(p))
+    header = path.read_bytes().split(b"\n255\n", 1)[0].decode("ascii")
+    spans = [value_span(header, "# date")]
+    return Written(path, spans, read, DATE, ImageDecodeError, lambda p, line: str(p))
 
 
 def model_case(d):
