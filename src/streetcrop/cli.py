@@ -331,22 +331,15 @@ def _cmd_synth(run: _Run):
         run.out / CONFIG_KEYS[key].default
         for key in ("paths.truth", "paths.scenes", "paths.training_catalog", "paths.fixtures")
     )
-    world_dir = truth_path.parent
     world = synthworld.generate_world(world_cfg)
     # first, as it checks every class has enough views before it writes
     synthworld.build_training_catalog(world, catalog.parent, n_per_class=cfg["synth.n_per_class"])
     write_grid(world.truth, truth_path)
-    write_grid(world.road_mask, world_dir / "roadmask.grid")
     manifests = synthworld.synthesize_scenes(world, scenes_dir)
     n_fixtures = synthworld.build_campaign_fixtures(
         world, fixtures_dir, stride=cfg["synth.fixture_stride"]
     )
-    e = world_cfg.extent
-    (world_dir / "extent.txt").write_text(
-        f"bbox = {e.min_lat_deg!r},{e.max_lat_deg!r},{e.min_lon_deg!r},{e.max_lon_deg!r}\n"
-    )
-    run.outputs += [truth_path, world_dir / "roadmask.grid", scenes_dir, catalog]
-    run.outputs += [fixtures_dir, world_dir / "extent.txt"]
+    run.outputs += [truth_path, scenes_dir, catalog, fixtures_dir]
     print(
         f"world: {world.truth.nrows}x{world.truth.ncols} cells, "
         f"{world.parcel_classes.size} parcels, {len(manifests)} scenes, "
@@ -560,13 +553,7 @@ def _cmd_map(run: _Run):
     cfg = run.cfg
     net = neuralnet.deserialize_model(run.input_path("paths.pixel_model"))
     stack = SceneStack.from_manifests(_scene_manifests(run), _selected_features(run))
-    bbox = cfg["bbox"]
-    if bbox is None:
-        t = stack.template
-        bbox = BoundingBox(
-            t.yll, t.yll + t.nrows * t.cellsize, t.xll, t.xll + t.ncols * t.cellsize
-        )
-    crop_map = cropmapper.predict_crop_map(net, stack, bbox, cfg.taxonomy)
+    crop_map = cropmapper.predict_crop_map(net, stack, cfg.taxonomy)
     map_path = run.output_path("paths.map_grid")
     legend = cropmapper.write_crop_map(crop_map, map_path)
     run.outputs.append(legend)

@@ -4,8 +4,8 @@ The model input for one pixel is its (1, T, F) temporal-spectral stack:
 T acquisition dates by F selected features. Feature subsets are chosen
 by greedy forward selection on validation accuracy — at most
 K(K+1)/2 trainings for K candidates instead of the 1023 exhaustive
-combinations — and the winning set feeds a full-extent map prediction
-evaluated against an independent truth raster.
+combinations — and the winning set feeds a prediction over the scenes'
+whole grid, evaluated against an independent truth raster.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import neuralnet
 from .errors import DataValidationError, read_input_text
-from .geocore import BoundingBox
 from .imageclassifier import LabelTaxonomy
 from .metrics import AgreementReport, ConfusionMatrix, area_counts, confusion_matrix
 from .neuralnet import Network, TrainConfig
@@ -73,15 +72,30 @@ class MapEvaluation:
     truth_area_counts: dict[int, int]
 
 
-def _point_stacks(stack: SceneStack, points: Sequence[ReferencePoint]):
-    """(x, y, dropped): model inputs and labels of every usable point."""
+def _training_points(
+    stack: SceneStack, points: Sequence[ReferencePoint], taxonomy: LabelTaxonomy, seed: int
+):
+    """(x, y, train_idx, val_idx, dropped): model inputs and labels of every
+    usable point, split by :func:`_stratified_split`. A class with fewer than
+    ``MIN_POINTS_PER_CLASS`` reference points, or missing from the training
+    split once unusable points are dropped, is an error."""
+    labels = np.array([pt.label for pt in points], dtype=np.int64)
+    for idx, name in enumerate(taxonomy.class_names):
+        n = int((labels == idx).sum())
+        if n < MIN_POINTS_PER_CLASS:
+            raise DataValidationError(
+                f"class {name!r} has {n} reference points; need {MIN_POINTS_PER_CLASS}"
+            )
     cells = [stack.template.cell_index(pt.location) for pt in points]
     rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
     matrix, _, usable = stack.fill_cells(rows, cols)
     if not usable.any():
         raise DataValidationError("no usable reference points")
-    labels = np.array([pt.label for pt in points], dtype=np.int64)
-    return matrix[usable][:, None], labels[usable], int((~usable).sum())
+    x, y = matrix[usable][:, None], labels[usable]
+    train_idx, val_idx = _stratified_split(y, seed)
+    if np.unique(y[train_idx]).size != len(taxonomy):
+        raise DataValidationError("a class vanished from the training split")
+    return x, y, train_idx, val_idx, int((~usable).sum())
 
 
 def _stratified_split(y: np.ndarray, seed: int):
@@ -125,14 +139,17 @@ def forward_select(
     candidate in the FeatureName enumeration. All candidates within a
     step share one seed, so comparisons are not confounded by
     initialization noise. Points unusable for any candidate are dropped
-    up front so every model sees identical samples. A step's candidates
-    train in parallel, one per worker process (:func:`neuralnet._fan_out`).
+    up front so every model sees identical samples, and the reference set
+    must pass :func:`train_pixel_classifier`'s class checks, so a set that
+    selects features also trains the mapper. A step's candidates train in
+    parallel, one per worker process (:func:`neuralnet._fan_out`).
     """
     candidates = stack.features
     if len(candidates) < 2:
         raise DataValidationError("forward selection needs at least 2 candidates")
-    x_all, y, dropped = _point_stacks(stack, refpoints)
-    train_idx, val_idx = _stratified_split(y, cfg.seed)
+    x_all, y, train_idx, val_idx, dropped = _training_points(
+        stack, refpoints, taxonomy, cfg.seed
+    )
 
     enum_order = list(FeatureName)
     remaining = sorted(candidates, key=enum_order.index)
@@ -188,17 +205,7 @@ def train_pixel_classifier(
     with a count; a class missing from the reference set, or thinned
     below ``MIN_POINTS_PER_CLASS``, is an error.
     """
-    labels = np.array([pt.label for pt in refpoints], dtype=np.int64)
-    for idx, name in enumerate(taxonomy.class_names):
-        n = int((labels == idx).sum()) if labels.size else 0
-        if n < MIN_POINTS_PER_CLASS:
-            raise DataValidationError(
-                f"class {name!r} has {n} reference points; need {MIN_POINTS_PER_CLASS}"
-            )
-    x, y, dropped = _point_stacks(stack, refpoints)
-    train_idx, val_idx = _stratified_split(y, cfg.seed)
-    if np.unique(y[train_idx]).size != len(taxonomy):
-        raise DataValidationError("a class vanished from the training split")
+    x, y, train_idx, val_idx, dropped = _training_points(stack, refpoints, taxonomy, cfg.seed)
     net, history = _train_once(x, y, train_idx, val_idx, len(taxonomy), cfg)
     pred, _ = neuralnet.predict_batch(net, x[val_idx])
     cm = confusion_matrix(pred, y[val_idx], taxonomy.class_names)
@@ -208,16 +215,16 @@ def train_pixel_classifier(
 def predict_crop_map(
     net: Network,
     stack: SceneStack,
-    extent: BoundingBox,
     taxonomy: LabelTaxonomy,
     batch_size: int = 1024,
 ) -> CropMap:
-    """Classify every pixel whose center falls inside ``extent``.
+    """Classify every pixel of the scenes' grid.
 
+    The map is the scenes' grid: it has their size, cell size and
+    alignment, so it is co-registered with a truth raster on that grid.
     Pixels without a single valid observation for some feature become
-    nodata. The output grid keeps the scenes' cell size and alignment.
-    Rows are gap-filled in blocks of about ``batch_size`` pixels, spread
-    over worker processes (:func:`neuralnet._fan_out`); each worker
+    nodata. Rows are gap-filled in blocks of about ``batch_size`` pixels,
+    spread over worker processes (:func:`neuralnet._fan_out`); each worker
     predicts its blocks in batches of its share of the network's inference
     batch and returns their labels.
     """
@@ -228,45 +235,21 @@ def predict_crop_map(
             "feature list inconsistent with training"
         )
     t = stack.template
-    rows = [
-        r
-        for r in range(t.nrows)
-        if extent.min_lat_deg <= t.yll + (t.nrows - r - 0.5) * t.cellsize <= extent.max_lat_deg
-    ]
-    cols = [
-        c
-        for c in range(t.ncols)
-        if extent.min_lon_deg <= t.xll + (c + 0.5) * t.cellsize <= extent.max_lon_deg
-    ]
-    if not rows or not cols:
-        raise DataValidationError("extent does not cover any scene pixels")
-    r0, r1 = rows[0], rows[-1]
-    c0, c1 = cols[0], cols[-1]
     # row blocks of about batch_size pixels each bound the memory in use
-    block_rows = max(1, batch_size // (c1 - c0 + 1))
-    tops = range(r0, r1 + 1, block_rows)
+    block_rows = max(1, batch_size // t.ncols)
+    tops = range(0, t.nrows, block_rows)
     inference_batch = neuralnet._worker_batch(net, len(tops))
 
     def fill_and_predict(k):
-        bottom = min(tops[k] + block_rows, r1 + 1)
-        matrix, _, usable = stack.fill_cells(slice(tops[k], bottom), slice(c0, c1 + 1))
+        matrix, _, usable = stack.fill_cells(slice(tops[k], tops[k] + block_rows), slice(None))
         block = np.full(usable.shape, t.nodata)
         if usable.any():
             labels, _ = neuralnet.predict_batch(net, matrix[usable][:, None], inference_batch)
             block[usable] = labels
         return block
 
-    out = np.concatenate(neuralnet._fan_out(fill_and_predict, len(tops)))
-    grid = RasterGrid(
-        ncols=out.shape[1],
-        nrows=out.shape[0],
-        xll=t.xll + c0 * t.cellsize,
-        yll=t.yll + (t.nrows - 1 - r1) * t.cellsize,
-        cellsize=t.cellsize,
-        nodata=t.nodata,
-        values=out,
-    )
-    return CropMap(grid, taxonomy)
+    labels = np.concatenate(neuralnet._fan_out(fill_and_predict, len(tops)))
+    return CropMap(t.like(labels), taxonomy)
 
 
 def evaluate_crop_map(crop_map: CropMap, truth: RasterGrid) -> MapEvaluation:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import datetime
 import io
+import math
 import os
 import re
 import urllib.error
@@ -239,20 +240,25 @@ class FixtureIndex:
 
     A request is served by the nearest fixture with its heading within
     ``FIXTURE_TOLERANCE_M``, ties broken on filename. Candidates come from
-    the block of ``_BUCKET_DEG`` lat/lon buckets around the request: one
-    bucket each way in latitude, and in longitude as many as the tolerance
-    spans at the request's latitude (one below about 63 degrees, six at
-    ``MAX_SUPPORTED_LAT_DEG``). The fixtures are held as arrays sorted by
-    bucket code, so :meth:`resolve` finds every request's candidates with
-    ``searchsorted``, drops those a vectorised distance puts clearly out
-    of reach, and leaves the 5 m test and the tie-break to the scalar
-    :func:`geo_distance`. :meth:`fetch` is the same lookup for one request.
+    the 3x3 block of lat/lon buckets around the request. A latitude bucket
+    spans ``_LAT_BUCKET_DEG``; a longitude bucket is as wide as the
+    tolerance (plus ``_MARGIN_M``) at ``MAX_SUPPORTED_LAT_DEG``, so a fixture
+    within reach lies at most one bucket away at every supported latitude.
+    The fixtures are held as arrays sorted by bucket code, so
+    :meth:`resolve` finds every request's candidates with ``searchsorted``,
+    drops those a vectorised distance puts clearly out of reach, and leaves
+    the 5 m test and the tie-break to the scalar :func:`geo_distance`.
+    :meth:`fetch` is the same lookup for one request.
     """
 
-    _BUCKET_DEG = 1e-4  # ~11 m north-south, 11 m * cos(lat) east-west
     #: Distances this far past the tolerance go to the scalar test too,
     #: covering the last-bit differences of numpy's trigonometry.
     _MARGIN_M = 1e-6
+    _LAT_BUCKET_DEG = 1e-4  # ~11 m
+    #: ~57 m at the equator, 5 m at the supported limit
+    _LON_BUCKET_DEG = (FIXTURE_TOLERANCE_M + _MARGIN_M) / (
+        METERS_PER_DEGREE * math.cos(math.radians(MAX_SUPPORTED_LAT_DEG))
+    )
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -278,8 +284,8 @@ class FixtureIndex:
     def _code(cls, lat, lon, heading_deg, di=0, dj=0) -> np.ndarray:
         """One sortable int64 per (lat bucket + di, lon bucket + dj, heading);
         a bucket index stays below 2**20 in latitude and 2**21 in longitude."""
-        ki = np.floor(lat / cls._BUCKET_DEG).astype(np.int64) + di
-        kj = np.floor(lon / cls._BUCKET_DEG).astype(np.int64) + dj
+        ki = np.floor(lat / cls._LAT_BUCKET_DEG).astype(np.int64) + di
+        kj = np.floor(lon / cls._LON_BUCKET_DEG).astype(np.int64) + dj
         return ((ki + 2**20) * 2**22 + (kj + 2**21)) * 4 + heading_deg // 90
 
     def resolve(self, points: Sequence[GeoPoint], headings: Sequence[Heading]) -> np.ndarray:
@@ -290,22 +296,12 @@ class FixtureIndex:
         lat = np.repeat([p.lat_deg for p in points], len(headings))
         lon = np.repeat([p.lon_deg for p in points], len(headings))
         heading = np.tile([int(Heading(h)) for h in headings], len(points))
-        # longitude buckets each side that can hold a fixture within reach: a
-        # fixture that close is less than one bucket further from the pole
-        near_pole = np.minimum(np.abs(lat) + self._BUCKET_DEG, MAX_SUPPORTED_LAT_DEG)
-        reach_deg = (FIXTURE_TOLERANCE_M + self._MARGIN_M) / (
-            METERS_PER_DEGREE * np.cos(np.radians(near_pole))
-        )
-        reach = np.ceil(reach_deg / self._BUCKET_DEG).astype(np.int64)
-        widest = int(reach.max(initial=1))
         req, fix = [], []
         for di in (-1, 0, 1):
-            for dj in range(-widest, widest + 1):
+            for dj in (-1, 0, 1):
                 code = self._code(lat, lon, heading, di, dj)
                 lo = np.searchsorted(self._codes_sorted, code, "left")
                 count = np.searchsorted(self._codes_sorted, code, "right") - lo
-                if abs(dj) > 1:
-                    count[reach < abs(dj)] = 0
                 hit = np.flatnonzero(count)
                 n = count[hit]
                 req.append(np.repeat(hit, n))

@@ -195,8 +195,10 @@ class TestExitCodes:
 class TestArtifacts:
     def test_synth_writes_world(self, mini_run):
         _, out = mini_run
-        for name in ("truth.grid", "roadmask.grid", "extent.txt"):
-            assert (out / "world" / name).exists()
+        assert (out / "world" / "truth.grid").exists()
+        # the road mask stays in memory, and the map's extent is the scenes' grid
+        for name in ("roadmask.grid", "roadmask.grid.f8", "extent.txt"):
+            assert not (out / "world" / name).exists()
         assert (out / "world" / "training" / "catalog.csv").exists()
         assert list((out / "world" / "scenes").glob("*.manifest"))
         assert list((out / "world" / "fixtures").glob("*.ppm"))
@@ -821,23 +823,70 @@ def test_train_config_error_names_the_key(serial_chain, tmp_path, capsys, line, 
     assert not (bad_out / "pixel_model.rtnn").exists()
 
 
-def test_every_written_grid_has_a_verified_twin(tmp_path):
-    """After the whole chain, each grid under --out sits next to a twin whose
-    digest covers that grid's text and whose payload holds its values."""
-    config = tmp_path / "run.cfg"
+@pytest.fixture(scope="module")
+def chain_run(tmp_path_factory):
+    """All 12 stages of ``MINI_CONFIG`` run once; tests that rerun a stage
+    copy the run or write elsewhere."""
+    base = tmp_path_factory.mktemp("chain")
+    config = base / "run.cfg"
     config.write_text(MINI_CONFIG)
-    out = tmp_path / "run"
+    out = base / "run"
     for command in cli.COMMANDS:
         assert run_command([command, "--config", str(config), "--out", str(out)]) == 0, command
+    return out
+
+
+def test_every_written_grid_has_a_verified_twin(chain_run):
+    """After the whole chain, each grid under --out sits next to a twin whose
+    digest covers that grid's text and whose payload holds its values."""
+    out = chain_run
     grids = sorted(out.rglob("*.grid"))
-    assert {"truth.grid", "roadmask.grid", "crop_map.grid"} <= {g.name for g in grids}
-    assert len(grids) == 3 + 10 * 7
+    assert {"truth.grid", "crop_map.grid"} <= {g.name for g in grids}
+    assert len(grids) == 2 + 10 * 7
     for grid in grids:
         digest, payload = grid.with_name(grid.name + ".f8").read_bytes().split(b"\n", 1)
         text = grid.read_bytes()
         assert digest == hashlib.sha256(text + payload).hexdigest().encode(), grid
         values = np.array(text.decode().split("\n", 6)[6].split(), dtype=np.float64)
         assert payload == values.astype("<f8").tobytes(), grid
+
+
+def test_bbox_bounds_the_grid_and_not_the_map(chain_run, tmp_path):
+    """With a bbox over the south-west of the world, map still covers the
+    scenes' whole grid, so evaluate scores it against the truth raster."""
+    run = chain_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    boxed = tmp_path / "boxed.cfg"
+    boxed.write_text(MINI_CONFIG + "bbox = 0.0,0.003,0.0,0.003\n")
+    for command in ("grid", "map", "evaluate"):
+        assert run_command([command, "--config", str(boxed), "--out", str(out)]) == 0, command
+    assert len((out / "grid.csv").read_text().splitlines()) < len(
+        (run / "grid.csv").read_text().splitlines()
+    )
+    for name in ("crop_map.grid", "crop_map.grid.f8", "crop_map.grid.legend", "evaluation.txt"):
+        assert (out / name).read_bytes() == (run / name).read_bytes(), name
+
+
+def test_select_features_rejects_a_class_train_mapper_would(chain_run, tmp_path, capsys):
+    """A refs.csv with no corn row stops select-features as it stops
+    train-mapper: exit 2, naming the class."""
+    run = chain_run
+    rows = (run / "refs.csv").read_text().splitlines(keepends=True)
+    assert any(",corn," in row for row in rows)
+    refs = tmp_path / "refs.csv"
+    refs.write_text("".join(row for row in rows if ",corn," not in row))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        MINI_CONFIG + f"paths.refs_csv = {refs}\npaths.scenes = {run / 'world' / 'scenes'}\n"
+        "features.selected = SWIR2\n"
+    )
+    out = tmp_path / "out"
+    message = "class 'corn' has 0 reference points; need 5"
+    for command in ("select-features", "train-mapper"):
+        assert run_command([command, "--config", str(cfg), "--out", str(out)]) == 2, command
+        assert message in capsys.readouterr().err
+    assert not (out / "selection.csv").exists()
 
 
 # The demo-e2e workload's world at seed 1, trained for one epoch only.
@@ -889,6 +938,44 @@ def test_fetch_of_a_truncated_fixture_is_data_error(mini_run, tmp_path, capsys):
     )
     assert run_command(["fetch", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert "payload is" in capsys.readouterr().err
+
+
+class TestRefsKeys:
+    """``refs.min_per_class`` and ``shift.extra_steps`` through ``make-refs``,
+    on one corn camera facing east over an all-corn world."""
+
+    def make_refs(self, tmp_path, text):
+        truth = tmp_path / "truth.grid"
+        write_grid(make_grid(np.zeros((8, 8))), truth)  # 0.008 degrees a side
+        catalog = _tiny_catalog(tmp_path)
+        config = _config(
+            tmp_path, f"paths.kept_catalog = {catalog}\npaths.truth = {truth}\n" + text
+        )
+        out = tmp_path / "out"
+        assert run_command(["make-refs", "--config", str(config), "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "refs.csv").read_text().splitlines()[1:]]
+        return out, rows
+
+    def test_a_class_short_of_min_per_class_walks_three_extra_steps(self, tmp_path):
+        out, rows = self.make_refs(tmp_path, "refs.min_per_class = 5\n")
+        assert [(row[2], row[3], int(row[6])) for row in rows] == [
+            ("corn", "img", steps) for steps in range(4)
+        ]
+        # 0.5 * road width + (1 + extra steps) pixel sizes, both 30 m by default
+        assert [float(row[5]) for row in rows] == [45.0, 75.0, 105.0, 135.0]
+        assert (out / "refs_summary.txt").read_text() == "points=4\nclass.corn=4\nshort.corn=4\n"
+
+    def test_extra_steps_adds_pixel_sizes_to_the_shift(self, tmp_path):
+        text = (
+            "shift.road_width_y_m = 12\nshift.pixel_size_x_m = 10\nshift.extra_steps = 1\n"
+        )
+        _, rows = self.make_refs(tmp_path, text)
+        assert len(rows) == 1
+        assert float(rows[0][5]) == 0.5 * 12 + 2 * 10
+        assert rows[0][6] == "1"
+        # the camera faces east: the point moves east by shift_m, not north
+        assert float(rows[0][0]) == 0.001
+        assert float(rows[0][1]) == pytest.approx(0.002 + 26 / 111320.0)
 
 
 def test_make_refs_drops_points_shifted_off_the_world(tmp_path, capsys):

@@ -24,7 +24,6 @@ from streetcrop.cropmapper import (
     CropMap,
 )
 from streetcrop.errors import DataValidationError
-from streetcrop.geocore import BoundingBox
 from streetcrop.imageclassifier import ILLINOIS, LabelTaxonomy
 from streetcrop.metrics import AgreementReport, overall_accuracy
 from streetcrop.rasterstack import (
@@ -187,7 +186,6 @@ def test_a_built_stack_reads_no_grid(tmp_path, monkeypatch):
     failing, the map at 2 and 3 workers included."""
     stack, truth = planted_scenes(tmp_path, [FeatureName.Red, FeatureName.SWIR2])
     points = planted_points(truth)
-    extent = BoundingBox(0.0, 8 * 0.001, 0.0, 8 * 0.001)
 
     def results():
         out = [*stack.fill_cells(slice(None), slice(None)), *stack.stack_at_cell(3, 4)]
@@ -196,7 +194,7 @@ def test_a_built_stack_reads_no_grid(tmp_path, monkeypatch):
         out += [trained.history, trained.confusion.counts]
         for cpus in (2, 3):
             force_workers(monkeypatch, cpus)
-            crop_map = predict_crop_map(trained.net, stack, extent, TWO_CLASS, batch_size=16)
+            crop_map = predict_crop_map(trained.net, stack, TWO_CLASS, batch_size=16)
             out.append(crop_map.grid.values)
         return out
 
@@ -224,19 +222,19 @@ def il_pipeline(il_world, il_scenes):
 class TestPredictCropMap:
     def test_map_matches_truth_on_synthetic_world(self, il_pipeline):
         world, stack, _, result = il_pipeline
-        crop_map = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
+        crop_map = predict_crop_map(result.net, stack, ILLINOIS)
         ev = evaluate_crop_map(crop_map, world.truth)
         assert overall_accuracy(ev.confusion) >= 0.9
 
     def test_prediction_independent_of_visit_order(self, il_pipeline):
         world, stack, _, result = il_pipeline
-        a = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
-        b = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
+        a = predict_crop_map(result.net, stack, ILLINOIS)
+        b = predict_crop_map(result.net, stack, ILLINOIS)
         np.testing.assert_array_equal(a.grid.values, b.grid.values)
 
     def test_map_restricted_to_refpoints_reproduces_heldout_predictions(self, il_pipeline):
         world, stack, points, result = il_pipeline
-        crop_map = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
+        crop_map = predict_crop_map(result.net, stack, ILLINOIS)
         x, labels = [], []
         for pt in points[:50]:
             row, col = stack.template.cell_index(pt.location)
@@ -249,8 +247,8 @@ class TestPredictCropMap:
 
     def test_row_blocks_do_not_change_the_map(self, il_pipeline):
         world, stack, _, result = il_pipeline
-        whole = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
-        blocks = predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS, batch_size=7)
+        whole = predict_crop_map(result.net, stack, ILLINOIS)
+        blocks = predict_crop_map(result.net, stack, ILLINOIS, batch_size=7)
         np.testing.assert_array_equal(blocks.grid.values, whole.grid.values)
 
     @pytest.mark.parametrize("batch_size", [1024, 7])
@@ -259,7 +257,7 @@ class TestPredictCropMap:
         self, il_pipeline, monkeypatch, cpus, batch_size
     ):
         world, stack, _, result = il_pipeline
-        args = (result.net, stack, world.cfg.extent, ILLINOIS, batch_size)
+        args = (result.net, stack, ILLINOIS, batch_size)
         force_workers(monkeypatch, 1)
         serial = predict_crop_map(*args)
         force_workers(monkeypatch, cpus)
@@ -271,7 +269,7 @@ class TestPredictCropMap:
         world, _, _, result = il_pipeline
         stack = SceneStack.from_manifests(il_scenes, [FeatureName.NDVI])
         with pytest.raises(DataValidationError):
-            predict_crop_map(result.net, stack, world.cfg.extent, ILLINOIS)
+            predict_crop_map(result.net, stack, ILLINOIS)
 
     def test_uniform_world_maps_uniformly_inside_parcels(self, tmp_path):
         import streetcrop.synthworld as sw
@@ -292,7 +290,7 @@ class TestPredictCropMap:
         features = [FeatureName.EVI, FeatureName.SWIR2]
         stack = SceneStack.from_manifests(scenes, features)
         result = train_pixel_classifier(points, stack, ILLINOIS, FAST_CFG)
-        crop_map = predict_crop_map(result.net, stack, cfg.extent, ILLINOIS)
+        crop_map = predict_crop_map(result.net, stack, ILLINOIS)
         parcel_cells = world.road_mask.values == 0
         mapped = crop_map.grid.values[parcel_cells]
         corn = ILLINOIS.index("corn")
@@ -321,8 +319,7 @@ class TestPredictCropMap:
         cfg = nn.TrainConfig(epochs=5, seed=0)
         stack = SceneStack.from_manifests(scenes, [FeatureName.SWIR2])
         result = train_pixel_classifier(points, stack, TWO_CLASS, cfg)
-        extent = BoundingBox(0.0, n * 0.001, 0.0, n * 0.001)
-        crop_map = predict_crop_map(result.net, stack, extent, TWO_CLASS)
+        crop_map = predict_crop_map(result.net, stack, TWO_CLASS)
         assert crop_map.grid.values[1, 1] == crop_map.grid.nodata
         assert (crop_map.grid.values != crop_map.grid.nodata).sum() == n * n - 1
 
@@ -350,8 +347,7 @@ class TestPredictCropMap:
         cfg = nn.TrainConfig(epochs=5, seed=0)
         stack = SceneStack.from_manifests(scenes, [FeatureName.SWIR2])
         result = train_pixel_classifier(points, stack, TWO_CLASS, cfg)
-        extent = BoundingBox(0.0, n * 0.001, 0.0, n * 0.001)
-        crop_map = predict_crop_map(result.net, stack, extent, TWO_CLASS)
+        crop_map = predict_crop_map(result.net, stack, TWO_CLASS)
         assert crop_map.grid.values[1, 1] != crop_map.grid.nodata
         assert crop_map.grid.values[2, 2] == crop_map.grid.nodata
         assert (crop_map.grid.values != crop_map.grid.nodata).sum() == n * n - 1

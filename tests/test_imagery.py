@@ -370,8 +370,8 @@ def boundary_pair(fixture, heading):
 def fixture_layouts(draw):
     """Fixtures within about 12 m of a base point and requests around them.
 
-    Latitudes reach past 84 degrees, where a 1e-4 degree bucket spans less
-    than a metre east-west. With the base on the equator or the prime meridian,
+    Latitudes reach past 84 degrees, where 5 m east-west spans over ten
+    times the longitude it spans on the equator. With the base on the equator or the prime meridian,
     each fixture gets a mirror image through the base on that axis, at exactly
     the same distance from it: an equidistant tie broken on the name.
     """
@@ -441,8 +441,8 @@ def test_mirrored_fixtures_tie_and_the_first_name_wins(tmp_path):
 
 
 def test_fixture_within_five_meters_is_found_at_high_latitude(tmp_path):
-    """East-west, a 1e-4 degree bucket spans 1.9 m at 80 degrees: the 5 m
-    reach covers three buckets each way, not one."""
+    """East-west, 5 m at 80 degrees spans 2.6e-4 degrees of longitude, almost
+    six times what it spans on the equator."""
     fixture = GeoPoint(80.0, 10.00001)
     write_fixture(tmp_path, fixture, Heading.EAST, tensor(np.zeros((1, 1, 3))))
     request = GeoPoint(80.0, meters_east(fixture, 4.5))
