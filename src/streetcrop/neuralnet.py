@@ -20,9 +20,17 @@ only its in-bounds span into zeroed columns, and a tap that sees only
 padding is skipped. Every layer still takes and returns arrays shaped ``(n,
 ...)``; a network hands them free transposed views, and a C-ordered input
 is copied once. Only a train-mode forward stores what ``backward`` needs,
-so ``backward`` needs a train-mode forward first. Against the previous
-batch-first engine, probabilities, gradients and trained weights agree
-to about 1e-15 relative, because BLAS sums in another order.
+so ``backward`` needs a train-mode forward first; a layer's ``backward``
+keeps that state and may run again. A network's batch passes run the
+layers in spec order, except that a ReLU right before a MaxPool runs
+after it: the bytes out are the same, and the ReLU touches only the
+pooled elements. ``Network.backward_batch`` takes each weight layer's
+weight gradient, then drops the input that layer saved for it (a conv's
+im2col columns, a dense layer's flattened input) before it builds the
+input gradient, so a conv's column gradient can reuse that memory.
+Against the previous batch-first engine, probabilities, gradients and
+trained weights agree to about 1e-15 relative, because BLAS sums in
+another order.
 
 Inference runs in batches sized from the network, not from the input:
 ``Network.inference_batch`` is ``INFERENCE_BUDGET_BYTES`` (8 MiB) over
@@ -307,16 +315,21 @@ class _ConvLayer(_ParamLayer):
         dm = _batch_last(dout).reshape(self.w_shape[0], -1)
         return [(dm @ cols.T).reshape(self.w_shape), dm.sum(axis=1)]
 
-    def backward(self, dout):
+    def input_grad(self, dout):
+        """The input gradient alone: it reads the weights, not the saved columns."""
         dob = _batch_last(dout)
-        grads = self.param_grads(_batch_first(dob))
-        n = dout.shape[0]
+        n = dob.shape[-1]
         dcols = self.w.reshape(self.w_shape[0], -1).T @ dob.reshape(self.w_shape[0], -1)
         dc = dcols.reshape(self.w_shape[1:] + self.out_shape[1:] + (n,))
         dx = np.zeros(self.in_shape + (n,))
         for out_win, in_win in self._taps:
             dx[in_win] += dc[out_win]
-        return _batch_first(dx), grads
+        return _batch_first(dx)
+
+    def backward(self, dout):
+        dout = _batch_first(_batch_last(dout))  # one copy serves both gradients
+        grads = self.param_grads(dout)
+        return self.input_grad(dout), grads
 
 
 class _ReLULayer(_Layer):
@@ -412,11 +425,15 @@ class _DenseLayer(_ParamLayer):
         dob = _batch_last(dout)
         return [dob @ flat.T, dob.sum(axis=1)]
 
-    def backward(self, dout):
+    def input_grad(self, dout):
+        """The input gradient alone: it reads the weights, not the saved input."""
         dob = _batch_last(dout)
-        grads = self.param_grads(_batch_first(dob))
-        dx = (self.w.T @ dob).reshape(self.in_shape + (dob.shape[1],))
-        return _batch_first(dx), grads
+        return _batch_first((self.w.T @ dob).reshape(self.in_shape + (dob.shape[1],)))
+
+    def backward(self, dout):
+        dout = _batch_first(_batch_last(dout))
+        grads = self.param_grads(dout)
+        return self.input_grad(dout), grads
 
 
 class _SoftmaxLayer(_Layer):
@@ -451,11 +468,19 @@ _LAYER_KINDS = {
 
 
 class Network:
-    """A built network: runtime layers plus the spec that produced them."""
+    """A built network: runtime layers, one per spec layer in spec order,
+    plus the spec that produced them. The batch passes run the layers in
+    ``_run``, where a ReLU right before a MaxPool comes after it: ReLU is
+    monotone, so the pooled values are the same, and a window's gradient
+    still goes to its first maximum when that is positive, else is zero."""
 
     def __init__(self, spec: NetworkSpec, layers):
         self.spec = spec
         self.layers = layers
+        self._run = list(layers)
+        for i in range(len(self._run) - 1):
+            if isinstance(self._run[i], _ReLULayer) and isinstance(self._run[i + 1], _MaxPoolLayer):
+                self._run[i], self._run[i + 1] = self._run[i + 1], self._run[i]
 
     def parameters(self):
         out = []
@@ -470,33 +495,47 @@ class Network:
         largest = 8 * max(layer.sample_floats() for layer in self.layers)
         return max(1, INFERENCE_BUDGET_BYTES // largest)
 
-    def forward_batch(self, x, train=False, rng=None, stats=None):
+    def _input(self, x):
+        if x.shape[1:] != self.spec.input_shape:
+            raise ShapeMismatchError(
+                f"input shape {x.shape[1:]} != expected {self.spec.input_shape}"
+            )
+        return np.asarray(x, dtype=np.float64)
+
+    def forward_batch(self, x, train=False, rng=None):
         """Class probabilities ``(n, n_classes)`` for inputs ``(n, *input_shape)``.
 
         Dropout fires only when ``train`` (inverted scaling, so inference
         needs no rescale) and then draws its masks from ``rng``.
         """
-        if x.shape[1:] != self.spec.input_shape:
-            raise ShapeMismatchError(
-                f"input shape {x.shape[1:]} != expected {self.spec.input_shape}"
-            )
-        out = np.asarray(x, dtype=np.float64)
-        for layer in self.layers:
-            out = layer.forward(out, train, rng, stats)
+        out = self._input(x)
+        for layer in self._run:
+            out = layer.forward(out, train, rng, None)
         return out
 
     def backward_batch(self, dout):
+        """Every parameter's gradient, in :meth:`parameters` order, after a
+        train-mode forward; a weight layer's saved input goes once its
+        weight gradient is taken, before its input gradient is built."""
         grads = []
-        for layer in self.layers[:0:-1]:
-            dout, layer_grads = layer.backward(dout)
-            grads = layer_grads + grads
-        # nothing reads the network's input gradient, so the first layer skips it
-        return self.layers[0].param_grads(dout) + grads
+        for k in range(len(self._run) - 1, -1, -1):
+            layer = self._run[k]
+            if isinstance(layer, _ParamLayer):
+                grads = layer.param_grads(dout) + grads
+                layer._cache = None
+                if k:
+                    dout = layer.input_grad(dout)
+            elif k:  # nothing reads the network's input gradient
+                dout, _ = layer.backward(dout)
+        return grads
 
     def kink_margin(self, x) -> float:
-        """Smallest distance to a ReLU zero or MaxPool argmax tie for ``x``."""
+        """Smallest distance to a ReLU zero or MaxPool argmax tie for ``x``,
+        with the layers run in spec order, as :func:`gradient_check` probes them."""
         stats: list[float] = []
-        self.forward_batch(x[None], train=False, stats=stats)
+        out = self._input(x[None])
+        for layer in self.layers:
+            out = layer.forward(out, False, None, stats)
         return min(stats) if stats else np.inf
 
 

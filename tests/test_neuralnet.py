@@ -2,6 +2,7 @@ import contextlib
 import math
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -698,3 +699,147 @@ class TestDefaultSpecs:
         clone = nn.clone_spec_with_dropout(spec, 0.5)
         rates = [ls.rate for ls in clone.layers if isinstance(ls, Dropout)]
         assert rates == [0.5]
+
+
+def image_specs():
+    """The default image net and criterion 4's reduced image composition."""
+    from test_acceptance import _mini_image_composition
+
+    return {"default": nn.default_image_spec((3, 32, 32), 7), "reduced": _mini_image_composition()}
+
+
+def awkward_batch(spec, n, seed):
+    """A batch whose sample 0 is all zeros and sample 1 zero in its top half,
+    so conv1 gives exactly its bias there."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n,) + spec.input_shape)
+    x[0] = 0.0
+    x[1, :, : spec.input_shape[1] // 2] = 0.0
+    return x
+
+
+class TestRunOrder:
+    """The batch passes run a ReLU right before a MaxPool after it; the
+    results are the bytes of the layers run in spec order."""
+
+    @staticmethod
+    def spec_order_pass(net, x, dout, rng):
+        out = x
+        for layer in net.layers:
+            out = layer.forward(out, True, rng, None)
+        grads = []
+        for layer in net.layers[::-1]:
+            dout, layer_grads = layer.backward(dout)
+            grads = layer_grads + grads
+        return out, grads
+
+    @pytest.mark.parametrize("which", ["default", "reduced"])
+    @pytest.mark.parametrize("n", [32, 7])
+    def test_batch_passes_match_spec_order(self, which, n):
+        spec = image_specs()[which]
+        net = nn.build_network(spec, seed=4)
+        # conv1's filter 0 gives only negatives, and filter 1 exact zeros
+        # beside negatives, on the zeroed parts of the batch
+        conv1 = net.layers[0]
+        conv1.b = np.random.default_rng(5).normal(size=conv1.b.shape)
+        conv1.b[:2] = (-50.0, 0.0)
+        x = awkward_batch(spec, n, seed=6)
+        dout = np.random.default_rng(7).normal(size=(n, spec.n_classes))
+        dout[::2, 0] = 0.0
+        assert [type(layer.spec) for layer in net._run[:3]] == [Conv2D, MaxPool, ReLU]
+        want_probs, want_grads = self.spec_order_pass(net, x, dout, np.random.default_rng(8))
+        probs = net.forward_batch(x, train=True, rng=np.random.default_rng(8))
+        grads = net.backward_batch(dout)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert len(grads) == len(want_grads) == len(net.parameters())
+        for got, want in zip(grads, want_grads):
+            assert got.tobytes() == want.tobytes()
+        inference = net.forward_batch(x)
+        by_hand = x
+        for layer in net.layers:
+            by_hand = layer.forward(by_hand, False, None, None)
+        assert inference.tobytes() == by_hand.tobytes()
+
+    @pytest.mark.parametrize("which", ["default", "reduced"])
+    def test_two_epochs_train_the_same_weights(self, which):
+        spec = image_specs()[which]
+        rng = np.random.default_rng(9)
+        x = awkward_batch(spec, 48, seed=10)
+        y = rng.integers(spec.n_classes, size=48)
+        nets = [nn.build_network(spec, seed=11) for _ in range(2)]
+        nets[1]._run = list(nets[1].layers)  # spec order
+        for net in nets:
+            nn.train(net, (x, y), (x[:8], y[:8]), TrainConfig(epochs=2, batch_size=16, seed=12))
+        for a, b in zip(nets[0].parameters(), nets[1].parameters()):
+            assert a.tobytes() == b.tobytes()
+
+
+DEFAULT_NETS = {
+    "image": nn.default_image_spec((3, 32, 32), 7),
+    "pixel": nn.default_pixel_spec(10, 4, 7),
+}
+
+
+class TestLayerContracts:
+    """What callers of single layers rely on: ``net.layers[i]`` is spec
+    layer ``i``, and ``backward`` may run again after one forward."""
+
+    @pytest.mark.parametrize("which", list(DEFAULT_NETS))
+    def test_backward_repeats_after_one_train_forward(self, which):
+        spec = DEFAULT_NETS[which]
+        net = nn.build_network(spec, seed=0)
+        assert [layer.spec for layer in net.layers] == list(spec.layers)
+        rng = np.random.default_rng(1)
+        h = rng.normal(size=(32,) + spec.input_shape)
+        for layer in net.layers:
+            y = layer.forward(h, True, rng, None)
+            dout = rng.normal(size=y.shape)
+            first_dx, first_grads = layer.backward(dout)
+            second_dx, second_grads = layer.backward(dout)
+            assert first_dx.tobytes() == second_dx.tobytes()
+            assert len(first_grads) == len(second_grads)
+            for a, b in zip(first_grads, second_grads):
+                assert a.tobytes() == b.tobytes()
+            h = layer.forward(h, False, None, None)
+
+    @pytest.mark.parametrize("which", list(DEFAULT_NETS))
+    def test_weight_layers_drop_their_saved_input(self, which):
+        spec = DEFAULT_NETS[which]
+        net = nn.build_network(spec, seed=0)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(8,) + spec.input_shape)
+        nn.loss_and_gradients(net, (x, rng.integers(spec.n_classes, size=8)), rng=rng)
+        weighted = [layer for layer in net.layers if layer.params()]
+        assert weighted and all(layer._cache is None for layer in weighted)
+        with pytest.raises(RuntimeError):
+            weighted[0].backward(np.ones((8,) + weighted[0].out_shape))
+
+    @pytest.mark.parametrize("which", list(DEFAULT_NETS))
+    def test_header_keeps_spec_order(self, which, tmp_path):
+        spec = DEFAULT_NETS[which]
+        net = nn.build_network(spec, seed=0)
+        nn.serialize_model(net, tmp_path / "m.rtnn")
+        lines = (tmp_path / "m.rtnn").read_bytes().split(b"\nweights ")[0].split(b"\n")
+        kinds = [line.split(b" ")[1].decode() for line in lines if line.startswith(b"layer ")]
+        assert kinds == [nn._LAYER_KINDS[type(ls)][0] for ls in spec.layers]
+        loaded = nn.deserialize_model(tmp_path / "m.rtnn")
+        assert loaded.spec == spec
+        assert [layer.spec for layer in loaded.layers] == list(spec.layers)
+        x = np.random.default_rng(3).normal(size=(5,) + spec.input_shape)
+        assert loaded.forward_batch(x).tobytes() == net.forward_batch(x).tobytes()
+
+    def test_image_step_memory_guard(self):
+        """A warm image-net step at batch 32 peaks at about 16.2 MB of traced
+        allocations; keeping every weight layer's saved input to the end of
+        backward raises that to about 24 MB."""
+        net = nn.build_network(nn.default_image_spec((3, 32, 32), 7), seed=0)
+        rng = np.random.default_rng(4)
+        batch = (rng.normal(size=(32, 3, 32, 32)), rng.integers(7, size=32))
+        nn.loss_and_gradients(net, batch, rng=rng)
+        tracemalloc.start()
+        try:
+            nn.loss_and_gradients(net, batch, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18e6, f"traced peak {peak / 1e6:.1f} MB"
