@@ -14,9 +14,11 @@ Every stage hands images on through one catalog codec:
 file relative to the catalog; an empty label marks an image nobody has
 labeled yet (the fetched campaign). Reading a catalog decodes nothing:
 each record keeps only its file's path, so stages that only filter or
-shift images never touch pixels. Stages that feed images to the network
-decode them with ``record.read_image()``, one batch per worker at a time,
-and keep none.
+shift images never touch pixels. ``classify_images`` decodes them with
+``record.read_image()``, one batch per worker at a time, and keeps none.
+A training, validation or test set is an :class:`ImageSet` of its images'
+8-bit values (``record.read_pixels()``), turned into doubles one batch at
+a time.
 """
 
 from __future__ import annotations
@@ -124,18 +126,38 @@ def split_dataset(items: Sequence, ratios: tuple[float, float, float], seed: int
     return subsets
 
 
-def _image_batch(records: Sequence[StreetImageRecord]) -> np.ndarray:
-    """Stack images of one size into (n, 3, h, w) network inputs.
+class ImageSet:
+    """Images of one size held as their 8-bit values: ``raw`` is ``(n, 3, h,
+    w)`` uint8, a byte per value where float64 takes eight.
 
-    Each image is read once with ``read_image``, so a record that holds no
-    pixels is decoded into the batch and keeps none afterwards.
+    ``x[idx]`` is ``raw[idx] / 255.0``, the doubles ``record.read_image()``
+    gives, so :func:`neuralnet.train` and :func:`neuralnet.predict_batch`
+    take a set in place of a float64 array and convert one batch at a time.
     """
+
+    def __init__(self, raw: np.ndarray):
+        self.raw = raw
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.raw.shape
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self.raw[idx] / 255.0
+
+
+def _stack(records: Sequence[StreetImageRecord], read, dtype) -> np.ndarray:
+    """``read(record)`` of images of one size, ``(h, w, 3)`` each, stacked
+    into an (n, 3, h, w) ``dtype`` array; each image is read once."""
     if not records:
         raise DataValidationError("no images given")
-    first = records[0].read_image().values
-    batch = np.empty((len(records), 3) + first.shape[:2])
+    first = read(records[0])
+    batch = np.empty((len(records), 3) + first.shape[:2], dtype)
     for i, rec in enumerate(records):
-        values = first if i == 0 else rec.read_image().values
+        values = first if i == 0 else read(rec)
         if values.shape != first.shape:
             raise DataValidationError(
                 f"mixed image sizes: {rec.id!r} is {values.shape}, "
@@ -145,9 +167,16 @@ def _image_batch(records: Sequence[StreetImageRecord]) -> np.ndarray:
     return batch
 
 
+def _image_batch(records: Sequence[StreetImageRecord]) -> np.ndarray:
+    """Images of one size as (n, 3, h, w) float64 network inputs. A record
+    that holds no pixels is decoded into the batch and keeps none afterwards."""
+    return _stack(records, lambda rec: rec.read_image().values, np.float64)
+
+
 def images_to_arrays(images: Sequence[LabeledImage]):
-    """Stack labeled images into (n, 3, h, w) inputs and a label vector."""
-    x = _image_batch([li.record for li in images])
+    """Labeled images of one size as an :class:`ImageSet` of their 8-bit
+    values and a label vector."""
+    x = ImageSet(_stack([li.record for li in images], StreetImageRecord.read_pixels, np.uint8))
     y = np.array([li.label for li in images], dtype=np.int64)
     return x, y
 

@@ -14,8 +14,9 @@ and resolves any number of requests in one array pass.
 
 A :class:`StreetImageRecord` read from a fixture or a catalog keeps its
 file's path, not its pixels: :meth:`StreetImageRecord.read_image` decodes
-the file on every call. Only a record built in memory (a live fetch)
-holds its ``image``.
+the file on every call, and :meth:`StreetImageRecord.read_pixels` reads its
+8-bit values, both through the one PPM parser. Only a record built in
+memory (a live fetch) holds its ``image``.
 """
 
 from __future__ import annotations
@@ -123,7 +124,17 @@ class StreetImageRecord:
         """The image held in memory, else one decoded from ``path`` on every
         call and kept nowhere: a stage that streams images through the
         network reads each one this way, so only a batch is in memory."""
-        return _decode_file(self.path, "image") if self.image is None else self.image
+        if self.image is None:
+            return _read_file(decode_image, self.path, "image")
+        return self.image
+
+    def read_pixels(self) -> np.ndarray:
+        """The image's 8-bit values, ``(h, w, 3)`` uint8: the file's bytes,
+        else the image held in memory quantized as :func:`encode_image`
+        writes it. Over 255 they are the values :meth:`read_image` gives."""
+        if self.image is None:
+            return _read_file(_parse_ppm, self.path, "image")[0]
+        return _quantize(self.image.values)
 
 
 def build_street_request(p: GeoPoint, h: Heading, size_px: tuple[int, int]) -> str:
@@ -137,10 +148,15 @@ def build_street_request(p: GeoPoint, h: Heading, size_px: tuple[int, int]) -> s
     )
 
 
+def _quantize(values: np.ndarray) -> np.ndarray:
+    """Unit-range values as the nearest 8-bit ones."""
+    return np.rint(values * 255.0).astype(np.uint8)
+
+
 def encode_image(img: ImageTensor) -> bytes:
     """Serialize to binary PPM, quantizing to 1/255 steps; a dated image's
     header holds its year and month as a ``# date=YYYY-MM`` comment."""
-    raw = np.rint(img.values * 255.0).astype(np.uint8)
+    raw = _quantize(img.values)
     d = img.date
     comment = "" if d is None else f"# date={d.year:04d}-{d.month:02d}\n"
     header = f"P6\n{comment}{img.width} {img.height}\n255\n".encode("ascii")
@@ -151,6 +167,13 @@ def decode_image(data: bytes) -> ImageTensor:
     """Parse a binary PPM (P6, maxval 255) into a unit-range tensor. Header
     comments are skipped but for one ``# date=YYYY-MM[-DD]``, the tensor's
     ``date``; a malformed date or a second date comment is an error."""
+    raw, date = _parse_ppm(data)
+    return ImageTensor(raw / 255.0, date)
+
+
+def _parse_ppm(data: bytes):
+    """``(pixels, date)`` of a binary PPM as :func:`decode_image` reads it,
+    the pixels its ``(h, w, 3)`` uint8 bytes."""
     if data[:2] != b"P6":
         raise ImageDecodeError("bad magic, expected P6")
     pos = 2
@@ -191,14 +214,13 @@ def decode_image(data: bytes) -> ImageTensor:
     expected = width * height * 3
     if len(payload) != expected:
         raise ImageDecodeError(f"payload is {len(payload)} bytes, expected {expected}")
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return ImageTensor(raw.astype(np.float64) / 255.0, date)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3), date
 
 
-def _decode_file(path: Path, what: str) -> ImageTensor:
-    """:func:`decode_image` of the file ``path``; a decode error names the file."""
+def _read_file(parse, path: Path, what: str):
+    """``parse`` of the bytes of the file ``path``; a decode error names the file."""
     try:
-        return decode_image(read_input(path, what))
+        return parse(read_input(path, what))
     except ImageDecodeError as exc:
         raise ImageDecodeError(f"{path}: {exc}") from None
 
@@ -334,7 +356,7 @@ class FixtureIndex:
             id=path.stem,
             capture_point=self._points[k],
             heading=self._headings[k],
-            capture_date=_decode_file(path, "fixture image").date,
+            capture_date=_read_file(decode_image, path, "fixture image").date,
             path=path,
         )
 

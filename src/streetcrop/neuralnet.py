@@ -21,13 +21,15 @@ padding is skipped. Every layer still takes and returns arrays shaped ``(n,
 ...)``; a network hands them free transposed views, and a C-ordered input
 is copied once. Only a train-mode forward stores what ``backward`` needs,
 so ``backward`` needs a train-mode forward first; a layer's ``backward``
-keeps that state and may run again. A network's batch passes run the
-layers in spec order, except that a ReLU right before a MaxPool runs
-after it: the bytes out are the same, and the ReLU touches only the
-pooled elements. ``Network.backward_batch`` takes each weight layer's
-weight gradient, then drops the input that layer saved for it (a conv's
-im2col columns, a dense layer's flattened input) before it builds the
-input gradient, so a conv's column gradient can reuse that memory.
+keeps that state and may run again. A conv saves its im2col columns when
+they fit in ``SAVED_COLUMNS_MAX_BYTES`` (4 MiB), else its batch-last
+input, ``k_h * k_w`` times smaller, from which its weight gradient
+rebuilds them. A network's batch passes run the layers in spec
+order, except that a ReLU right before a MaxPool runs after it: the bytes
+out are the same, and the ReLU touches only the pooled elements.
+``Network.backward_batch`` takes each weight layer's weight gradient,
+then drops what that layer saved for it (a conv's columns or input, a
+dense layer's flattened input) before it builds the input gradient.
 Against the previous batch-first engine, probabilities, gradients and
 trained weights agree to about 1e-15 relative, because BLAS sums in
 another order.
@@ -78,6 +80,14 @@ PROB_FLOOR = 1e-12
 #: Bytes of the largest buffer one inference batch may build: the default
 #: batch of :func:`predict_batch` is this over one sample's share of it.
 INFERENCE_BUDGET_BYTES = 8 * 2**20
+
+#: A conv's train-mode forward keeps im2col columns up to this size for its
+#: weight gradient; larger ones are rebuilt there from the saved input. A
+#: rebuild costs a pixel-net step 5-10% (its conv2 columns take 0.37 MB per
+#: feature at batch 32), while the image net's conv1 and conv2 columns
+#: (6.2 MB each at batch 32) would otherwise stay alive from forward to
+#: backward.
+SAVED_COLUMNS_MAX_BYTES = 4 * 2**20
 
 
 class ShapeMismatchError(DataValidationError):
@@ -295,28 +305,38 @@ class _ConvLayer(_ParamLayer):
         # the im2col columns: one row per weight of a filter, one column per output pixel
         return max(super().sample_floats(), math.prod(self.w_shape[1:] + self.out_shape[1:]))
 
-    def forward(self, x, train, rng, stats):
-        xb = _batch_last(x)
+    def _columns(self, xb):
+        """The im2col matrix of a batch-last input: one row per weight of a
+        filter, one column per output pixel and sample."""
+        _, oh, ow = self.out_shape
         n = xb.shape[-1]
-        f, oh, ow = self.out_shape
         # a same conv's taps cover its columns only in part; the rest is padding
         alloc = np.zeros if self.spec.same_padding else np.empty
         cols = alloc(self.w_shape[1:] + (oh, ow, n))
         for out_win, in_win in self._taps:
             cols[out_win] = xb[in_win]
-        cols = cols.reshape(-1, oh * ow * n)
+        return cols.reshape(-1, oh * ow * n)
+
+    def forward(self, x, train, rng, stats):
+        xb = _batch_last(x)
+        n = xb.shape[-1]
+        f, oh, ow = self.out_shape
+        cols = self._columns(xb)
         out = self.w.reshape(f, -1) @ cols
         out += self.b[:, None]
-        self._cache = cols if train else None
+        self._cache = None
+        if train:
+            self._cache = cols if cols.nbytes <= SAVED_COLUMNS_MAX_BYTES else xb
         return _batch_first(out.reshape(f, oh, ow, n))
 
     def param_grads(self, dout):
-        cols = _saved(self._cache)
+        saved = _saved(self._cache)  # the 2-d columns, or the 4-d input to rebuild them from
+        cols = saved if saved.ndim == 2 else self._columns(saved)
         dm = _batch_last(dout).reshape(self.w_shape[0], -1)
         return [(dm @ cols.T).reshape(self.w_shape), dm.sum(axis=1)]
 
     def input_grad(self, dout):
-        """The input gradient alone: it reads the weights, not the saved columns."""
+        """The input gradient alone: it reads the weights, not the saved state."""
         dob = _batch_last(dout)
         n = dob.shape[-1]
         dcols = self.w.reshape(self.w_shape[0], -1).T @ dob.reshape(self.w_shape[0], -1)
@@ -605,15 +625,16 @@ def predict_batch(net: Network, x: np.ndarray, batch_size: int | None = None):
     """(labels, confidences) arrays: the argmax of the inference-mode
     probabilities and its probability; exact ties take the lowest class.
 
-    ``x`` goes through the network ``batch_size`` samples at a time, by
-    default ``net.inference_batch``, so its largest array (a conv's im2col
-    columns) stays near ``INFERENCE_BUDGET_BYTES`` whatever ``len(x)``.
+    ``x`` is taken as :func:`train` takes its sets. It goes through the
+    network ``batch_size`` samples at a time, by default
+    ``net.inference_batch``, so its largest array (a conv's im2col columns)
+    stays near ``INFERENCE_BUDGET_BYTES`` whatever ``len(x)``.
     """
     if batch_size is None:
         batch_size = net.inference_batch
-    labels = np.empty(x.shape[0], dtype=np.int64)
-    confs = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], batch_size):
+    labels = np.empty(len(x), dtype=np.int64)
+    confs = np.empty(len(x))
+    for start in range(0, len(x), batch_size):
         probs = net.forward_batch(x[start : start + batch_size])
         labels[start : start + probs.shape[0]] = probs.argmax(axis=1)
         confs[start : start + probs.shape[0]] = probs.max(axis=1)
@@ -747,6 +768,13 @@ def accuracy(net: Network, x: np.ndarray, labels: np.ndarray) -> float:
 def train(net: Network, train_set, val_set, cfg: TrainConfig):
     """SGD with momentum over seeded shuffled mini-batches.
 
+    Each set is ``(x, labels)``. ``x`` holds the samples as anything with
+    ``len`` that an index array or a slice indexes into a numeric
+    ``(batch, *input_shape)`` array, as numpy does: a float64 array, or an
+    :class:`~streetcrop.imageclassifier.ImageSet`, whose 8-bit images
+    become doubles one batch at a time. ``x`` is only ever indexed, never
+    converted whole.
+
     Returns ``(net, history)`` where ``history`` holds the validation
     accuracy after each epoch (length = ``cfg.epochs``). Raises
     :class:`TrainingDivergedError` the moment the loss stops being
@@ -755,15 +783,14 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
     """
     x_train, y_train = train_set
     x_val, y_val = val_set
-    x_train = np.asarray(x_train, dtype=np.float64)
     y_train = np.asarray(y_train)
-    if x_train.shape[0] == 0 or np.asarray(x_val).shape[0] == 0:
+    if len(x_train) == 0 or len(x_val) == 0:
         raise DataValidationError("training and validation sets must be nonempty")
     rng = np.random.default_rng(cfg.seed)
     params = net.parameters()
     velocity = [np.zeros_like(p) for p in params]
     history = []
-    n = x_train.shape[0]
+    n = len(x_train)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -777,7 +804,7 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
                 v *= cfg.momentum
                 v -= cfg.learning_rate * g
                 p += v
-        history.append(accuracy(net, np.asarray(x_val, dtype=np.float64), y_val))
+        history.append(accuracy(net, x_val, y_val))
     return net, history
 
 

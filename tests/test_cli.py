@@ -903,17 +903,19 @@ net.epochs = 1
 
 def test_image_stages_decode_each_image_once(tmp_path, monkeypatch):
     """fetch checks each fixture it keeps, train-images reads the 90 training
-    images and classify-images each campaign image: one decode apiece."""
+    images and classify-images each campaign image: one decode apiece. Every
+    read of an image file parses it with ``_parse_ppm``, whether the stage
+    wants its 8-bit values or the unit-range tensor ``decode_image`` makes."""
     from streetcrop import imagery
 
     decoded = []
-    real_decode = imagery.decode_image
+    real_parse = imagery._parse_ppm
 
-    def counting_decode(data):
+    def counting_parse(data):
         decoded.append(data)
-        return real_decode(data)
+        return real_parse(data)
 
-    monkeypatch.setattr(imagery, "decode_image", counting_decode)
+    monkeypatch.setattr(imagery, "_parse_ppm", counting_parse)
     config = tmp_path / "run.cfg"
     config.write_text(DEMO_CONFIG)
     out = tmp_path / "run"

@@ -14,9 +14,12 @@ from streetcrop.imageclassifier import (
     CALIFORNIA,
     CATALOG_HEADER,
     ILLINOIS,
+    ImageSet,
     LabeledImage,
     LabelTaxonomy,
+    _image_batch,
     classify_images,
+    images_to_arrays,
     qc_filter,
     read_catalog,
     read_rejection_list,
@@ -172,6 +175,56 @@ class TestTrainImageClassifier:
         nn.serialize_model(net, path)
         assert b"\nlayer dropout 0.4\n" in path.read_bytes()
         assert nn.deserialize_model(path).spec == net.spec
+
+
+class TestImageSet:
+    def every_byte_items(self, tmp_path):
+        """Twelve 8 px images in three classes that hold every 8-bit value
+        between them: even ones read from PPM files, odd ones held in memory."""
+        rng = np.random.default_rng(17)
+        values = rng.permutation(np.arange(12 * 8 * 8 * 3) % 256).reshape(12, 8, 8, 3)
+        items = []
+        for i, pixels in enumerate(values):
+            image = ImageTensor(pixels / 255.0)
+            point = GeoPoint(0.001 * i, 0.002)
+            if i % 2:
+                rec = StreetImageRecord(f"img_{i}", point, Heading.EAST, image)
+            else:
+                path = tmp_path / f"img_{i}.ppm"
+                path.write_bytes(encode_image(image))
+                rec = StreetImageRecord(f"img_{i}", point, Heading.EAST, path=path)
+            items.append(LabeledImage(rec, i % 3))
+        return items
+
+    def test_8_bit_set_gives_the_float_batches_and_trains_the_same_model(self, tmp_path):
+        items = self.every_byte_items(tmp_path)
+        records = [li.record for li in items]
+        x8, y = images_to_arrays(items)
+        x = _image_batch(records)
+        assert isinstance(x8, ImageSet) and x8.raw.dtype == np.uint8
+        assert x8.shape == x.shape == (12, 3, 8, 8) and len(x8) == 12
+        take = np.array([7, 0, 11, 4])
+        for idx in (take, slice(None), slice(3, 9)):
+            assert x8[idx].dtype == np.float64
+            assert x8[idx].tobytes() == x[idx].tobytes()
+        spec = nn.NetworkSpec(
+            (nn.Conv2D(4, 3, 3), nn.ReLU(), nn.MaxPool(2), nn.Dropout(0.2), nn.Dense(3),
+             nn.Softmax()),
+            (3, 8, 8),
+            3,
+        )
+        cfg = nn.TrainConfig(epochs=3, batch_size=5, seed=2)
+        sets = {
+            "8-bit": (x8, images_to_arrays(items[::2])[0]),
+            "float64": (x, _image_batch(records[::2])),
+        }
+        models = []
+        for name, (x_train, x_val) in sets.items():
+            net = nn.build_network(spec, seed=3)
+            nn.train(net, (x_train, y), (x_val, y[::2]), cfg)
+            nn.serialize_model(net, tmp_path / f"{name}.rtnn")
+            models.append((tmp_path / f"{name}.rtnn").read_bytes())
+        assert models[0] == models[1]
 
 
 class TestClassifyImages:

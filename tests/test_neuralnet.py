@@ -272,6 +272,24 @@ class TestConvOracle:
         for got, want in zip((dw, db, dx), expected_grads):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("spec,in_shape,pads", list(CASES.values()), ids=list(CASES))
+    def test_rebuilt_columns_match_direct_loops(self, spec, in_shape, pads, monkeypatch):
+        """With no columns small enough to keep, the conv saves its input
+        and its weight gradient rebuilds the columns from it."""
+        monkeypatch.setattr(nn, "SAVED_COLUMNS_MAX_BYTES", 0)
+        rng = np.random.default_rng(32)
+        layer = nn._ConvLayer(spec, in_shape)
+        layer.w = rng.normal(size=layer.w_shape)
+        layer.b = rng.normal(size=layer.w_shape[0])
+        x = rng.normal(size=(5,) + in_shape)
+        dout = rng.normal(size=(5,) + layer.out_shape)
+        _, expected_grads = loop_conv(x, layer.w, layer.b, pads, dout)
+        layer.forward(x, True, None, None)
+        assert layer._cache.shape == in_shape + (5,)
+        dx, (dw, db) = layer.backward(dout)
+        for got, want in zip((dw, db, dx), expected_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
 
 class TestInference:
     def mixed_net(self):
@@ -829,9 +847,10 @@ class TestLayerContracts:
         assert loaded.forward_batch(x).tobytes() == net.forward_batch(x).tobytes()
 
     def test_image_step_memory_guard(self):
-        """A warm image-net step at batch 32 peaks at about 16.2 MB of traced
-        allocations; keeping every weight layer's saved input to the end of
-        backward raises that to about 24 MB."""
+        """A warm image-net step at batch 32 peaks at about 12.0 MB of traced
+        allocations (16.2 MB while each conv saved its im2col columns);
+        keeping every weight layer's saved input to the end of backward
+        raised that to about 24 MB."""
         net = nn.build_network(nn.default_image_spec((3, 32, 32), 7), seed=0)
         rng = np.random.default_rng(4)
         batch = (rng.normal(size=(32, 3, 32, 32)), rng.integers(7, size=32))
@@ -843,3 +862,35 @@ class TestLayerContracts:
         finally:
             tracemalloc.stop()
         assert peak < 18e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    def test_image_step_keeps_large_convs_input_not_their_columns(self):
+        """conv1 and conv2 of the image net save their batch-last input, as
+        their im2col columns (6.2 MB each at batch 32, 9 times that input)
+        pass ``SAVED_COLUMNS_MAX_BYTES``; their weight gradients build the
+        columns again. One step then peaks about 12.0 MB above its start;
+        keeping every conv's columns from forward to backward read 16.2 MB."""
+        net = nn.build_network(nn.default_image_spec((3, 32, 32), 7), seed=0)
+        rng = np.random.default_rng(5)
+        batch = (rng.normal(size=(32, 3, 32, 32)), rng.integers(7, size=32))
+        nn.loss_and_gradients(net, batch, rng=rng)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            nn.loss_and_gradients(net, batch, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6, f"traced peak {peak / 1e6:.1f} MB above the start"
+        net.forward_batch(batch[0], train=True, rng=rng)
+        convs = [layer for layer in net.layers if isinstance(layer, nn._ConvLayer)]
+        inputs = [8 * 32 * math.prod(conv.in_shape) for conv in convs]
+        columns = [8 * 32 * math.prod(conv.w_shape[1:] + conv.out_shape[1:]) for conv in convs]
+        assert min(columns[:2]) > nn.SAVED_COLUMNS_MAX_BYTES >= columns[2]
+        assert [conv._cache.nbytes for conv in convs] == inputs[:2] + columns[2:]
+        for conv in convs:
+            dout = rng.normal(size=(32,) + conv.out_shape)
+            first_dx, first_grads = conv.backward(dout)
+            second_dx, second_grads = conv.backward(dout)
+            assert first_dx.tobytes() == second_dx.tobytes()
+            for a, b in zip(first_grads, second_grads):
+                assert a.tobytes() == b.tobytes()
