@@ -52,7 +52,7 @@ path = write_fixture(fixtures, camera, Heading.EAST, image)
 print(f"  wrote {path.name}")
 record = fetch_street_image(StreetRequest(camera, Heading.EAST), fixtures)
 # PPM stores 8-bit samples, so a float image comes back quantized
-deviation = np.abs(record.read_image().values - image.values).max()
+deviation = np.abs(record.read_pixels() / 255.0 - image.values).max()
 print(f"  fetched it back: id={record.id}, "
       f"max deviation {deviation:.5f} (within half a quantization step: "
       f"{deviation <= 0.5 / 255})")

@@ -12,13 +12,13 @@ so a re-run reproduces the same decisions.
 Every stage hands images on through one catalog codec:
 :func:`write_catalog` and :func:`read_catalog`. A row names the image
 file relative to the catalog; an empty label marks an image nobody has
-labeled yet (the fetched campaign). Reading a catalog decodes nothing:
+labeled yet (the fetched campaign). Reading a catalog parses no image:
 each record keeps only its file's path, so stages that only filter or
-shift images never touch pixels. ``classify_images`` decodes them with
-``record.read_image()``, one batch per worker at a time, and keeps none.
-A training, validation or test set is an :class:`ImageSet` of its images'
-8-bit values (``record.read_pixels()``), turned into doubles one batch at
-a time.
+shift images never touch pixels. Every image reaches the network as an
+:class:`ImageSet` of its 8-bit values (``record.read_pixels()``), turned
+into doubles one batch at a time: a training, validation or test set
+whole, and in ``classify_images`` one chunk per worker at a time, kept
+nowhere afterwards.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class ImageSet:
     """Images of one size held as their 8-bit values: ``raw`` is ``(n, 3, h,
     w)`` uint8, a byte per value where float64 takes eight.
 
-    ``x[idx]`` is ``raw[idx] / 255.0``, the doubles ``record.read_image()``
+    ``x[idx]`` is ``raw[idx] / 255.0``, the doubles :func:`imagery.decode_image`
     gives, so :func:`neuralnet.train` and :func:`neuralnet.predict_batch`
     take a set in place of a float64 array and convert one batch at a time.
     """
@@ -149,15 +149,15 @@ class ImageSet:
         return self.raw[idx] / 255.0
 
 
-def _stack(records: Sequence[StreetImageRecord], read, dtype) -> np.ndarray:
-    """``read(record)`` of images of one size, ``(h, w, 3)`` each, stacked
-    into an (n, 3, h, w) ``dtype`` array; each image is read once."""
+def _stack(records: Sequence[StreetImageRecord]) -> np.ndarray:
+    """The 8-bit values of images of one size, ``(h, w, 3)`` each, stacked
+    into an (n, 3, h, w) uint8 array; each image is read once."""
     if not records:
         raise DataValidationError("no images given")
-    first = read(records[0])
-    batch = np.empty((len(records), 3) + first.shape[:2], dtype)
+    first = records[0].read_pixels()
+    batch = np.empty((len(records), 3) + first.shape[:2], np.uint8)
     for i, rec in enumerate(records):
-        values = first if i == 0 else read(rec)
+        values = first if i == 0 else rec.read_pixels()
         if values.shape != first.shape:
             raise DataValidationError(
                 f"mixed image sizes: {rec.id!r} is {values.shape}, "
@@ -167,16 +167,10 @@ def _stack(records: Sequence[StreetImageRecord], read, dtype) -> np.ndarray:
     return batch
 
 
-def _image_batch(records: Sequence[StreetImageRecord]) -> np.ndarray:
-    """Images of one size as (n, 3, h, w) float64 network inputs. A record
-    that holds no pixels is decoded into the batch and keeps none afterwards."""
-    return _stack(records, lambda rec: rec.read_image().values, np.float64)
-
-
 def images_to_arrays(images: Sequence[LabeledImage]):
     """Labeled images of one size as an :class:`ImageSet` of their 8-bit
     values and a label vector."""
-    x = ImageSet(_stack([li.record for li in images], StreetImageRecord.read_pixels, np.uint8))
+    x = ImageSet(_stack([li.record for li in images]))
     y = np.array([li.label for li in images], dtype=np.int64)
     return x, y
 
@@ -211,7 +205,7 @@ def train_image_classifier(
 def classify_images(net: Network, images: Sequence[StreetImageRecord]) -> list[LabeledImage]:
     """One LabeledImage per input record, order preserved.
 
-    Images are decoded and predicted in chunks, spread over worker
+    Images are read and predicted in chunks, spread over worker
     processes (:func:`neuralnet._fan_out`); a chunk is one worker's share
     of ``net.inference_batch``, and only its labels and confidences come
     back, so each LabeledImage holds the caller's own record. A record
@@ -221,13 +215,13 @@ def classify_images(net: Network, images: Sequence[StreetImageRecord]) -> list[L
     step = neuralnet._worker_batch(net, len(images))
     starts = range(0, len(images), step)
 
-    def decode_and_predict(k):
+    def read_and_predict(k):
         labels, confidences = neuralnet.predict_batch(
-            net, _image_batch(images[starts[k] : starts[k] + step])
+            net, ImageSet(_stack(images[starts[k] : starts[k] + step]))
         )
         return list(zip(labels.tolist(), confidences.tolist()))
 
-    chunks = neuralnet._fan_out(decode_and_predict, len(starts))
+    chunks = neuralnet._fan_out(read_and_predict, len(starts))
     predictions = [p for chunk in chunks for p in chunk]
     return [LabeledImage(rec, label, conf) for rec, (label, conf) in zip(images, predictions)]
 
@@ -304,10 +298,10 @@ def write_catalog(labeled: Iterable[LabeledImage], taxonomy: LabelTaxonomy, path
 
 
 def read_catalog(path: str | Path, taxonomy: LabelTaxonomy) -> list[LabeledImage]:
-    """Load a catalog without decoding any image.
+    """Load a catalog without parsing any image.
 
-    Each record carries its image file's path, which ``record.read_image()``
-    decodes; a row whose file does not exist is an error.
+    Each record carries its image file's path, whose 8-bit pixels
+    ``record.read_pixels()`` reads; a row whose file does not exist is an error.
     """
     base = Path(path).parent.absolute()
 

@@ -12,11 +12,13 @@ coordinates in ASCII digits; a dated fixture's PPM header holds a
 read. A :class:`FixtureIndex` holds the fixtures as coordinate arrays
 and resolves any number of requests in one array pass.
 
-A :class:`StreetImageRecord` read from a fixture or a catalog keeps its
-file's path, not its pixels: :meth:`StreetImageRecord.read_image` decodes
-the file on every call, and :meth:`StreetImageRecord.read_pixels` reads its
-8-bit values, both through the one PPM parser. Only a record built in
-memory (a live fetch) holds its ``image``.
+A street image is its 8-bit ``(h, w, 3)`` pixels from the file to the
+network. A :class:`StreetImageRecord` read from a fixture or a catalog
+keeps its file's path, not its pixels: :meth:`StreetImageRecord.read_pixels`
+parses the file on every call through the one PPM parser. Only a record
+built in memory (a live fetch) holds its ``pixels``. :class:`ImageTensor`
+is the renderer's unit-range form, which :func:`encode_image` writes and
+:func:`decode_image` reads back.
 """
 
 from __future__ import annotations
@@ -105,36 +107,35 @@ class StreetImageRecord:
     """One street image and where it was taken.
 
     ``path`` is the image file a record was read from (a catalog row or a
-    fixture); ``image`` holds pixels only for a record built in memory (a
-    live fetch), which may have no file. :meth:`read_image` gets either.
+    fixture); ``pixels`` holds the ``(h, w, 3)`` uint8 values only for a
+    record built in memory (a live fetch), which may have no file.
+    :meth:`read_pixels` gets either.
     """
 
     id: str
     capture_point: GeoPoint
     heading: Heading
-    image: ImageTensor | None = None
+    pixels: np.ndarray | None = None
     capture_date: datetime.date | None = None
     path: Path | None = None
 
     def __post_init__(self):
-        if self.image is None and self.path is None:
-            raise DataValidationError(f"image {self.id!r} has neither pixels nor a file")
-
-    def read_image(self) -> ImageTensor:
-        """The image held in memory, else one decoded from ``path`` on every
-        call and kept nowhere: a stage that streams images through the
-        network reads each one this way, so only a batch is in memory."""
-        if self.image is None:
-            return _read_file(decode_image, self.path, "image")
-        return self.image
+        p = self.pixels
+        if p is None:
+            if self.path is None:
+                raise DataValidationError(f"image {self.id!r} has neither pixels nor a file")
+        elif p.dtype != np.uint8 or p.ndim != 3 or p.shape[2] != 3:
+            raise DataValidationError(
+                f"image {self.id!r} pixels must be (h, w, 3) uint8, got {p.shape} {p.dtype}"
+            )
 
     def read_pixels(self) -> np.ndarray:
-        """The image's 8-bit values, ``(h, w, 3)`` uint8: the file's bytes,
-        else the image held in memory quantized as :func:`encode_image`
-        writes it. Over 255 they are the values :meth:`read_image` gives."""
-        if self.image is None:
-            return _read_file(_parse_ppm, self.path, "image")[0]
-        return _quantize(self.image.values)
+        """The image's ``(h, w, 3)`` uint8 values: those held in memory, else
+        the file's, parsed on every call and kept nowhere, so a stage that
+        streams images through the network holds only a batch of them."""
+        if self.pixels is None:
+            return _read_ppm(self.path, "image")[0]
+        return self.pixels
 
 
 def build_street_request(p: GeoPoint, h: Heading, size_px: tuple[int, int]) -> str:
@@ -148,15 +149,10 @@ def build_street_request(p: GeoPoint, h: Heading, size_px: tuple[int, int]) -> s
     )
 
 
-def _quantize(values: np.ndarray) -> np.ndarray:
-    """Unit-range values as the nearest 8-bit ones."""
-    return np.rint(values * 255.0).astype(np.uint8)
-
-
 def encode_image(img: ImageTensor) -> bytes:
     """Serialize to binary PPM, quantizing to 1/255 steps; a dated image's
     header holds its year and month as a ``# date=YYYY-MM`` comment."""
-    raw = _quantize(img.values)
+    raw = np.rint(img.values * 255.0).astype(np.uint8)
     d = img.date
     comment = "" if d is None else f"# date={d.year:04d}-{d.month:02d}\n"
     header = f"P6\n{comment}{img.width} {img.height}\n255\n".encode("ascii")
@@ -217,10 +213,10 @@ def _parse_ppm(data: bytes):
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3), date
 
 
-def _read_file(parse, path: Path, what: str):
-    """``parse`` of the bytes of the file ``path``; a decode error names the file."""
+def _read_ppm(path: Path, what: str):
+    """``(pixels, date)`` of the PPM file ``path``; a decode error names the file."""
     try:
-        return parse(read_input(path, what))
+        return _parse_ppm(read_input(path, what))
     except ImageDecodeError as exc:
         raise ImageDecodeError(f"{path}: {exc}") from None
 
@@ -350,13 +346,13 @@ class FixtureIndex:
 
     def record(self, k: int) -> StreetImageRecord:
         """Fixture ``k`` of :meth:`resolve`, its image checked and its date
-        read by one decode; the record keeps the path, not the pixels."""
+        read by one parse; the record keeps the path, not the pixels."""
         path = self._paths[k]
         return StreetImageRecord(
             id=path.stem,
             capture_point=self._points[k],
             heading=self._headings[k],
-            capture_date=_read_file(decode_image, path, "fixture image").date,
+            capture_date=_read_ppm(path, "fixture image")[1],
             path=path,
         )
 
@@ -394,19 +390,19 @@ def _fetch_live(req: StreetRequest) -> StreetImageRecord:
         raise TransportError(f"HTTP {exc.code} fetching street image", status=exc.code) from exc
     except urllib.error.URLError as exc:
         raise TransportError(f"transport failure: {exc.reason}") from exc
-    image = _decode_any(data)
     return StreetImageRecord(
         id=f"live_{req.point.lat_deg:.6f}_{req.point.lon_deg:.6f}_{int(req.heading)}",
         capture_point=req.point,
         heading=req.heading,
-        image=image,
+        pixels=_decode_any(data),
     )
 
 
-def _decode_any(data: bytes) -> ImageTensor:
-    """Decode PPM directly; fall back to Pillow for JPEG/PNG live payloads."""
+def _decode_any(data: bytes) -> np.ndarray:
+    """The ``(h, w, 3)`` uint8 pixels of a PPM payload, or of a JPEG/PNG one
+    through Pillow."""
     if data[:2] == b"P6":
-        return decode_image(data)
+        return _parse_ppm(data)[0]
     try:
         from PIL import Image
     except ImportError as exc:
@@ -415,7 +411,6 @@ def _decode_any(data: bytes) -> ImageTensor:
         ) from exc
     try:
         with Image.open(io.BytesIO(data)) as im:
-            rgb = np.asarray(im.convert("RGB"), dtype=np.float64) / 255.0
+            return np.asarray(im.convert("RGB"), dtype=np.uint8)
     except Exception as exc:
         raise ImageDecodeError(f"undecodable image payload: {exc}") from exc
-    return ImageTensor(rgb)

@@ -242,10 +242,6 @@ class _Layer:
     def params(self):
         return []
 
-    def param_grads(self, dout):
-        """Parameter gradients alone, for a layer whose input gradient nobody reads."""
-        return []
-
     def sample_floats(self) -> int:
         """Floats per sample of the largest array ``forward`` builds."""
         return math.prod(self.out_shape)
@@ -253,6 +249,7 @@ class _Layer:
 
 class _ParamLayer(_Layer):
     """A layer with weights ``w`` of shape ``w_shape`` and one bias per row.
+    A kind supplies ``param_grads`` and ``input_grad``; ``backward`` is both.
 
     Construction only checks shapes; :func:`build_network`,
     :func:`deserialize_model` or :func:`gradient_check` sets ``w`` and ``b``.
@@ -265,6 +262,11 @@ class _ParamLayer(_Layer):
 
     def params(self):
         return [self.w, self.b]
+
+    def backward(self, dout):
+        dout = _batch_first(_batch_last(dout))  # one copy serves both gradients
+        grads = self.param_grads(dout)
+        return self.input_grad(dout), grads
 
 
 class _ConvLayer(_ParamLayer):
@@ -345,11 +347,6 @@ class _ConvLayer(_ParamLayer):
         for out_win, in_win in self._taps:
             dx[in_win] += dc[out_win]
         return _batch_first(dx)
-
-    def backward(self, dout):
-        dout = _batch_first(_batch_last(dout))  # one copy serves both gradients
-        grads = self.param_grads(dout)
-        return self.input_grad(dout), grads
 
 
 class _ReLULayer(_Layer):
@@ -449,11 +446,6 @@ class _DenseLayer(_ParamLayer):
         """The input gradient alone: it reads the weights, not the saved input."""
         dob = _batch_last(dout)
         return _batch_first((self.w.T @ dob).reshape(self.in_shape + (dob.shape[1],)))
-
-    def backward(self, dout):
-        dout = _batch_first(_batch_last(dout))
-        grads = self.param_grads(dout)
-        return self.input_grad(dout), grads
 
 
 class _SoftmaxLayer(_Layer):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_left, force_workers, mutate_csv_cell
+from conftest import assert_no_child_left, force_workers, mutate_csv_cell, pixels_of
 from streetcrop import neuralnet as nn
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import GeoPoint, Heading
@@ -17,7 +17,6 @@ from streetcrop.imageclassifier import (
     ImageSet,
     LabeledImage,
     LabelTaxonomy,
-    _image_batch,
     classify_images,
     images_to_arrays,
     qc_filter,
@@ -27,13 +26,29 @@ from streetcrop.imageclassifier import (
     train_image_classifier,
     write_catalog,
 )
-from streetcrop.imagery import ImageDecodeError, ImageTensor, StreetImageRecord, encode_image
+from streetcrop.imagery import (
+    ImageDecodeError,
+    ImageTensor,
+    StreetImageRecord,
+    decode_image,
+    encode_image,
+)
+
+
+def fake_pixels(seed, size=8):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 256, size=(size, size, 3), dtype=np.uint8)
 
 
 def fake_image(seed, size=8):
     # quantized to 1/255 steps so PPM round trips are exact
-    rng = np.random.default_rng(seed)
-    return ImageTensor(rng.integers(0, 256, size=(size, size, 3)) / 255.0)
+    return ImageTensor(fake_pixels(seed, size) / 255.0)
+
+
+def decoded_batch(paths):
+    """The float oracle: each PPM file's ``decode_image`` values, stacked
+    into an (n, 3, h, w) network input."""
+    return np.stack([np.transpose(decode_image(p.read_bytes()).values, (2, 0, 1)) for p in paths])
 
 
 def fake_labeled(n, label, start=0, confidence=None, size=8):
@@ -43,7 +58,7 @@ def fake_labeled(n, label, start=0, confidence=None, size=8):
             id=f"img_{label}_{start + i}",
             capture_point=GeoPoint(0.001 * (start + i), 0.002),
             heading=Heading.EAST,
-            image=fake_image(1000 * label + start + i, size=size),
+            pixels=fake_pixels(1000 * label + start + i, size=size),
         )
         items.append(LabeledImage(rec, label, confidence))
     return items
@@ -135,7 +150,7 @@ class TestTrainImageClassifier:
                 values += rng.uniform(0, 0.2, values.shape)
                 rec = StreetImageRecord(
                     f"t_{label}_{i}", GeoPoint(0, 0), Heading.NORTH,
-                    ImageTensor(np.clip(values, 0, 1)),
+                    pixels_of(ImageTensor(np.clip(values, 0, 1))),
                 )
                 items.append(LabeledImage(rec, label))
         return items
@@ -180,27 +195,27 @@ class TestTrainImageClassifier:
 class TestImageSet:
     def every_byte_items(self, tmp_path):
         """Twelve 8 px images in three classes that hold every 8-bit value
-        between them: even ones read from PPM files, odd ones held in memory."""
+        between them, each also written to a PPM file: even ones are read
+        from their file, odd ones held in memory. Returns (items, paths)."""
         rng = np.random.default_rng(17)
         values = rng.permutation(np.arange(12 * 8 * 8 * 3) % 256).reshape(12, 8, 8, 3)
-        items = []
-        for i, pixels in enumerate(values):
-            image = ImageTensor(pixels / 255.0)
+        items, paths = [], []
+        for i, pixels in enumerate(values.astype(np.uint8)):
             point = GeoPoint(0.001 * i, 0.002)
+            path = tmp_path / f"img_{i}.ppm"
+            path.write_bytes(encode_image(ImageTensor(pixels / 255.0)))
+            paths.append(path)
             if i % 2:
-                rec = StreetImageRecord(f"img_{i}", point, Heading.EAST, image)
+                rec = StreetImageRecord(f"img_{i}", point, Heading.EAST, pixels)
             else:
-                path = tmp_path / f"img_{i}.ppm"
-                path.write_bytes(encode_image(image))
                 rec = StreetImageRecord(f"img_{i}", point, Heading.EAST, path=path)
             items.append(LabeledImage(rec, i % 3))
-        return items
+        return items, paths
 
     def test_8_bit_set_gives_the_float_batches_and_trains_the_same_model(self, tmp_path):
-        items = self.every_byte_items(tmp_path)
-        records = [li.record for li in items]
+        items, paths = self.every_byte_items(tmp_path)
         x8, y = images_to_arrays(items)
-        x = _image_batch(records)
+        x = decoded_batch(paths)
         assert isinstance(x8, ImageSet) and x8.raw.dtype == np.uint8
         assert x8.shape == x.shape == (12, 3, 8, 8) and len(x8) == 12
         take = np.array([7, 0, 11, 4])
@@ -216,7 +231,7 @@ class TestImageSet:
         cfg = nn.TrainConfig(epochs=3, batch_size=5, seed=2)
         sets = {
             "8-bit": (x8, images_to_arrays(items[::2])[0]),
-            "float64": (x, _image_batch(records[::2])),
+            "float64": (x, decoded_batch(paths[::2])),
         }
         models = []
         for name, (x_train, x_val) in sets.items():
@@ -308,6 +323,32 @@ class TestClassifyImages:
             classify_images(net, records)
         assert_no_child_left()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_predictions_are_those_of_the_decoded_floats(self, tmp_path, monkeypatch, workers):
+        """50 images of 32 px, every other one held in memory: each chunk's
+        labels and confidences are, byte for byte, ``predict_batch`` on the
+        ``decode_image`` floats of the same images in the same chunks."""
+        items, paths = [], []
+        for i in range(50):
+            path = tmp_path / f"img_{i}.ppm"
+            path.write_bytes(encode_image(fake_image(i, size=32)))
+            paths.append(path)
+            point = GeoPoint(0.0, 0.0)
+            if i % 2:
+                items.append(StreetImageRecord(path.stem, point, Heading.EAST, fake_pixels(i, 32)))
+            else:
+                items.append(StreetImageRecord(path.stem, point, Heading.EAST, path=path))
+        net = nn.build_network(nn.default_image_spec((3, 32, 32), 3), seed=0)
+        force_workers(monkeypatch, workers)
+        step = nn._worker_batch(net, len(items))
+        assert step < len(items)  # more than one chunk
+        labeled = classify_images(net, items)
+        assert_no_child_left()
+        labels, confidences = nn.predict_batch(net, decoded_batch(paths), batch_size=step)
+        assert np.array([li.label for li in labeled]).tobytes() == labels.tobytes()
+        assert np.array([li.confidence for li in labeled]).tobytes() == confidences.tobytes()
+        assert all(li.record is r for li, r in zip(labeled, items))
+
     def test_mixed_image_sizes_are_data_error(self):
         records = [li.record for li in fake_labeled(2, 0) + fake_labeled(1, 0, start=5, size=9)]
         with pytest.raises(DataValidationError, match="mixed image sizes: 'img_0_5'"):
@@ -366,7 +407,7 @@ class TestCatalogIO:
                     li.record.id,
                     li.record.capture_point,
                     li.record.heading,
-                    li.record.image,
+                    li.record.pixels,
                     capture_date=datetime.date(2013, 7, 1),
                     path=tmp_path / "images" / f"{li.record.id}.ppm",
                 ),
@@ -377,7 +418,7 @@ class TestCatalogIO:
         ]
         (tmp_path / "images").mkdir()
         for li in items:
-            li.record.path.write_bytes(encode_image(li.record.image))
+            li.record.path.write_bytes(encode_image(ImageTensor(li.record.pixels / 255.0)))
         write_catalog(items, ILLINOIS, tmp_path / "catalog.csv")
         back = read_catalog(tmp_path / "catalog.csv", ILLINOIS)
         assert len(back) == 3
@@ -386,25 +427,27 @@ class TestCatalogIO:
             assert loaded.label == orig.label
             assert loaded.confidence == pytest.approx(orig.confidence)
             assert loaded.record.capture_date.strftime("%Y-%m") == "2013-07"
-            np.testing.assert_array_equal(
-                loaded.record.read_image().values, orig.record.image.values
-            )
+            np.testing.assert_array_equal(loaded.record.read_pixels(), orig.record.pixels)
 
     def test_missing_catalog(self, tmp_path):
         with pytest.raises(DataValidationError):
             read_catalog(tmp_path / "absent.csv", ILLINOIS)
 
-    def test_read_image_decodes_on_every_call_and_keeps_nothing(self, tmp_path):
+    def test_read_pixels_reads_the_file_on_every_call_and_keeps_nothing(self, tmp_path):
         catalog = write_two_row_catalog(tmp_path)
         ppm = tmp_path / "images" / "img_0.ppm"
         record = read_catalog(catalog, ILLINOIS)[0].record
         assert record.path.resolve() == ppm.resolve()
-        image = record.read_image()
-        np.testing.assert_array_equal(image.values, fake_image(0).values)
-        assert record.image is None
+        pixels = record.read_pixels()
+        assert pixels.dtype == np.uint8
+        np.testing.assert_array_equal(pixels, fake_pixels(0))
+        assert record.pixels is None
+        ppm.write_bytes(encode_image(fake_image(5)))
+        np.testing.assert_array_equal(record.read_pixels(), fake_pixels(5))  # read again
+        assert record.pixels is None
         ppm.write_bytes(ppm.read_bytes()[:20])
         with pytest.raises(ImageDecodeError) as err:
-            record.read_image()
+            record.read_pixels()
         assert str(record.path) in str(err.value)
 
     def test_unlabeled_rows_round_trip(self, tmp_path):

@@ -1,7 +1,9 @@
 import datetime
 import io
 import os
+import sys
 import tempfile
+import types
 import urllib.error
 
 import numpy as np
@@ -19,8 +21,10 @@ from streetcrop.imagery import (
     FixtureNotFoundError,
     ImageDecodeError,
     ImageTensor,
+    StreetImageRecord,
     StreetRequest,
     TransportError,
+    _decode_any,
     build_street_request,
     decode_image,
     encode_image,
@@ -119,6 +123,24 @@ class TestImageTensor:
             tensor(np.zeros((2, 2)))
 
 
+class TestStreetImageRecord:
+    @pytest.mark.parametrize(
+        "pixels",
+        [
+            np.zeros((2, 2, 3)),  # float, as an ImageTensor's values
+            np.zeros((2, 2), dtype=np.uint8),
+            np.zeros((2, 2, 4), dtype=np.uint8),
+        ],
+    )
+    def test_pixels_must_be_8_bit_rgb(self, pixels):
+        with pytest.raises(DataValidationError, match="must be \\(h, w, 3\\) uint8"):
+            StreetImageRecord("img", GeoPoint(0, 0), Heading.NORTH, pixels)
+
+    def test_needs_pixels_or_a_file(self):
+        with pytest.raises(DataValidationError, match="neither pixels nor a file"):
+            StreetImageRecord("img", GeoPoint(0, 0), Heading.NORTH)
+
+
 class TestFixtures:
     def make_fixture(self, directory, point, heading, fill=0.5, date=None):
         img = tensor(np.full((4, 4, 3), fill))
@@ -130,7 +152,7 @@ class TestFixtures:
         rec = fetch_street_image(StreetRequest(p, Heading.EAST), tmp_path)
         assert rec.id == fixture_filename(p, Heading.EAST)[: -len(".ppm")]
         assert rec.capture_date == datetime.date(2012, 7, 1)
-        assert rec.read_image().values[0, 0, 0] == pytest.approx(0.5, abs=1e-2)
+        assert rec.read_pixels()[0, 0, 0] == 128  # 0.5 rounds to 128/255
 
     def test_within_tolerance(self, tmp_path):
         p = GeoPoint(35.5, -119.3)
@@ -166,7 +188,7 @@ class TestFixtures:
         self.make_fixture(tmp_path, near, Heading.NORTH, fill=0.25)
         self.make_fixture(tmp_path, far, Heading.NORTH, fill=0.75)
         rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
-        assert rec.read_image().values[0, 0, 0] == pytest.approx(0.25, abs=1e-2)
+        assert rec.read_pixels()[0, 0, 0] == 64  # 0.25 rounds to 64/255
 
     def test_equidistant_tie_breaks_on_filename(self, tmp_path):
         """The fixture 1e-6° west sits in an earlier bucket than the one 1e-6° east."""
@@ -248,7 +270,7 @@ class TestFixtures:
         self.fixture_with_header(tmp_path, p, Heading.NORTH, comments)
         rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
         assert rec.capture_date == datetime.date(2013, 8, 1)
-        assert rec.read_image().values[0, 0, 0] == pytest.approx(0.5, abs=1e-2)
+        assert rec.read_pixels()[0, 0, 0] == 128  # 0.5 rounds to 128/255
 
     def test_a_stale_meta_file_is_not_read(self, tmp_path):
         p = GeoPoint(35.5, -119.3)
@@ -312,9 +334,70 @@ class TestLiveMode:
         monkeypatch.setattr("urllib.request.urlopen", lambda url: _FakeResponse(payload))
         req = StreetRequest(GeoPoint(1.5, 2.5), Heading.EAST, api_key="k")
         rec = fetch_street_image(req, "live")
-        assert rec.image.values.shape == (2, 2, 3)
+        assert rec.pixels.dtype == np.uint8 and rec.pixels.shape == (2, 2, 3)
+        assert (rec.pixels == 128).all()
+        assert rec.path is None and rec.read_pixels() is rec.pixels
         assert rec.id.startswith("live_")
 
+
+def stub_pillow(monkeypatch, open_image):
+    """Put a stand-in ``PIL.Image`` with ``open`` = ``open_image`` in ``sys.modules``."""
+    image_module = types.ModuleType("PIL.Image")
+    image_module.open = open_image
+    pil = types.ModuleType("PIL")
+    pil.Image = image_module
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+    monkeypatch.setitem(sys.modules, "PIL.Image", image_module)
+
+
+class _StubPillowImage:
+    """What ``Image.open`` gives: a context manager whose ``convert`` gives
+    an array-like, as a Pillow image does."""
+
+    def __init__(self, data, rgb):
+        self.data, self.rgb, self.modes, self.closed = data, rgb, [], False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *args):
+        self.closed = True
+
+    def convert(self, mode):
+        self.modes.append(mode)
+        return self.rgb.tolist()  # nested lists of ints, not an array
+
+
+class TestPillowFallback:
+    JPEG = b"\xff\xd8\xff\xe0 not really a jpeg"
+
+    def test_non_ppm_payload_is_decoded_to_8_bit_rgb(self, monkeypatch):
+        rgb = np.arange(24, dtype=np.uint8).reshape(2, 4, 3) * 10
+        opened = []
+
+        def open_image(fh):
+            opened.append(_StubPillowImage(fh.read(), rgb))
+            return opened[-1]
+
+        stub_pillow(monkeypatch, open_image)
+        pixels = _decode_any(self.JPEG)
+        assert pixels.dtype == np.uint8
+        np.testing.assert_array_equal(pixels, rgb)
+        assert [im.data for im in opened] == [self.JPEG]
+        assert opened[0].modes == ["RGB"] and opened[0].closed
+
+    def test_payload_pillow_rejects_is_decode_error(self, monkeypatch):
+        def open_image(fh):
+            raise OSError("cannot identify image file")
+
+        stub_pillow(monkeypatch, open_image)
+        with pytest.raises(ImageDecodeError, match="undecodable image payload: cannot identify"):
+            _decode_any(self.JPEG)
+
+    def test_without_pillow_a_non_ppm_payload_is_decode_error(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "PIL", None)  # import PIL raises ImportError
+        with pytest.raises(ImageDecodeError, match="Pillow is not installed"):
+            _decode_any(self.JPEG)
 
 # --------------------------------------------------------------------------
 # The batch lookup against a brute-force scan of every fixture

@@ -7,7 +7,7 @@ from conftest import kept_images_from_world, make_grid, mutate_csv_cell, world_s
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import GeoPoint, Heading, ShiftParams, geo_distance
 from streetcrop.imageclassifier import ILLINOIS, LabeledImage
-from streetcrop.imagery import ImageTensor, StreetImageRecord
+from streetcrop.imagery import StreetImageRecord
 from streetcrop.refgen import (
     REFERENCE_HEADER,
     generate_reference_points,
@@ -23,7 +23,7 @@ def image_at(point, heading, label, idx=0):
         id=f"img_{label}_{idx}",
         capture_point=point,
         heading=heading,
-        image=ImageTensor(np.zeros((2, 2, 3))),
+        pixels=np.zeros((2, 2, 3), dtype=np.uint8),
     )
     return LabeledImage(rec, label, confidence=0.9)
 

@@ -266,9 +266,7 @@ class TestCampaign:
             assert k >= 0, li.record.id
             fixture = index.record(k)
             assert fixture.id == li.record.id
-            np.testing.assert_array_equal(
-                fixture.read_image().values, li.record.read_image().values
-            )
+            np.testing.assert_array_equal(fixture.read_pixels(), li.record.read_pixels())
 
     def test_insufficient_candidates_rejected(self, tmp_path):
         world = small_world()
