@@ -10,7 +10,8 @@ Fixture layout: ``<lat>_<lon>_<headingDeg>.ppm`` with 6-decimal
 coordinates in ASCII digits; a dated fixture's PPM header holds a
 ``# date=YYYY-MM`` (or ``YYYY-MM-DD``) comment, and no other file is
 read. A :class:`FixtureIndex` holds the fixtures as coordinate arrays
-and resolves any number of requests in one array pass.
+and resolves any number of requests in array passes over a bounded
+block of points each.
 
 A street image is its 8-bit ``(h, w, 3)`` pixels from the file to the
 network. A :class:`StreetImageRecord` read from a fixture or a catalog
@@ -30,7 +31,7 @@ import os
 import re
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -110,12 +111,16 @@ class StreetImageRecord:
     fixture); ``pixels`` holds the ``(h, w, 3)`` uint8 values only for a
     record built in memory (a live fetch), which may have no file.
     :meth:`read_pixels` gets either.
+
+    Records compare and hash on every field but ``pixels``: two records
+    are equal when their id, place, heading, date and file are, so records
+    can sit in sets and be dict keys whether or not they hold pixels.
     """
 
     id: str
     capture_point: GeoPoint
     heading: Heading
-    pixels: np.ndarray | None = None
+    pixels: np.ndarray | None = field(default=None, compare=False)
     capture_date: datetime.date | None = None
     path: Path | None = None
 
@@ -263,9 +268,10 @@ class FixtureIndex:
     tolerance (plus ``_MARGIN_M``) at ``MAX_SUPPORTED_LAT_DEG``, so a fixture
     within reach lies at most one bucket away at every supported latitude.
     The fixtures are held as arrays sorted by bucket code, so
-    :meth:`resolve` finds every request's candidates with ``searchsorted``,
-    drops those a vectorised distance puts clearly out of reach, and leaves
-    the 5 m test and the tie-break to the scalar :func:`geo_distance`.
+    :meth:`resolve` finds the candidates of each block of
+    ``_CHUNK_POINTS`` points with ``searchsorted``, drops those a vectorised
+    distance puts clearly out of reach, and leaves the 5 m test and the
+    tie-break to the scalar :func:`geo_distance`.
     :meth:`fetch` is the same lookup for one request.
     """
 
@@ -306,9 +312,20 @@ class FixtureIndex:
         kj = np.floor(lon / cls._LON_BUCKET_DEG).astype(np.int64) + dj
         return ((ki + 2**20) * 2**22 + (kj + 2**21)) * 4 + heading_deg // 90
 
+    #: Points resolved per array pass, so a pass's temporaries stay bounded
+    #: however large the sampling grid is.
+    _CHUNK_POINTS = 2048
+
     def resolve(self, points: Sequence[GeoPoint], headings: Sequence[Heading]) -> np.ndarray:
         """Index of the fixture serving the request ``(points[i], headings[j])``
         at ``[i, j]``, or -1 where none lies within ``FIXTURE_TOLERANCE_M``."""
+        n = self._CHUNK_POINTS
+        return np.concatenate(
+            [self._resolve(points[i : i + n], headings) for i in range(0, max(len(points), 1), n)]
+        )
+
+    def _resolve(self, points: Sequence[GeoPoint], headings: Sequence[Heading]) -> np.ndarray:
+        """:meth:`resolve` in one array pass."""
         found = np.full(len(points) * len(headings), -1, dtype=np.int64)
         # request r asks for points[r // len(headings)] at headings[r % len(headings)]
         lat = np.repeat([p.lat_deg for p in points], len(headings))
@@ -390,19 +407,22 @@ def _fetch_live(req: StreetRequest) -> StreetImageRecord:
         raise TransportError(f"HTTP {exc.code} fetching street image", status=exc.code) from exc
     except urllib.error.URLError as exc:
         raise TransportError(f"transport failure: {exc.reason}") from exc
+    pixels, date = _decode_any(data)
     return StreetImageRecord(
         id=f"live_{req.point.lat_deg:.6f}_{req.point.lon_deg:.6f}_{int(req.heading)}",
         capture_point=req.point,
         heading=req.heading,
-        pixels=_decode_any(data),
+        pixels=pixels,
+        capture_date=date,
     )
 
 
-def _decode_any(data: bytes) -> np.ndarray:
-    """The ``(h, w, 3)`` uint8 pixels of a PPM payload, or of a JPEG/PNG one
-    through Pillow."""
+def _decode_any(data: bytes):
+    """``(pixels, date)`` of a payload: a PPM's ``(h, w, 3)`` uint8 pixels and
+    header date, as a fixture read gives them, or a JPEG/PNG one's pixels
+    through Pillow, with no date."""
     if data[:2] == b"P6":
-        return _parse_ppm(data)[0]
+        return _parse_ppm(data)
     try:
         from PIL import Image
     except ImportError as exc:
@@ -411,6 +431,6 @@ def _decode_any(data: bytes) -> np.ndarray:
         ) from exc
     try:
         with Image.open(io.BytesIO(data)) as im:
-            return np.asarray(im.convert("RGB"), dtype=np.uint8)
+            return np.asarray(im.convert("RGB"), dtype=np.uint8), None
     except Exception as exc:
         raise ImageDecodeError(f"undecodable image payload: {exc}") from exc

@@ -35,8 +35,10 @@ Landsat surface-reflectance products store reflectance. Without the line
 band values are reflectance as stored; QA grids are never scaled.
 
 A :class:`SceneStack` is built for one feature list and reads its grids
-then: the QA grids, and each band a feature needs, once. After that it
-reads no file.
+then, one date at a time: the date's QA grid and each band a feature
+needs, each grid once. A date's grids are dropped once its feature planes
+are in the stack's cubes, so the build holds the cubes plus one date's
+grids. After that the stack reads no file.
 """
 
 from __future__ import annotations
@@ -465,25 +467,13 @@ def _gap_fill(x: np.ndarray, values: np.ndarray, valid: np.ndarray) -> np.ndarra
     return filled
 
 
-def _band_cubes(manifests: Sequence[SceneManifest], name: str, template: RasterGrid):
-    """(values, not-nodata) cubes of one band, its grids read and scaled."""
-    grids = []
-    for manifest in manifests:
-        grid = read_grid(manifest.band_paths[name], scale=manifest.scale)
-        if not grid.same_georef(template):
-            raise GeoreferenceMismatchError(
-                f"band {name} of {manifest.scene_date} is not co-registered"
-            )
-        grids.append(grid)
-    return np.stack([g.values for g in grids]), np.stack([g.valid_mask() for g in grids])
-
-
 class SceneStack:
     """The temporal-spectral stack of a campaign: T dates by F features.
 
-    :meth:`from_manifests` reads every grid the features need and builds
-    each feature's (values, observed) cube; after that the stack reads no
-    file and changes no state, so forked workers read it as built. A feature is
+    :meth:`from_manifests` allocates each feature's (values, observed)
+    cubes of shape (T, nrows, ncols) and fills them date by date from the
+    grids the features need; after that the stack reads no file and
+    changes no state, so forked workers read it as built. A feature is
     observed in a cell where the QA is clear (0), none of the feature's
     own bands is nodata and, for an index, the denominator is usable.
     """
@@ -504,8 +494,10 @@ class SceneStack:
     def from_manifests(
         cls, manifests: Sequence[SceneManifest], features: Sequence[FeatureName]
     ) -> "SceneStack":
-        """Read the QA grids, then each feature's bands (each band once,
-        scaled by its manifest's ``scale``) and build that feature's cubes."""
+        """Build each feature's cubes one date at a time: read the date's QA
+        grid and each band the features need (each grid once, scaled by its
+        manifest's ``scale``), then write the date's feature planes, masked
+        by its clear QA, into row ``t`` of the cubes."""
         features = tuple(features)
         if not features:
             raise DataValidationError("feature list must be nonempty")
@@ -517,20 +509,28 @@ class SceneStack:
         dates = [m.scene_date for m in manifests]
         if any(later <= earlier for earlier, later in zip(dates, dates[1:])):
             raise DataValidationError("scenes must be sorted by date, one scene per date")
-        qa = [read_grid(m.qa_path) for m in manifests]
-        if not all(grid.same_georef(qa[0]) for grid in qa):
-            raise GeoreferenceMismatchError("scene grids are not co-registered")
-        template, clear = qa[0], np.stack([grid.values == 0 for grid in qa])
-        del qa  # only the mask is kept while the bands are read
-        bands: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        planes = {}
-        for feature in features:
-            names = _INDEX_BANDS.get(feature, (feature.value,))
-            for name in names:
-                if name not in bands:
-                    bands[name] = _band_cubes(manifests, name, template)
-            values, valid = _feature_arrays(feature, {n: bands[n] for n in names})
-            planes[feature] = (values, valid & clear)
+        template = read_grid(manifests[0].qa_path)
+        shape = (len(manifests), template.nrows, template.ncols)
+        planes = {f: (np.empty(shape), np.empty(shape, dtype=bool)) for f in features}
+        for t, manifest in enumerate(manifests):
+            qa = read_grid(manifest.qa_path) if t else template
+            if not qa.same_georef(template):
+                raise GeoreferenceMismatchError("scene grids are not co-registered")
+            clear = qa.values == 0
+            del qa  # only the mask is kept while the date's bands are read
+            bands: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+            for feature, (values, valid) in planes.items():
+                names = _INDEX_BANDS.get(feature, (feature.value,))
+                for name in names:
+                    if name not in bands:
+                        grid = read_grid(manifest.band_paths[name], scale=manifest.scale)
+                        if not grid.same_georef(template):
+                            raise GeoreferenceMismatchError(
+                                f"band {name} of {manifest.scene_date} is not co-registered"
+                            )
+                        bands[name] = grid.values, grid.valid_mask()
+                values[t], valid[t] = _feature_arrays(feature, {n: bands[n] for n in names})
+                valid[t] &= clear
         return cls(dates, template, planes)
 
     @property

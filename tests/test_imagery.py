@@ -140,6 +140,28 @@ class TestStreetImageRecord:
         with pytest.raises(DataValidationError, match="neither pixels nor a file"):
             StreetImageRecord("img", GeoPoint(0, 0), Heading.NORTH)
 
+    def test_records_compare_and_hash_on_every_field_but_pixels(self, tmp_path):
+        def in_memory(id, fill):
+            pixels = np.full((2, 2, 3), fill, dtype=np.uint8)
+            return StreetImageRecord(id, GeoPoint(1, 2), Heading.EAST, pixels)
+
+        def file_backed(name):
+            return StreetImageRecord(
+                name, GeoPoint(1, 2), Heading.EAST, path=tmp_path / f"{name}.ppm",
+                capture_date=datetime.date(2013, 7, 1),
+            )
+
+        a, b = in_memory("a", 10), in_memory("b", 10)
+        c, d = file_backed("c"), file_backed("d")
+        assert a == in_memory("a", 200)  # other pixels, same record
+        assert a != b and c != d and a != c
+        assert c == file_backed("c") and hash(c) == hash(file_backed("c"))
+        records = {a, b, c, d, in_memory("a", 99), file_backed("c")}
+        assert len(records) == 4 and in_memory("b", 0) in records and file_backed("d") in records
+        labels = {a: "crop", b: "other", c: "crop", d: "other"}
+        assert labels[in_memory("b", 1)] == "other" and labels[file_backed("c")] == "crop"
+        assert c not in [a, b, d]
+
 
 class TestFixtures:
     def make_fixture(self, directory, point, heading, fill=0.5, date=None):
@@ -338,6 +360,22 @@ class TestLiveMode:
         assert (rec.pixels == 128).all()
         assert rec.path is None and rec.read_pixels() is rec.pixels
         assert rec.id.startswith("live_")
+        assert rec.capture_date is None
+
+    def test_ppm_payload_keeps_its_capture_date(self, monkeypatch, tmp_path):
+        """A live PPM carries its header's date, as a fixture of the same bytes does."""
+        point = GeoPoint(1.5, 2.5)
+        path = write_fixture(
+            tmp_path, point, Heading.EAST, tensor(np.full((2, 2, 3), 0.5)),
+            date=datetime.date(2013, 7, 19),
+        )
+        payload = path.read_bytes()
+        assert b"# date=2013-07\n" in payload
+        monkeypatch.setattr("urllib.request.urlopen", lambda url: _FakeResponse(payload))
+        rec = fetch_street_image(StreetRequest(point, Heading.EAST, api_key="k"), "live")
+        fixture = fetch_street_image(StreetRequest(point, Heading.EAST), tmp_path)
+        assert rec.capture_date == fixture.capture_date == datetime.date(2013, 7, 1)
+        np.testing.assert_array_equal(rec.pixels, fixture.read_pixels())
 
 
 def stub_pillow(monkeypatch, open_image):
@@ -380,8 +418,8 @@ class TestPillowFallback:
             return opened[-1]
 
         stub_pillow(monkeypatch, open_image)
-        pixels = _decode_any(self.JPEG)
-        assert pixels.dtype == np.uint8
+        pixels, date = _decode_any(self.JPEG)
+        assert pixels.dtype == np.uint8 and date is None  # a JPEG/PNG carries no date
         np.testing.assert_array_equal(pixels, rgb)
         assert [im.data for im in opened] == [self.JPEG]
         assert opened[0].modes == ["RGB"] and opened[0].closed
@@ -538,3 +576,21 @@ def test_polar_candidate_raises_as_the_scalar_distance_does(tmp_path):
     write_fixture(tmp_path, GeoPoint(86.0, 1.0), Heading.EAST, tensor(np.zeros((1, 1, 3))))
     with pytest.raises(DataValidationError, match="exceeds supported"):
         FixtureIndex(tmp_path).resolve([GeoPoint(86.0, 1.00005)], [Heading.EAST])
+
+
+def test_resolve_in_blocks_of_points_equals_one_pass(tmp_path, monkeypatch):
+    """A fixture near the end of one block serves a request in the next, and
+    a block holds the requests of every heading of its points."""
+    base = GeoPoint(35.5, -119.3)
+    points = [GeoPoint(base.lat_deg + k * 2.0 / METERS_PER_DEGREE, base.lon_deg) for k in range(8)]
+    for k, p in enumerate(points[::2]):
+        write_fixture(tmp_path, p, list(Heading)[k % 4], tensor(np.zeros((1, 1, 3))))
+    index = FixtureIndex(tmp_path)
+    monkeypatch.setattr(FixtureIndex, "_CHUNK_POINTS", len(points))
+    whole = index.resolve(points, list(Heading))
+    assert (whole >= 0).sum() >= len(points)  # neighbouring points share fixtures
+    for n in (1, 3, 5):
+        monkeypatch.setattr(FixtureIndex, "_CHUNK_POINTS", n)
+        assert index.resolve(points, list(Heading)).tolist() == whole.tolist()
+        assert index.resolve(points, [Heading.SOUTH]).tolist() == whole[:, 2:3].tolist()
+    assert index.resolve([], list(Heading)).shape == (0, 4)

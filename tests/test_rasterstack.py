@@ -2,6 +2,7 @@ import datetime
 import hashlib
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -810,6 +811,130 @@ class TestFeatureStack:
         with pytest.raises(GridFormatError) as err:
             SceneStack.from_manifests(scenes, [FeatureName.NDVI])
         assert nir in str(err.value)
+
+
+def random_world(directory, n_dates, shape=(7, 9), scale=None, seed=3):
+    """Scenes of random reflectance with nodata in every band and random QA
+    codes. With ``scale`` the bands are stored as ``round(value / scale)``
+    and the manifests state the scale. A few cells have NIR = Red = 0, so
+    NDVI's denominator vanishes there."""
+    rng = np.random.default_rng(seed)
+    scenes = []
+    for t in range(n_dates):
+        date = datetime.date(2013, 4, 1) + datetime.timedelta(days=8 * t)
+        bands = {b: rng.uniform(0.01, 0.6, shape) for b in BAND_NAMES}
+        bands["NIR"].flat[t::11] = bands["Red"].flat[t::11] = 0.0
+        if scale is not None:
+            bands = {b: np.rint(v / scale) for b, v in bands.items()}
+        for values in bands.values():
+            values[rng.random(shape) < 0.1] = -9999.0
+        qa = rng.choice([0.0, 0.0, 0.0, 1.0, 2.0, 4.0], size=shape)
+        path = write_scene(directory, date, bands, qa)
+        manifest = directory / f"{date.isoformat()}.manifest"
+        write_manifest(replace(read_manifest(manifest), scale=scale), manifest)
+        scenes.append(replace(path, scale=scale))
+    return scenes
+
+
+def oracle_planes(scenes, feature):
+    """(values, observed) cubes of one feature, read date by date as whole
+    grids through ``read_grid`` and ``compute_index``: values are nodata
+    wherever the feature is not observed."""
+    values, observed = [], []
+    for scene in scenes:
+        clear = read_grid(scene.qa_path).values == 0
+        bands = {b: read_grid(scene.band_paths[b], scale=scene.scale) for b in BAND_NAMES}
+        if feature.value in BAND_NAMES:
+            grid = bands[feature.value]
+        else:
+            grid = compute_index(feature, bands)
+        valid = grid.valid_mask() & clear
+        values.append(np.where(valid, grid.values, grid.nodata))
+        observed.append(valid)
+    return np.stack(values), np.stack(observed)
+
+
+class TestStackBuild:
+    """``from_manifests`` builds its cubes one date at a time: the same bytes
+    as whole grids give, each grid read once, and no whole-campaign band
+    cube held while it builds."""
+
+    @pytest.mark.parametrize("scale", [None, 0.0001])
+    def test_cubes_equal_the_whole_grid_oracle_byte_for_byte(self, tmp_path, scale):
+        scenes = random_world(tmp_path, 4, scale=scale)
+        stack = SceneStack.from_manifests(scenes, list(FeatureName))
+        assert stack.template.values.tobytes() == read_grid(scenes[0].qa_path).values.tobytes()
+        for feature in FeatureName:
+            values, observed = stack.feature_plane(feature)
+            expected_values, expected_observed = oracle_planes(scenes, feature)
+            assert values.dtype == np.float64 and observed.dtype == bool
+            assert observed.tobytes() == expected_observed.tobytes(), feature
+            assert np.where(observed, values, -9999.0).tobytes() == expected_values.tobytes()
+            if feature.value in BAND_NAMES:  # a band's cube is the grids as read
+                grids = [read_grid(s.band_paths[feature.value], scale=scale) for s in scenes]
+                assert values.tobytes() == np.stack([g.values for g in grids]).tobytes()
+            alone = SceneStack.from_manifests(scenes, [feature]).feature_plane(feature)
+            assert alone[0].tobytes() == values.tobytes()
+            assert alone[1].tobytes() == observed.tobytes()
+        nodata, masked = stack.feature_plane(FeatureName.NIR)[1], stack.feature_plane(
+            FeatureName.NDVI
+        )[1]
+        assert not nodata.all() and not masked.all()  # the world exercises both masks
+
+    def test_each_grid_is_read_once(self, tmp_path):
+        scenes = random_world(tmp_path, 3)
+        with mock.patch.object(rasterstack, "read_grid", wraps=rasterstack.read_grid) as spy:
+            SceneStack.from_manifests(scenes, [FeatureName.EVI, FeatureName.NIR, FeatureName.SWIR2])
+        paths = [str(c.args[0]) for c in spy.call_args_list]
+        expected = [
+            path
+            for s in scenes
+            for path in (s.qa_path, *(s.band_paths[b] for b in ("NIR", "Red", "Blue", "SWIR2")))
+        ]
+        assert paths == expected  # date by date, the QA grid first
+
+    def test_traced_peak_stays_below_twice_the_kept_cubes(self, tmp_path):
+        """Holding every date of each band, or whole-cube index temporaries,
+        would need about three times the kept cubes on this world."""
+        scenes = random_world(tmp_path, 12, shape=(64, 64))
+        features = [FeatureName.EVI, FeatureName.SWIR2]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stack = SceneStack.from_manifests(scenes, features)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for f in features for a in stack.feature_plane(f))
+        assert peak < 2 * kept, (peak, kept)
+
+    def test_misregistered_qa_on_a_later_date_raises(self, tmp_path):
+        scenes = random_world(tmp_path, 3)
+        write_grid(make_grid(np.zeros((7, 9)), xll=1.0), scenes[2].qa_path)
+        with pytest.raises(GeoreferenceMismatchError, match="not co-registered"):
+            SceneStack.from_manifests(scenes, [FeatureName.NIR])
+
+    def test_misregistered_band_on_a_later_date_raises_naming_it(self, tmp_path):
+        scenes = random_world(tmp_path, 3)
+        write_grid(make_grid(np.zeros((7, 9)), cellsize=0.002), scenes[1].band_paths["Red"])
+        with pytest.raises(GeoreferenceMismatchError, match=f"band Red of {scenes[1].scene_date}"):
+            SceneStack.from_manifests(scenes, [FeatureName.NDVI])
+
+    @pytest.mark.parametrize("first", ["qa", "band"])
+    def test_first_fault_in_date_order_is_reported(self, tmp_path, first):
+        """A corrupt NIR grid and a misregistered QA grid on different dates:
+        the earlier date's fault is the one reported."""
+        scenes = random_world(tmp_path, 3)
+        qa_date, band_date = (1, 2) if first == "qa" else (2, 1)
+        write_grid(make_grid(np.zeros((7, 9)), xll=1.0), scenes[qa_date].qa_path)
+        nir = scenes[band_date].band_paths["NIR"]
+        Path(nir).write_text("not a grid\n")
+        if first == "qa":
+            with pytest.raises(GeoreferenceMismatchError):
+                SceneStack.from_manifests(scenes, [FeatureName.NDVI])
+        else:
+            with pytest.raises(GridFormatError, match=re.escape(nir)):
+                SceneStack.from_manifests(scenes, [FeatureName.NDVI])
 
 
 @st.composite
