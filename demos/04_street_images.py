@@ -38,8 +38,8 @@ row, col = world.road_cell_centers()[40]
 camera = world.truth.cell_center(row, col)
 for heading in Heading:
     cls = sw.facing_class(world, camera, heading)
-    image = sw.render_street_image(world, camera, heading, seed=7)
-    field = image.values[int(sw.SKY_FRACTION * image.height):]
+    pixels = sw.render_street_image(world, camera, heading, seed=7)
+    field = pixels[int(sw.SKY_FRACTION * len(pixels)):] / 255.0
     print(f"  facing {heading.name:<5}: {world.taxonomy.class_names[cls]:<8} "
           f"mean field color {np.round(field.mean(axis=(0, 1)), 2)}")
 
@@ -47,15 +47,13 @@ print()
 print("Fixtures: the on-disk interchange for street images")
 print("----------------------------------------------------")
 fixtures = workdir / "fixtures"
-image = sw.render_street_image(world, camera, Heading.EAST, seed=7)
-path = write_fixture(fixtures, camera, Heading.EAST, image)
+pixels = sw.render_street_image(world, camera, Heading.EAST, seed=7)
+path = write_fixture(fixtures, camera, Heading.EAST, pixels)
 print(f"  wrote {path.name}")
 record = fetch_street_image(StreetRequest(camera, Heading.EAST), fixtures)
-# PPM stores 8-bit samples, so a float image comes back quantized
-deviation = np.abs(record.read_pixels() / 255.0 - image.values).max()
+# the renderer and PPM both hold 8-bit samples, so the image comes back exactly
 print(f"  fetched it back: id={record.id}, "
-      f"max deviation {deviation:.5f} (within half a quantization step: "
-      f"{deviation <= 0.5 / 255})")
+      f"pixels identical: {np.array_equal(record.read_pixels(), pixels)}")
 
 print()
 print("Training a classifier on rendered textures")

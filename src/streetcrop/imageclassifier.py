@@ -130,9 +130,9 @@ class ImageSet:
     """Images of one size held as their 8-bit values: ``raw`` is ``(n, 3, h,
     w)`` uint8, a byte per value where float64 takes eight.
 
-    ``x[idx]`` is ``raw[idx] / 255.0``, the doubles :func:`imagery.decode_image`
-    gives, so :func:`neuralnet.train` and :func:`neuralnet.predict_batch`
-    take a set in place of a float64 array and convert one batch at a time.
+    ``x[idx]`` is ``raw[idx] / 255.0``, the pixels scaled to unit range, so
+    :func:`neuralnet.train` and :func:`neuralnet.predict_batch` take a set
+    in place of a float64 array and convert one batch at a time.
     """
 
     def __init__(self, raw: np.ndarray):

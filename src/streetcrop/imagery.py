@@ -14,17 +14,18 @@ and resolves any number of requests in array passes over a bounded
 block of points each.
 
 A street image is its 8-bit ``(h, w, 3)`` pixels from the file to the
-network. A :class:`StreetImageRecord` read from a fixture or a catalog
-keeps its file's path, not its pixels: :meth:`StreetImageRecord.read_pixels`
-parses the file on every call through the one PPM parser. Only a record
-built in memory (a live fetch) holds its ``pixels``. :class:`ImageTensor`
-is the renderer's unit-range form, which :func:`encode_image` writes and
-:func:`decode_image` reads back.
+network: the renderer makes it, :func:`encode_image` writes it and
+:func:`decode_image`, its exact inverse and the one PPM parser, reads it
+back. A :class:`StreetImageRecord` read from a fixture or a catalog keeps
+its file's path, not its pixels: :meth:`StreetImageRecord.read_pixels`
+parses the file on every call. Only a record built in memory (a live
+fetch) holds its ``pixels``.
 """
 
 from __future__ import annotations
 
 import datetime
+import http.client
 import io
 import math
 import os
@@ -66,28 +67,14 @@ class TransportError(DataValidationError):
         self.status = status
 
 
-@dataclass(frozen=True)
-class ImageTensor:
-    """RGB image with float values in [0, 1], shape (height, width, 3), and
-    the capture date its PPM header carries, if any."""
-
-    values: np.ndarray
-    date: datetime.date | None = None
-
-    def __post_init__(self):
-        v = self.values
-        if v.ndim != 3 or v.shape[2] != 3:
-            raise DataValidationError(f"image must be (h, w, 3), got {v.shape}")
-        if not np.isfinite(v).all() or v.min() < 0.0 or v.max() > 1.0:
-            raise DataValidationError("image values must be finite and in [0, 1]")
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
+def _check_pixels(pixels: np.ndarray, what: str) -> None:
+    """Reject anything but ``(h, w, 3)`` uint8 with ``h, w >= 1``: the one
+    form of a street image, and what :func:`decode_image` can give."""
+    if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3 or not pixels.size:
+        raise DataValidationError(
+            f"{what} pixels must be (h, w, 3) uint8 with h, w >= 1, "
+            f"got {pixels.shape} {pixels.dtype}"
+        )
 
 
 @dataclass(frozen=True)
@@ -125,14 +112,11 @@ class StreetImageRecord:
     path: Path | None = None
 
     def __post_init__(self):
-        p = self.pixels
-        if p is None:
+        if self.pixels is None:
             if self.path is None:
                 raise DataValidationError(f"image {self.id!r} has neither pixels nor a file")
-        elif p.dtype != np.uint8 or p.ndim != 3 or p.shape[2] != 3:
-            raise DataValidationError(
-                f"image {self.id!r} pixels must be (h, w, 3) uint8, got {p.shape} {p.dtype}"
-            )
+        else:
+            _check_pixels(self.pixels, f"image {self.id!r}")
 
     def read_pixels(self) -> np.ndarray:
         """The image's ``(h, w, 3)`` uint8 values: those held in memory, else
@@ -154,27 +138,21 @@ def build_street_request(p: GeoPoint, h: Heading, size_px: tuple[int, int]) -> s
     )
 
 
-def encode_image(img: ImageTensor) -> bytes:
-    """Serialize to binary PPM, quantizing to 1/255 steps; a dated image's
+def encode_image(pixels: np.ndarray, date: datetime.date | None = None) -> bytes:
+    """Serialize ``(h, w, 3)`` uint8 pixels to binary PPM; a dated image's
     header holds its year and month as a ``# date=YYYY-MM`` comment."""
-    raw = np.rint(img.values * 255.0).astype(np.uint8)
-    d = img.date
-    comment = "" if d is None else f"# date={d.year:04d}-{d.month:02d}\n"
-    header = f"P6\n{comment}{img.width} {img.height}\n255\n".encode("ascii")
-    return header + raw.tobytes()
+    _check_pixels(pixels, "encoded image")
+    height, width, _ = pixels.shape
+    comment = "" if date is None else f"# date={date.year:04d}-{date.month:02d}\n"
+    header = f"P6\n{comment}{width} {height}\n255\n".encode("ascii")
+    return header + pixels.tobytes()
 
 
-def decode_image(data: bytes) -> ImageTensor:
-    """Parse a binary PPM (P6, maxval 255) into a unit-range tensor. Header
-    comments are skipped but for one ``# date=YYYY-MM[-DD]``, the tensor's
-    ``date``; a malformed date or a second date comment is an error."""
-    raw, date = _parse_ppm(data)
-    return ImageTensor(raw / 255.0, date)
-
-
-def _parse_ppm(data: bytes):
-    """``(pixels, date)`` of a binary PPM as :func:`decode_image` reads it,
-    the pixels its ``(h, w, 3)`` uint8 bytes."""
+def decode_image(data: bytes) -> tuple[np.ndarray, datetime.date | None]:
+    """``(pixels, date)`` of a binary PPM (P6, maxval 255), the exact inverse
+    of :func:`encode_image`: its ``(h, w, 3)`` uint8 pixels, and the date of
+    its one ``# date=YYYY-MM[-DD]`` header comment, if any. Other comments
+    are skipped; a malformed date or a second date comment is an error."""
     if data[:2] != b"P6":
         raise ImageDecodeError("bad magic, expected P6")
     pos = 2
@@ -221,7 +199,7 @@ def _parse_ppm(data: bytes):
 def _read_ppm(path: Path, what: str):
     """``(pixels, date)`` of the PPM file ``path``; a decode error names the file."""
     try:
-        return _parse_ppm(read_input(path, what))
+        return decode_image(read_input(path, what))
     except ImageDecodeError as exc:
         raise ImageDecodeError(f"{path}: {exc}") from None
 
@@ -237,14 +215,14 @@ def write_fixture(
     directory: str | Path,
     point: GeoPoint,
     heading: Heading,
-    image: ImageTensor,
+    pixels: np.ndarray,
     date: datetime.date | None = None,
 ) -> Path:
-    """Store an image in fixture layout, ``date`` (if given) in its header."""
+    """Store an image's pixels in fixture layout, ``date`` (if given) in its header."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / fixture_filename(point, heading)
-    path.write_bytes(encode_image(ImageTensor(image.values, date)))
+    path.write_bytes(encode_image(pixels, date))
     return path
 
 
@@ -405,8 +383,9 @@ def _fetch_live(req: StreetRequest) -> StreetImageRecord:
             data = resp.read()
     except urllib.error.HTTPError as exc:
         raise TransportError(f"HTTP {exc.code} fetching street image", status=exc.code) from exc
-    except urllib.error.URLError as exc:
-        raise TransportError(f"transport failure: {exc.reason}") from exc
+    except (OSError, http.client.HTTPException) as exc:
+        # a URLError, or a read cut short: a reset, a timeout, an IncompleteRead
+        raise TransportError(f"transport failure: {getattr(exc, 'reason', exc)}") from exc
     pixels, date = _decode_any(data)
     return StreetImageRecord(
         id=f"live_{req.point.lat_deg:.6f}_{req.point.lon_deg:.6f}_{int(req.heading)}",
@@ -422,7 +401,7 @@ def _decode_any(data: bytes):
     header date, as a fixture read gives them, or a JPEG/PNG one's pixels
     through Pillow, with no date."""
     if data[:2] == b"P6":
-        return _parse_ppm(data)
+        return decode_image(data)
     try:
         from PIL import Image
     except ImportError as exc:

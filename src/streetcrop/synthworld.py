@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DataValidationError
 from .geocore import METERS_PER_DEGREE, BoundingBox, GeoPoint, Heading
 from .imageclassifier import LabeledImage, LabelTaxonomy, largest_remainder, write_catalog
-from .imagery import ImageTensor, StreetImageRecord, write_fixture
+from .imagery import StreetImageRecord, write_fixture
 from .rasterstack import BAND_NAMES, RasterGrid, SceneManifest, write_grid, write_manifest
 
 NODATA = -9999.0
@@ -302,9 +302,9 @@ def facing_class(world: World, p: GeoPoint, h: Heading) -> int:
     return world.taxonomy.others_index
 
 
-def render_street_image(world: World, p: GeoPoint, h: Heading, seed: int = 0) -> ImageTensor:
+def render_street_image(world: World, p: GeoPoint, h: Heading, seed: int = 0) -> np.ndarray:
     """Procedural roadside view, ``IMAGE_PX`` square: sky band over the
-    facing class texture."""
+    facing class texture, as ``(h, w, 3)`` uint8 pixels in 1/255 steps."""
     row_mask, col_mask = world.truth.cell_index(p)
     if world.road_mask.values[row_mask, col_mask] != 1:
         raise DataValidationError("camera point is not on a road cell")
@@ -326,7 +326,7 @@ def render_street_image(world: World, p: GeoPoint, h: Heading, seed: int = 0) ->
     field = np.asarray(base)[None, None, :] * stripes
     field = field + rng.uniform(-speckle, speckle, size=(field_rows, size, 3))
     img[sky_rows:] = field
-    return ImageTensor(np.clip(img, 0.0, 1.0))
+    return np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
 # --------------------------------------------------------------------------

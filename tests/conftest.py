@@ -12,11 +12,6 @@ from streetcrop.rasterstack import BAND_NAMES, RasterGrid, SceneManifest, write_
 from streetcrop import neuralnet, synthworld
 
 
-def pixels_of(image) -> np.ndarray:
-    """An ``ImageTensor``'s 8-bit values, as ``encode_image`` writes them."""
-    return np.rint(image.values * 255.0).astype(np.uint8)
-
-
 def make_grid(values, xll=0.0, yll=0.0, cellsize=0.001, nodata=-9999.0) -> RasterGrid:
     values = np.asarray(values, dtype=np.float64)
     return RasterGrid(
@@ -77,8 +72,8 @@ def kept_images_from_world(world, stride=2, seed=1):
             cls = synthworld.facing_class(world, p, h)
             if cls == world.taxonomy.others_index:
                 continue
-            image = synthworld.render_street_image(world, p, h, seed=seed)
-            record = StreetImageRecord(f"cam_{r}_{c}_{int(h)}", p, h, pixels_of(image))
+            pixels = synthworld.render_street_image(world, p, h, seed=seed)
+            record = StreetImageRecord(f"cam_{r}_{c}_{int(h)}", p, h, pixels)
             kept.append(LabeledImage(record, cls, confidence=0.99))
     return kept
 

@@ -21,7 +21,7 @@ from streetcrop import cli, neuralnet, synthworld
 from streetcrop.cli import RunConfig, run_command
 from streetcrop.errors import UsageError
 from streetcrop.geocore import GeoPoint, Heading
-from streetcrop.imagery import ImageTensor, write_fixture
+from streetcrop.imagery import write_fixture
 from streetcrop.rasterstack import write_grid
 
 
@@ -321,10 +321,10 @@ class TestPipelineChain:
 
 def _tiny_catalog(tmp_path, **cells):
     """A one-row classified catalog with a real image file; ``cells`` override fields."""
-    from streetcrop.imagery import ImageTensor, encode_image
+    from streetcrop.imagery import encode_image
 
     image = tmp_path / "img.ppm"
-    image.write_bytes(encode_image(ImageTensor(np.zeros((2, 2, 3)))))
+    image.write_bytes(encode_image(np.zeros((2, 2, 3), dtype=np.uint8)))
     row = {"id": "img", "path": "img.ppm", "label": "corn", "confidence": "0.900000",
            "lat": "0.001", "lon": "0.002", "heading": "90", "date": "2013-07", **cells}
     catalog = tmp_path / "classified.csv"
@@ -556,7 +556,7 @@ def _bad_byte_in_fixture_meta(tmp_path):
     point = GeoPoint(0.001, 0.002)
     fixtures = tmp_path / "fixtures"
     date = datetime.date(2013, 7, 1)
-    ppm = write_fixture(fixtures, point, Heading.NORTH, ImageTensor(np.zeros((2, 2, 3))), date)
+    ppm = write_fixture(fixtures, point, Heading.NORTH, np.zeros((2, 2, 3), dtype=np.uint8), date)
     ppm.write_bytes(ppm.read_bytes().replace(b"date=2013-07\n", b"date=2013-07\xff\n", 1))
     grid = tmp_path / "grid.csv"
     grid.write_text(f"lat,lon\n{point.lat_deg!r},{point.lon_deg!r}\n")
@@ -904,18 +904,18 @@ net.epochs = 1
 def test_image_stages_decode_each_image_once(tmp_path, monkeypatch):
     """fetch checks each fixture it keeps, train-images reads the 90 training
     images and classify-images each campaign image: one decode apiece. Every
-    read of an image file parses it with ``_parse_ppm``, whether the stage
-    wants its 8-bit values or the unit-range tensor ``decode_image`` makes."""
+    read of an image file, for its date or its 8-bit pixels, parses it with
+    ``decode_image``."""
     from streetcrop import imagery
 
     decoded = []
-    real_parse = imagery._parse_ppm
+    real_decode = imagery.decode_image
 
-    def counting_parse(data):
+    def counting_decode(data):
         decoded.append(data)
-        return real_parse(data)
+        return real_decode(data)
 
-    monkeypatch.setattr(imagery, "_parse_ppm", counting_parse)
+    monkeypatch.setattr(imagery, "decode_image", counting_decode)
     config = tmp_path / "run.cfg"
     config.write_text(DEMO_CONFIG)
     out = tmp_path / "run"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_left, force_workers, mutate_csv_cell, pixels_of
+from conftest import assert_no_child_left, force_workers, mutate_csv_cell
 from streetcrop import neuralnet as nn
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import GeoPoint, Heading
@@ -28,7 +28,6 @@ from streetcrop.imageclassifier import (
 )
 from streetcrop.imagery import (
     ImageDecodeError,
-    ImageTensor,
     StreetImageRecord,
     decode_image,
     encode_image,
@@ -40,15 +39,11 @@ def fake_pixels(seed, size=8):
     return rng.integers(0, 256, size=(size, size, 3), dtype=np.uint8)
 
 
-def fake_image(seed, size=8):
-    # quantized to 1/255 steps so PPM round trips are exact
-    return ImageTensor(fake_pixels(seed, size) / 255.0)
-
-
 def decoded_batch(paths):
-    """The float oracle: each PPM file's ``decode_image`` values, stacked
-    into an (n, 3, h, w) network input."""
-    return np.stack([np.transpose(decode_image(p.read_bytes()).values, (2, 0, 1)) for p in paths])
+    """The float oracle: each PPM file's ``decode_image`` pixels over 255,
+    stacked into an (n, 3, h, w) network input."""
+    pixels = [decode_image(p.read_bytes())[0] for p in paths]
+    return np.stack([np.transpose(a, (2, 0, 1)) for a in pixels]) / 255.0
 
 
 def fake_labeled(n, label, start=0, confidence=None, size=8):
@@ -70,7 +65,7 @@ def write_two_row_catalog(tmp_path):
     for i, label in enumerate((0, 1)):
         path = tmp_path / "images" / f"img_{i}.ppm"
         path.parent.mkdir(exist_ok=True)
-        path.write_bytes(encode_image(fake_image(i)))
+        path.write_bytes(encode_image(fake_pixels(i)))
         rec = StreetImageRecord(
             f"img_{i}", GeoPoint(0.001 * i, 0.002), Heading.EAST, path=path,
             capture_date=datetime.date(2013, 7, 1),
@@ -150,7 +145,7 @@ class TestTrainImageClassifier:
                 values += rng.uniform(0, 0.2, values.shape)
                 rec = StreetImageRecord(
                     f"t_{label}_{i}", GeoPoint(0, 0), Heading.NORTH,
-                    pixels_of(ImageTensor(np.clip(values, 0, 1))),
+                    np.rint(np.clip(values, 0, 1) * 255.0).astype(np.uint8),
                 )
                 items.append(LabeledImage(rec, label))
         return items
@@ -203,7 +198,7 @@ class TestImageSet:
         for i, pixels in enumerate(values.astype(np.uint8)):
             point = GeoPoint(0.001 * i, 0.002)
             path = tmp_path / f"img_{i}.ppm"
-            path.write_bytes(encode_image(ImageTensor(pixels / 255.0)))
+            path.write_bytes(encode_image(pixels))
             paths.append(path)
             if i % 2:
                 rec = StreetImageRecord(f"img_{i}", point, Heading.EAST, pixels)
@@ -279,7 +274,7 @@ class TestClassifyImages:
         records = []
         for i in range(600):
             path = tmp_path / f"img_{i}.ppm"
-            path.write_bytes(encode_image(fake_image(i, size=32)))
+            path.write_bytes(encode_image(fake_pixels(i, size=32)))
             records.append(StreetImageRecord(f"img_{i}", GeoPoint(0.0, 0.0), Heading.EAST, path=path))
         net = nn.build_network(nn.default_image_spec((3, 32, 32), 3), seed=0)
         tracemalloc.start()
@@ -313,7 +308,7 @@ class TestClassifyImages:
         records = []
         for i in range(30):
             path = tmp_path / f"img_{i}.ppm"
-            path.write_bytes(encode_image(fake_image(i, size=32)))
+            path.write_bytes(encode_image(fake_pixels(i, size=32)))
             records.append(StreetImageRecord(path.stem, GeoPoint(0.0, 0.0), Heading.EAST, path=path))
         broken = tmp_path / "img_25.ppm"  # chunk 1 of 21-image chunks: the helper's
         broken.write_bytes(broken.read_bytes()[:-5])
@@ -331,7 +326,7 @@ class TestClassifyImages:
         items, paths = [], []
         for i in range(50):
             path = tmp_path / f"img_{i}.ppm"
-            path.write_bytes(encode_image(fake_image(i, size=32)))
+            path.write_bytes(encode_image(fake_pixels(i, size=32)))
             paths.append(path)
             point = GeoPoint(0.0, 0.0)
             if i % 2:
@@ -418,7 +413,7 @@ class TestCatalogIO:
         ]
         (tmp_path / "images").mkdir()
         for li in items:
-            li.record.path.write_bytes(encode_image(ImageTensor(li.record.pixels / 255.0)))
+            li.record.path.write_bytes(encode_image(li.record.pixels))
         write_catalog(items, ILLINOIS, tmp_path / "catalog.csv")
         back = read_catalog(tmp_path / "catalog.csv", ILLINOIS)
         assert len(back) == 3
@@ -442,7 +437,7 @@ class TestCatalogIO:
         assert pixels.dtype == np.uint8
         np.testing.assert_array_equal(pixels, fake_pixels(0))
         assert record.pixels is None
-        ppm.write_bytes(encode_image(fake_image(5)))
+        ppm.write_bytes(encode_image(fake_pixels(5)))
         np.testing.assert_array_equal(record.read_pixels(), fake_pixels(5))  # read again
         assert record.pixels is None
         ppm.write_bytes(ppm.read_bytes()[:20])

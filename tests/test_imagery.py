@@ -1,4 +1,5 @@
 import datetime
+import http.client
 import io
 import os
 import sys
@@ -20,7 +21,6 @@ from streetcrop.imagery import (
     FixtureIndex,
     FixtureNotFoundError,
     ImageDecodeError,
-    ImageTensor,
     StreetImageRecord,
     StreetRequest,
     TransportError,
@@ -34,8 +34,9 @@ from streetcrop.imagery import (
 )
 
 
-def tensor(values):
-    return ImageTensor(np.asarray(values, dtype=np.float64))
+def solid(fill, shape=(2, 2, 3)):
+    """8-bit pixels all of value ``fill``."""
+    return np.full(shape, fill, dtype=np.uint8)
 
 
 class TestBuildRequest:
@@ -58,18 +59,23 @@ class TestBuildRequest:
             build_street_request(GeoPoint(0, 0), Heading.NORTH, (641, 640))
 
 
+def unit_values(data):
+    """The float oracle: a PPM's 8-bit pixels scaled to unit range."""
+    return decode_image(data)[0] / 255.0
+
+
 class TestDecode:
     def test_single_white_pixel(self):
         data = b"P6\n1 1\n255\n\xff\xff\xff"
-        img = decode_image(data)
-        assert img.values.shape == (1, 1, 3)
-        np.testing.assert_array_equal(img.values, 1.0)
+        values = unit_values(data)
+        assert values.shape == (1, 1, 3)
+        np.testing.assert_array_equal(values, 1.0)
 
     def test_black_then_white(self):
         data = b"P6\n2 1\n255\n\x00\x00\x00\xff\xff\xff"
-        img = decode_image(data)
-        np.testing.assert_array_equal(img.values[0, 0], [0, 0, 0])
-        np.testing.assert_array_equal(img.values[0, 1], [1, 1, 1])
+        values = unit_values(data)
+        np.testing.assert_array_equal(values[0, 0], [0, 0, 0])
+        np.testing.assert_array_equal(values[0, 1], [1, 1, 1])
 
     def test_short_payload(self):
         data = b"P6\n2 2\n255\n" + b"\x00" * 9  # 4 pixels declared, 3 supplied
@@ -86,8 +92,7 @@ class TestDecode:
 
     def test_comments_in_header(self):
         data = b"P6\n# a comment\n1 1\n255\n\x80\x80\x80"
-        img = decode_image(data)
-        assert img.values[0, 0, 0] == pytest.approx(128 / 255)
+        assert unit_values(data)[0, 0, 0] == pytest.approx(128 / 255)
 
 
 @settings(max_examples=50, deadline=None)
@@ -95,43 +100,46 @@ class TestDecode:
     h=st.integers(1, 8),
     w=st.integers(1, 8),
     seed=st.integers(0, 2**31 - 1),
+    date=st.none() | st.dates(),
 )
-def test_encode_decode_round_trip(h, w, seed):
+def test_encode_decode_round_trip(h, w, seed, date):
+    """``decode_image`` gives back the pixels exactly, and the date to its month."""
     rng = np.random.default_rng(seed)
-    raw = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-    img = tensor(raw / 255.0)
-    assert decode_image(encode_image(img)).values.tolist() == img.values.tolist()
+    pixels = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    back, back_date = decode_image(encode_image(pixels, date))
+    assert back.dtype == np.uint8 and back.tolist() == pixels.tolist()
+    assert back_date == (None if date is None else date.replace(day=1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(BYTE_EDITS)
 def test_mutated_ppm_raises_only_decode_errors(edits):
-    image = tensor(np.random.default_rng(3).random((3, 4, 3)))
+    pixels = np.random.default_rng(3).integers(0, 256, size=(3, 4, 3), dtype=np.uint8)
     try:
-        decode_image(mutate_bytes(encode_image(image), edits))
+        decode_image(mutate_bytes(encode_image(pixels), edits))
     except ImageDecodeError:
         pass
 
 
-class TestImageTensor:
-    def test_range_enforced(self):
-        with pytest.raises(DataValidationError):
-            tensor(np.full((2, 2, 3), 1.5))
+#: Pixels that are not one street image's form: float, 2-d, 4-channel, empty.
+NOT_8_BIT_RGB = [
+    np.zeros((2, 2, 3)),
+    np.zeros((2, 2), dtype=np.uint8),
+    np.zeros((2, 2, 4), dtype=np.uint8),
+    np.zeros((0, 2, 3), dtype=np.uint8),
+    np.zeros((2, 0, 3), dtype=np.uint8),
+]
 
-    def test_shape_enforced(self):
-        with pytest.raises(DataValidationError):
-            tensor(np.zeros((2, 2)))
+
+@pytest.mark.parametrize("pixels", NOT_8_BIT_RGB)
+def test_encode_takes_only_8_bit_rgb(pixels):
+    """``encode_image`` writes nothing that ``decode_image`` would reject."""
+    with pytest.raises(DataValidationError, match="must be \\(h, w, 3\\) uint8 with h, w >= 1"):
+        encode_image(pixels)
 
 
 class TestStreetImageRecord:
-    @pytest.mark.parametrize(
-        "pixels",
-        [
-            np.zeros((2, 2, 3)),  # float, as an ImageTensor's values
-            np.zeros((2, 2), dtype=np.uint8),
-            np.zeros((2, 2, 4), dtype=np.uint8),
-        ],
-    )
+    @pytest.mark.parametrize("pixels", NOT_8_BIT_RGB)
     def test_pixels_must_be_8_bit_rgb(self, pixels):
         with pytest.raises(DataValidationError, match="must be \\(h, w, 3\\) uint8"):
             StreetImageRecord("img", GeoPoint(0, 0), Heading.NORTH, pixels)
@@ -164,9 +172,8 @@ class TestStreetImageRecord:
 
 
 class TestFixtures:
-    def make_fixture(self, directory, point, heading, fill=0.5, date=None):
-        img = tensor(np.full((4, 4, 3), fill))
-        return write_fixture(directory, point, heading, img, date=date)
+    def make_fixture(self, directory, point, heading, fill=128, date=None):
+        return write_fixture(directory, point, heading, solid(fill, (4, 4, 3)), date=date)
 
     def test_exact_lookup(self, tmp_path):
         p = GeoPoint(35.5, -119.3)
@@ -174,7 +181,7 @@ class TestFixtures:
         rec = fetch_street_image(StreetRequest(p, Heading.EAST), tmp_path)
         assert rec.id == fixture_filename(p, Heading.EAST)[: -len(".ppm")]
         assert rec.capture_date == datetime.date(2012, 7, 1)
-        assert rec.read_pixels()[0, 0, 0] == 128  # 0.5 rounds to 128/255
+        assert rec.read_pixels()[0, 0, 0] == 128
 
     def test_within_tolerance(self, tmp_path):
         p = GeoPoint(35.5, -119.3)
@@ -207,10 +214,10 @@ class TestFixtures:
         p = GeoPoint(35.5, -119.3)
         near = offset_point(p, Heading.EAST, 1.0)
         far = offset_point(p, Heading.EAST, 4.0)
-        self.make_fixture(tmp_path, near, Heading.NORTH, fill=0.25)
-        self.make_fixture(tmp_path, far, Heading.NORTH, fill=0.75)
+        self.make_fixture(tmp_path, near, Heading.NORTH, fill=64)
+        self.make_fixture(tmp_path, far, Heading.NORTH, fill=191)
         rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
-        assert rec.read_pixels()[0, 0, 0] == 64  # 0.25 rounds to 64/255
+        assert rec.read_pixels()[0, 0, 0] == 64
 
     def test_equidistant_tie_breaks_on_filename(self, tmp_path):
         """The fixture 1e-6° west sits in an earlier bucket than the one 1e-6° east."""
@@ -292,7 +299,7 @@ class TestFixtures:
         self.fixture_with_header(tmp_path, p, Heading.NORTH, comments)
         rec = fetch_street_image(StreetRequest(p, Heading.NORTH), tmp_path)
         assert rec.capture_date == datetime.date(2013, 8, 1)
-        assert rec.read_pixels()[0, 0, 0] == 128  # 0.5 rounds to 128/255
+        assert rec.read_pixels()[0, 0, 0] == 128
 
     def test_a_stale_meta_file_is_not_read(self, tmp_path):
         p = GeoPoint(35.5, -119.3)
@@ -351,8 +358,28 @@ class TestLiveMode:
             fetch_street_image(req, "live")
         assert err.value.status == 404
 
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ConnectionResetError("connection reset by peer"),
+            TimeoutError("the read operation timed out"),
+            http.client.IncompleteRead(b"P6\n", 12),
+        ],
+        ids=["reset", "timeout", "incomplete"],
+    )
+    def test_failure_mid_read_becomes_transport_error(self, monkeypatch, error):
+        class CutResponse(_FakeResponse):
+            def read(self, *args):
+                raise error
+
+        monkeypatch.setattr("urllib.request.urlopen", lambda url: CutResponse())
+        req = StreetRequest(GeoPoint(0, 0), Heading.NORTH, api_key="k")
+        with pytest.raises(TransportError, match="transport failure") as err:
+            fetch_street_image(req, "live")
+        assert err.value.status is None and err.value.__cause__ is error
+
     def test_ppm_payload_decodes(self, monkeypatch):
-        payload = encode_image(tensor(np.full((2, 2, 3), 0.5)))
+        payload = encode_image(solid(128))
         monkeypatch.setattr("urllib.request.urlopen", lambda url: _FakeResponse(payload))
         req = StreetRequest(GeoPoint(1.5, 2.5), Heading.EAST, api_key="k")
         rec = fetch_street_image(req, "live")
@@ -366,8 +393,7 @@ class TestLiveMode:
         """A live PPM carries its header's date, as a fixture of the same bytes does."""
         point = GeoPoint(1.5, 2.5)
         path = write_fixture(
-            tmp_path, point, Heading.EAST, tensor(np.full((2, 2, 3), 0.5)),
-            date=datetime.date(2013, 7, 19),
+            tmp_path, point, Heading.EAST, solid(128), date=datetime.date(2013, 7, 19),
         )
         payload = path.read_bytes()
         assert b"# date=2013-07\n" in payload
@@ -527,7 +553,7 @@ def test_batch_lookup_matches_a_brute_force_scan(layout):
     fixtures, requests = layout
     with tempfile.TemporaryDirectory() as directory:
         for p, heading in fixtures:
-            write_fixture(directory, p, heading, tensor(np.zeros((1, 1, 3))))
+            write_fixture(directory, p, heading, solid(0, (1, 1, 3)))
         index = FixtureIndex(directory)
         found = index.resolve(requests, list(Heading))
         for i, p in enumerate(requests):
@@ -544,7 +570,7 @@ def test_batch_lookup_matches_a_brute_force_scan(layout):
 
 def test_exactly_five_meters_is_served_and_one_ulp_past_is_not(tmp_path):
     fixture = GeoPoint(0.0, 0.0)
-    write_fixture(tmp_path, fixture, Heading.EAST, tensor(np.zeros((1, 1, 3))))
+    write_fixture(tmp_path, fixture, Heading.EAST, solid(0, (1, 1, 3)))
     inside, outside = boundary_pair(fixture, Heading.EAST)
     assert geo_distance(inside, fixture) == 5.0
     assert geo_distance(outside, fixture) == np.nextafter(5.0, 6.0)
@@ -554,7 +580,7 @@ def test_exactly_five_meters_is_served_and_one_ulp_past_is_not(tmp_path):
 
 def test_mirrored_fixtures_tie_and_the_first_name_wins(tmp_path):
     for lon in (0.000012, -0.000012):
-        write_fixture(tmp_path, GeoPoint(45.0, lon), Heading.EAST, tensor(np.zeros((1, 1, 3))))
+        write_fixture(tmp_path, GeoPoint(45.0, lon), Heading.EAST, solid(0, (1, 1, 3)))
     p = GeoPoint(45.0, 0.0)
     assert geo_distance(p, GeoPoint(45.0, 0.000012)) == geo_distance(p, GeoPoint(45.0, -0.000012))
     rec = FixtureIndex(tmp_path).fetch(StreetRequest(p, Heading.EAST))
@@ -565,7 +591,7 @@ def test_fixture_within_five_meters_is_found_at_high_latitude(tmp_path):
     """East-west, 5 m at 80 degrees spans 2.6e-4 degrees of longitude, almost
     six times what it spans on the equator."""
     fixture = GeoPoint(80.0, 10.00001)
-    write_fixture(tmp_path, fixture, Heading.EAST, tensor(np.zeros((1, 1, 3))))
+    write_fixture(tmp_path, fixture, Heading.EAST, solid(0, (1, 1, 3)))
     request = GeoPoint(80.0, meters_east(fixture, 4.5))
     assert geo_distance(request, fixture) == 4.49999999999842
     found = FixtureIndex(tmp_path).resolve([request], [Heading.EAST])
@@ -573,7 +599,7 @@ def test_fixture_within_five_meters_is_found_at_high_latitude(tmp_path):
 
 
 def test_polar_candidate_raises_as_the_scalar_distance_does(tmp_path):
-    write_fixture(tmp_path, GeoPoint(86.0, 1.0), Heading.EAST, tensor(np.zeros((1, 1, 3))))
+    write_fixture(tmp_path, GeoPoint(86.0, 1.0), Heading.EAST, solid(0, (1, 1, 3)))
     with pytest.raises(DataValidationError, match="exceeds supported"):
         FixtureIndex(tmp_path).resolve([GeoPoint(86.0, 1.00005)], [Heading.EAST])
 
@@ -584,7 +610,7 @@ def test_resolve_in_blocks_of_points_equals_one_pass(tmp_path, monkeypatch):
     base = GeoPoint(35.5, -119.3)
     points = [GeoPoint(base.lat_deg + k * 2.0 / METERS_PER_DEGREE, base.lon_deg) for k in range(8)]
     for k, p in enumerate(points[::2]):
-        write_fixture(tmp_path, p, list(Heading)[k % 4], tensor(np.zeros((1, 1, 3))))
+        write_fixture(tmp_path, p, list(Heading)[k % 4], solid(0, (1, 1, 3)))
     index = FixtureIndex(tmp_path)
     monkeypatch.setattr(FixtureIndex, "_CHUNK_POINTS", len(points))
     whole = index.resolve(points, list(Heading))

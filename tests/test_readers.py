@@ -29,7 +29,6 @@ from streetcrop.imageclassifier import ILLINOIS, LabeledImage, read_catalog, wri
 from streetcrop.imagery import (
     FixtureIndex,
     ImageDecodeError,
-    ImageTensor,
     decode_image,
     encode_image,
     write_fixture,
@@ -67,7 +66,7 @@ def value_span(text, key):
 
 
 def fixture_dir(d):
-    write_fixture(d / "fixtures", POINT, Heading.EAST, ImageTensor(np.zeros((2, 3, 3))), DATE)
+    write_fixture(d / "fixtures", POINT, Heading.EAST, np.zeros((2, 3, 3), dtype=np.uint8), DATE)
     return d / "fixtures"
 
 
@@ -187,16 +186,16 @@ def model_case(d):
 
 def ppm_case(d):
     path = d / "image.ppm"
-    image = ImageTensor(np.arange(18).reshape(2, 3, 3) / 255.0)
-    path.write_bytes(encode_image(image))
+    pixels = np.arange(18, dtype=np.uint8).reshape(2, 3, 3)
+    path.write_bytes(encode_image(pixels))
     text = path.read_bytes()[:11].decode("ascii")
     assert text == "P6\n3 2\n255\n"
     spans = [(3, 4), (5, 6), (7, 10)]
 
     def read(p):
-        return decode_image(p.read_bytes()).values.tolist()
+        return decode_image(p.read_bytes())[0].tolist()
 
-    return Written(path, spans, read, image.values.tolist(), ImageDecodeError)
+    return Written(path, spans, read, pixels.tolist(), ImageDecodeError)
 
 
 CASES = {

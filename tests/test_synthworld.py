@@ -1,4 +1,5 @@
 import collections
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from streetcrop import synthworld as sw
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import Heading
 from streetcrop.imageclassifier import CALIFORNIA, ILLINOIS
-from streetcrop.imagery import FixtureIndex
+from streetcrop.imagery import FixtureIndex, encode_image
 from streetcrop.rasterstack import (
     BAND_NAMES,
     FeatureName,
@@ -169,7 +170,21 @@ class TestRenderStreetImage:
         p = self.camera(world)
         a = sw.render_street_image(world, p, Heading.EAST, seed=5)
         b = sw.render_street_image(world, p, Heading.EAST, seed=5)
-        np.testing.assert_array_equal(a.values, b.values)
+        assert a.dtype == np.uint8 and a.shape == (sw.IMAGE_PX, sw.IMAGE_PX, 3)
+        np.testing.assert_array_equal(a, b)
+
+    def test_encoded_views_are_pinned(self):
+        """The PPM bytes of one camera's four views, as the renderer has
+        always quantized them: a change to the rendering or to its 1/255
+        rounding changes every fixture and training image, and fails here."""
+        world = small_world()
+        p = self.camera(world, k=95)  # facing soybean, others, corn, others
+        digest = hashlib.sha256()
+        for h in Heading:
+            digest.update(encode_image(sw.render_street_image(world, p, h, seed=5)))
+        assert digest.hexdigest() == (
+            "9a7888b3c9ef7ef832098c7a4334b4a65d98b3902785694919588a86361c52ce"
+        )
 
     def test_off_road_camera_rejected(self):
         world = small_world()
@@ -188,8 +203,8 @@ class TestRenderStreetImage:
                 if cls != CALIFORNIA.others_index:
                     img = sw.render_street_image(world, p, h, seed=1)
                     base, _, _ = sw.TEXTURES[CALIFORNIA.class_names[cls]]
-                    sky = int(sw.SKY_FRACTION * img.values.shape[0])
-                    field_mean = img.values[sky:].mean(axis=(0, 1))
+                    sky = int(sw.SKY_FRACTION * len(img))
+                    field_mean = (img[sky:] / 255.0).mean(axis=(0, 1))
                     np.testing.assert_allclose(field_mean, base, atol=0.1)
                     return
         raise AssertionError("no crop-facing camera found")
