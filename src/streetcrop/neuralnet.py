@@ -16,8 +16,8 @@ Inside a network the activations sit batch-last in memory, ``(c, h, w,
 n)`` for spatial layers and ``(units, n)`` for dense ones: a conv is one
 2-D GEMM over an im2col column matrix each way, MaxPool is a maximum over
 strided slices. A same-padded conv pads nothing: each kernel tap copies
-only its in-bounds span into zeroed columns, and a tap that sees only
-padding is skipped. Every layer still takes and returns arrays shaped ``(n,
+only its in-bounds span into the columns, and only the padding is zeroed.
+Every layer still takes and returns arrays shaped ``(n,
 ...)``; a network hands them free transposed views, and a C-ordered input
 is copied once. Only a train-mode forward stores what ``backward`` needs,
 so ``backward`` needs a train-mode forward first; a layer's ``backward``
@@ -34,14 +34,28 @@ Against the previous batch-first engine, probabilities, gradients and
 trained weights agree to about 1e-15 relative, because BLAS sums in
 another order.
 
+An inference forward (``train`` false, no ``stats``) of a same conv whose
+output columns see only padding under some kernel columns, as both pixel
+net convs do at one to three features, multiplies only the kernel columns
+that see input: the output columns that see input under the same kernel
+columns form a run, and each run is one GEMM per output row over those
+columns, its weights sliced from ``w`` on every call. A training forward
+keeps the full columns, as a weight gradient over fewer rows is not
+bit-identical. A network's own inference pass has such a conv write its
+columns and output into buffers the layer keeps (:meth:`_Layer.infer`),
+and rectifies each conv and dense output in place; a direct
+``layer.forward`` call gets new arrays and changes none it was given.
+
 Inference runs in batches sized from the network, not from the input:
 ``Network.inference_batch`` is ``INFERENCE_BUDGET_BYTES`` (8 MiB) over
-one sample's bytes in the largest array a forward pass builds, the
+one sample's bytes in the largest array a train-mode forward builds, the
 im2col columns of the widest conv. That is 43 images for the default
 image net and 364 pixels for the default pixel net on ten scenes of two
-features. A probability may move in its last bits with the batch size,
-because BLAS takes another path for a ragged edge tile of a GEMM, so
-only a tie to within those bits could change a label.
+features; an inference pass of the pixel net builds less than those
+columns. A probability may move in its last bits with the batch size,
+because BLAS takes another path for a ragged edge tile of a GEMM, and
+with the inference path, so only a tie to within those bits could change
+a label.
 
 Independent items run on ``W`` forked worker processes
 (:func:`_fan_out`): a forward-selection step's candidates, a dropout
@@ -59,6 +73,7 @@ against central finite differences (:func:`gradient_check`).
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import os
 import pickle
@@ -246,6 +261,12 @@ class _Layer:
         """Floats per sample of the largest array ``forward`` builds."""
         return math.prod(self.out_shape)
 
+    def infer(self, x):
+        """The inference output in a network's own pass. That pass holds no
+        output past its next batch, so a layer may give it in a buffer its
+        next ``infer`` overwrites; by default it is ``forward``'s new array."""
+        return self.forward(x, False, None, None)
+
 
 class _ParamLayer(_Layer):
     """A layer with weights ``w`` of shape ``w_shape`` and one bias per row.
@@ -269,6 +290,13 @@ class _ParamLayer(_Layer):
         return self.input_grad(dout), grads
 
 
+def _outside(lo, hi, size):
+    """The slices of ``[0, size)`` outside ``[lo, hi)``: all of it when that is empty."""
+    if lo >= hi:
+        return [slice(0, size)]
+    return [win for win, edge in ((slice(0, lo), lo > 0), (slice(hi, size), hi < size)) if edge]
+
+
 class _ConvLayer(_ParamLayer):
     def __init__(self, spec: Conv2D, in_shape):
         if len(in_shape) != 3:
@@ -289,44 +317,129 @@ class _ConvLayer(_ParamLayer):
             raise ShapeMismatchError(f"conv output collapsed to {oh}x{ow}")
         w_shape = (spec.filters, c, spec.kernel_h, spec.kernel_w)
         super().__init__(spec, in_shape, (spec.filters, oh, ow), w_shape)
-        # per kernel tap (i, j): the output window whose input under that tap
-        # lies inside the unpadded input, and that input window; a tap that
-        # sees only padding is left out, as its im2col rows stay zero
-        self._taps = []
-        for i in range(spec.kernel_h):
-            r0, r1 = max(0, pt - i), min(oh, h + pt - i)
-            for j in range(spec.kernel_w):
-                c0, c1 = max(0, pl - j), min(ow, w + pl - j)
+        self._pt, self._pl = pt, pl
+        self._taps, self._pads = self._plan(0, ow, 0, spec.kernel_w)
+        # output column o sees input under kernel columns [pl - o, w + pl - o);
+        # where some column sees only padding under some kernel column, an
+        # inference forward runs one GEMM per run of output columns that see
+        # input under the same kernel columns
+        live = [(max(0, pl - o), min(spec.kernel_w, w + pl - o)) for o in range(ow)]
+        self._runs = []
+        self._run_floats = 0  # per sample, in the largest run's columns
+        if any(j1 - j0 < spec.kernel_w for j0, j1 in live):
+            for (j0, j1), run in itertools.groupby(range(ow), key=live.__getitem__):
+                o0, *rest = run
+                o1 = o0 + 1 + len(rest)
+                self._runs.append((o0, o1, j0, j1, *self._plan(o0, o1, j0, j1)))
+                floats = c * spec.kernel_h * (j1 - j0) * oh * (o1 - o0)
+                self._run_floats = max(self._run_floats, floats)
+        self._cols_buf = self._out_buf = None
+
+    def _plan(self, o0, o1, j0, j1):
+        """``(taps, pads)`` that build the im2col columns of output columns
+        ``[o0, o1)`` over kernel columns ``[j0, j1)``, shaped ``(c, k_h, j1 -
+        j0, oh, o1 - o0, n)``. ``taps`` holds, per kernel tap that sees
+        input, the output window whose input under that tap lies inside the
+        unpadded input, and that input window. Outside that window a tap
+        sees padding, in the output rows its kernel row sees outside the
+        input or the output columns its kernel column does; ``pads`` holds
+        those rows per kernel row and those columns per kernel column."""
+        _, h, w = self.in_shape
+        _, oh, _ = self.out_shape
+        pt, pl = self._pt, self._pl
+        # per kernel row, the output rows that see input under it; per kernel
+        # column, the run's columns that do, and the input column under run column 0
+        rows = [(max(0, pt - i), min(oh, h + pt - i)) for i in range(self.w_shape[2])]
+        cols = [(max(o0, pl - j) - o0, min(o1, w + pl - j) - o0, o0 + j - pl)
+                for j in range(j0, j1)]
+        taps, pads = [], []
+        for i, (r0, r1) in enumerate(rows):
+            pads += [(slice(None), i, slice(None), win) for win in _outside(r0, r1, oh)]
+            for jj, (c0, c1, at) in enumerate(cols):
                 if r0 < r1 and c0 < c1:
-                    out_win = (slice(None), i, j, slice(r0, r1), slice(c0, c1))
+                    out_win = (slice(None), i, jj, slice(r0, r1), slice(c0, c1))
                     in_win = (slice(None), slice(r0 + i - pt, r1 + i - pt),
-                              slice(c0 + j - pl, c1 + j - pl))
-                    self._taps.append((out_win, in_win))
+                              slice(c0 + at, c1 + at))
+                    taps.append((out_win, in_win))
+        for jj, (c0, c1, _) in enumerate(cols):
+            pads += [(slice(None), slice(None), jj, slice(None), win)
+                     for win in _outside(c0, c1, o1 - o0)]
+        return taps, pads
 
     def sample_floats(self) -> int:
         # the im2col columns: one row per weight of a filter, one column per output pixel
         return max(super().sample_floats(), math.prod(self.w_shape[1:] + self.out_shape[1:]))
+
+    @staticmethod
+    def _fill(cols, xb, taps, pads):
+        """Write the im2col columns of batch-last ``xb`` into ``cols``: zeros
+        in the padding, each tap's in-bounds input everywhere else."""
+        for win in pads:
+            cols[win] = 0.0
+        for out_win, in_win in taps:
+            cols[out_win] = xb[in_win]
 
     def _columns(self, xb):
         """The im2col matrix of a batch-last input: one row per weight of a
         filter, one column per output pixel and sample."""
         _, oh, ow = self.out_shape
         n = xb.shape[-1]
-        # a same conv's taps cover its columns only in part; the rest is padding
-        alloc = np.zeros if self.spec.same_padding else np.empty
-        cols = alloc(self.w_shape[1:] + (oh, ow, n))
-        for out_win, in_win in self._taps:
-            cols[out_win] = xb[in_win]
+        cols = np.empty(self.w_shape[1:] + (oh, ow, n))
+        self._fill(cols, xb, self._taps, self._pads)
         return cols.reshape(-1, oh * ow * n)
 
+    def _scratch(self, name, floats):
+        """The first ``floats`` of this layer's buffer ``name``, grown to fit."""
+        buf = getattr(self, name)
+        if buf is None or buf.size < floats:
+            buf = np.empty(floats)
+            setattr(self, name, buf)
+        return buf[:floats]
+
+    def __getstate__(self):
+        # the scratch buffers hold nothing between calls, so a pickle leaves them out
+        return {**self.__dict__, "_cols_buf": None, "_out_buf": None}
+
+    def _forward_runs(self, x, out):
+        """The inference output for ``x``, written to the ``f * oh * ow * n``
+        floats of ``out``: per run of output columns, one GEMM over the kernel
+        columns that see input there. The run's weights are sliced from ``w``
+        on every call, as training updates ``w`` in place. Its columns go to
+        a buffer kept from call to call, laid out by output row, so that the
+        GEMM of each row writes that row's span of ``out``."""
+        xb = _batch_last_view(x)
+        f, oh, ow = self.out_shape
+        n = xb.shape[-1]
+        c, kh = self.w_shape[1:3]
+        out = out.reshape(f, oh, ow * n)
+        buf = self._scratch("_cols_buf", self._run_floats * n)
+        for o0, o1, j0, j1, taps, pads in self._runs:
+            k = c * kh * (j1 - j0)
+            cols = buf[: oh * k * (o1 - o0) * n]
+            self._fill(cols.reshape(oh, c, kh, j1 - j0, o1 - o0, n).transpose(1, 2, 3, 0, 4, 5),
+                       xb, taps, pads)
+            np.matmul(self.w[:, :, :, j0:j1].reshape(f, k), cols.reshape(oh, k, -1),
+                      out=out.transpose(1, 0, 2)[:, :, o0 * n : o1 * n])
+        out += self.b[:, None, None]
+        return _batch_first(out.reshape(f, oh, ow, n))
+
+    def infer(self, x):
+        if not self._runs:
+            return super().infer(x)
+        self._cache = None
+        out = self._scratch("_out_buf", math.prod(self.out_shape) * x.shape[0])
+        return self._forward_runs(x, out)
+
     def forward(self, x, train, rng, stats):
+        self._cache = None
+        if self._runs and not train and stats is None:
+            return self._forward_runs(x, np.empty(math.prod(self.out_shape) * x.shape[0]))
         xb = _batch_last(x)
         n = xb.shape[-1]
         f, oh, ow = self.out_shape
         cols = self._columns(xb)
         out = self.w.reshape(f, -1) @ cols
         out += self.b[:, None]
-        self._cache = None
         if train:
             self._cache = cols if cols.nbytes <= SAVED_COLUMNS_MAX_BYTES else xb
         return _batch_first(out.reshape(f, oh, ow, n))
@@ -359,6 +472,11 @@ class _ReLULayer(_Layer):
 
     def backward(self, dout):
         return dout * _saved(self._cache), []
+
+    def rectify(self, x):
+        """An inference forward that overwrites ``x``, for an ``x`` no caller holds."""
+        self._cache = None
+        return np.maximum(x, 0.0, out=x)
 
 
 class _MaxPoolLayer(_Layer):
@@ -493,6 +611,11 @@ class Network:
         for i in range(len(self._run) - 1):
             if isinstance(self._run[i], _ReLULayer) and isinstance(self._run[i + 1], _MaxPoolLayer):
                 self._run[i], self._run[i + 1] = self._run[i + 1], self._run[i]
+        # a ReLU right after a weight layer rectifies that layer's fresh output in place
+        self._in_place = [
+            isinstance(layer, _ReLULayer) and k > 0 and isinstance(self._run[k - 1], _ParamLayer)
+            for k, layer in enumerate(self._run)
+        ]
 
     def parameters(self):
         out = []
@@ -503,7 +626,10 @@ class Network:
     @property
     def inference_batch(self) -> int:
         """Samples per inference batch: ``INFERENCE_BUDGET_BYTES`` over the
-        bytes one sample takes in the largest array a forward pass builds."""
+        bytes one sample takes in the largest array a train-mode forward
+        builds. An inference pass builds no larger one: a conv that
+        multiplies only its input-seeing kernel columns keeps buffers no
+        larger than the columns and output it would otherwise build."""
         largest = 8 * max(layer.sample_floats() for layer in self.layers)
         return max(1, INFERENCE_BUDGET_BYTES // largest)
 
@@ -518,11 +644,17 @@ class Network:
         """Class probabilities ``(n, n_classes)`` for inputs ``(n, *input_shape)``.
 
         Dropout fires only when ``train`` (inverted scaling, so inference
-        needs no rescale) and then draws its masks from ``rng``.
+        needs no rescale) and then draws its masks from ``rng``. An
+        inference pass rectifies a conv or dense output in place.
         """
         out = self._input(x)
-        for layer in self._run:
-            out = layer.forward(out, train, rng, None)
+        for layer, in_place in zip(self._run, self._in_place):
+            if train:
+                out = layer.forward(out, True, rng, None)
+            elif in_place:
+                out = layer.rectify(out)
+            else:
+                out = layer.infer(out)
         return out
 
     def backward_batch(self, dout):
@@ -619,8 +751,8 @@ def predict_batch(net: Network, x: np.ndarray, batch_size: int | None = None):
 
     ``x`` is taken as :func:`train` takes its sets. It goes through the
     network ``batch_size`` samples at a time, by default
-    ``net.inference_batch``, so its largest array (a conv's im2col columns)
-    stays near ``INFERENCE_BUDGET_BYTES`` whatever ``len(x)``.
+    ``net.inference_batch``, so its largest array stays within
+    ``INFERENCE_BUDGET_BYTES`` whatever ``len(x)``.
     """
     if batch_size is None:
         batch_size = net.inference_batch
