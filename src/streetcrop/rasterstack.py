@@ -1,20 +1,16 @@
 """Georeferenced band rasters and temporal-spectral feature extraction.
 
-Grids are plain-text ESRI-ASCII-style files (six-key header plus
-whitespace-separated rows) so they round-trip bit-exactly in any
-language. Row 0 is the northernmost row; ``xllcorner``/``yllcorner``
-give the lower-left corner in degrees.
-
-Next to every grid it writes, :func:`write_grid` leaves a binary twin
-``<name>.f8``: one line holding the hex sha256 of the grid's text bytes
-with the payload appended, then the payload itself, the values as
-little-endian float64 in row-major order (``-0.0`` stored as ``+0.0``,
-as the text denotes it). The text stays authoritative: :func:`read_grid`
-always parses the header from it and takes the body from the twin only
-when the digest matches this very text and the payload has exactly
-``8 * ncols * nrows`` bytes. A missing, stale or corrupt twin is ignored
-and the body is parsed from the text. A twin costs 8 bytes per cell on
-disk and spares every later reader the text-to-float conversion.
+A grid file is an ASCII header, then the values in binary: the six
+ESRI-ASCII header lines (``ncols``, ``nrows``, ``xllcorner``,
+``yllcorner``, ``cellsize``, ``NODATA_value``; the corner is the
+lower-left one, in degrees), a ``dtype`` line naming ``<i2``, ``<i4`` or
+``<f8``, then the values in that type, row-major and little-endian, row 0
+northernmost, so row ``r`` starts ``r * ncols * itemsize`` bytes after
+the header. :func:`write_grid` picks the narrowest type that holds every
+value of ``values + 0.0`` exactly, so a read gives back the same float64
+bits, ``-0.0`` as ``+0.0``. A file with no ``dtype`` line is read as
+hand-made ESRI-ASCII text, its header followed by whitespace-separated
+rows; no stage writes text.
 
 A scene is one acquisition date with six surface-reflectance bands
 (Blue, Green, Red, NIR, SWIR1, SWIR2) plus a QA grid where 0 means
@@ -44,7 +40,6 @@ grids. After that the stack reads no file.
 from __future__ import annotations
 
 import datetime
-import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -187,67 +182,43 @@ def _format_value(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
-def _format_rows(values: np.ndarray) -> list[str]:
-    """One text line per row, each value formatted as :func:`_format_value` does."""
-    integral = (np.trunc(values) == values) & (np.abs(values) < 2.0**63)  # false for inf, nan
-    if integral.all():
-        return [" ".join(map(str, row)) for row in values.astype(np.int64).tolist()]
-    return [" ".join(map(_format_value, row)) for row in values.tolist()]
+_HEADER_NAMES = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "NODATA_value")
+_HEADER_KEYS = tuple(name.lower() for name in _HEADER_NAMES)
+#: The payload type each ``dtype`` line names.
+_PAYLOAD_TYPES = {f"dtype {t}".encode(): np.dtype(t) for t in ("<i2", "<i4", "<f8")}
 
 
-def _twin_path(path: Path) -> Path:
-    return path.with_name(path.name + ".f8")
-
-
-def _twin_digest(text: bytes, payload: bytes) -> bytes:
-    digest = hashlib.sha256(text)
-    digest.update(payload)
-    return digest.hexdigest().encode()
+def _payload(values: np.ndarray) -> np.ndarray:
+    """``values`` in the narrowest payload type that holds each of them exactly."""
+    if (np.trunc(values) == values).all():  # false for nan, true for inf
+        lo, hi = values.min(), values.max()
+        for dtype in ("<i2", "<i4"):
+            info = np.iinfo(dtype)
+            if info.min <= lo and hi <= info.max:
+                return values.astype(dtype)
+    return values.astype("<f8")
 
 
 def write_grid(grid: RasterGrid, path: str | Path):
-    """Write ``grid`` as text to ``path`` and its binary twin next to it."""
+    """Write ``grid`` to ``path`` as one header-plus-payload file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"ncols {grid.ncols}",
-        f"nrows {grid.nrows}",
-        f"xllcorner {_format_value(grid.xll)}",
-        f"yllcorner {_format_value(grid.yll)}",
-        f"cellsize {_format_value(grid.cellsize)}",
-        f"NODATA_value {_format_value(grid.nodata)}",
-    ]
-    text = ("\n".join(lines + _format_rows(grid.values)) + "\n").encode()
-    path.write_bytes(text)
-    payload = (grid.values + 0.0).astype("<f8").tobytes()
-    _twin_path(path).write_bytes(_twin_digest(text, payload) + b"\n" + payload)
+    payload = _payload(grid.values + 0.0)
+    fields = (grid.ncols, grid.nrows, grid.xll, grid.yll, grid.cellsize, grid.nodata)
+    header = "".join(f"{k} {_format_value(v)}\n" for k, v in zip(_HEADER_NAMES, fields))
+    path.write_bytes(f"{header}dtype {payload.dtype.str}\n".encode() + payload.tobytes())
 
 
-_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
-
-
-def _header_value(path: Path, key: str, text: str) -> float:
+def _header_value(path: Path, n: int, key: str, text: str) -> float:
     try:
         value = parse_int(text) if key in ("ncols", "nrows") else parse_float(text)
     except ValueError:
-        raise GridFormatError(f"{path}: {key} {text!r} is not a valid value") from None
+        raise GridFormatError(f"{path}: line {n}: {key} {text!r} is not a valid value") from None
     if not np.isfinite(value):
-        raise GridFormatError(f"{path}: {key} {text!r} is not finite")
-    if key in ("ncols", "nrows") and value < 1:
-        raise GridFormatError(f"{path}: {key} {text!r} is not a positive count")
+        raise GridFormatError(f"{path}: line {n}: {key} {text!r} is not finite")
+    if key in ("ncols", "nrows", "cellsize") and value <= 0:
+        raise GridFormatError(f"{path}: line {n}: {key} {text!r} is not positive")
     return value
-
-
-def _twin_values(path: Path, text: bytes, ncols: int, nrows: int) -> np.ndarray | None:
-    """The body of the grid ``text`` from its twin, or None without a valid twin."""
-    try:
-        twin = read_input(_twin_path(path), "grid twin", GridFormatError)
-    except GridFormatError:
-        return None
-    digest, _, payload = twin.partition(b"\n")
-    if len(payload) != 8 * ncols * nrows or digest != _twin_digest(text, payload):
-        return None
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(nrows, ncols)
 
 
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines splits
@@ -271,18 +242,36 @@ def _parse_body(path: Path, lines: list[str], ncols: int, nrows: int) -> np.ndar
     return values.reshape(nrows, ncols)
 
 
+def _payload_values(path: Path, data: bytes, start: int, ncols: int, nrows: int) -> np.ndarray:
+    """The values of the payload whose ``dtype`` line starts at ``data[start]``."""
+    end = data.find(b"\n", start)
+    dtype = _PAYLOAD_TYPES.get(data[start:end]) if end >= 0 else None
+    if dtype is None:
+        raise GridFormatError(f"{path}: bad dtype line {data[start:start + 40]!r}")
+    size, held = ncols * nrows * dtype.itemsize, len(data) - end - 1
+    if held != size:
+        raise GridFormatError(f"{path}: payload holds {held} bytes; {nrows} rows of {ncols} "
+                              f"{dtype.str} need {size}")
+    values = np.frombuffer(data, dtype, ncols * nrows, end + 1)
+    return values.astype(np.float64).reshape(nrows, ncols)
+
+
 def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
     """Read a grid file; ``scale`` multiplies non-nodata values on ingest.
 
-    ``ncols``/``nrows`` must be integers, every header value finite and
-    every body token a number, all in the ASCII grammar of
-    :data:`errors.INT` and :data:`errors.FLOAT`; anything else is a
-    :class:`GridFormatError`.
-    The body comes from the grid's binary twin when that twin matches the
-    text (see the module docstring), else from the text.
+    Header values must be finite, ``ncols``/``nrows`` positive integers and
+    ``cellsize`` positive; the payload must hold exactly ``ncols * nrows``
+    values of its type, or a text body that many numbers; every value must
+    be finite. Numbers follow the ASCII grammar of :data:`errors.INT` and
+    :data:`errors.FLOAT`. Anything else is a :class:`GridFormatError`.
     """
     path = Path(path)
-    text = read_input_text(path, "grid", GridFormatError)
+    data = read_input(path, "grid", GridFormatError)
+    cut = data.find(b"\ndtype")  # ends a binary grid's header; a text grid has none
+    try:
+        text = (data[:cut] if cut >= 0 else data).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"{path}: grid text is not UTF-8: {exc}") from None
     header: dict[str, float] = {}
     body = 0  # offset of the text after the header
     for n, m in enumerate(_LINE.finditer(text), start=1):
@@ -293,14 +282,19 @@ def read_grid(path: str | Path, scale: float | None = None) -> RasterGrid:
         if len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS:
             raise GridFormatError(f"{path}: bad header line {n}: {line!r}")
         key = parts[0].lower()
-        header[key] = _header_value(path, key, parts[1])
+        header[key] = _header_value(path, n, key, parts[1])
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise GridFormatError(f"{path}: missing header keys {missing}")
     ncols, nrows = header["ncols"], header["nrows"]
-    values = _twin_values(path, text.encode(), ncols, nrows)
-    if values is None:
+    if cut < 0:
         values = _parse_body(path, text[body:].splitlines(), ncols, nrows)
+    elif body < len(text):
+        raise GridFormatError(f"{path}: {text[body:][:40]!r} between the header and its dtype line")
+    else:
+        values = _payload_values(path, data, cut + 1, ncols, nrows)
+    if not np.isfinite(values).all():
+        raise GridFormatError(f"{path}: grid holds a value that is not finite")
     nodata = header["nodata_value"]
     if scale is not None:
         values = np.where(values == nodata, nodata, values * scale)

@@ -1,5 +1,4 @@
 import datetime
-import hashlib
 import os
 import re
 import shutil
@@ -163,9 +162,7 @@ class TestExitCodes:
         scenes = tmp_path / "scenes"
         shutil.copytree(out / "world" / "scenes", scenes)
         bad_grid = sorted(scenes.glob("*_SWIR2.grid"))[0]
-        lines = bad_grid.read_text().splitlines()
-        lines[6] = "x " + lines[6].split(" ", 1)[1]  # first body token
-        bad_grid.write_text("\n".join(lines) + "\n")
+        bad_grid.write_bytes(bad_grid.read_bytes()[:-1])  # the payload one byte short
         refs = tmp_path / "refs.csv"
         refs.write_text(
             "lat,lon,label,source_image,confidence,shift_m,extra_steps\n"
@@ -836,19 +833,20 @@ def chain_run(tmp_path_factory):
     return out
 
 
-def test_every_written_grid_has_a_verified_twin(chain_run):
-    """After the whole chain, each grid under --out sits next to a twin whose
-    digest covers that grid's text and whose payload holds its values."""
+def test_every_written_grid_is_one_binary_file(chain_run):
+    """After the whole chain, each grid under --out is one file, a header
+    and a payload the size its header states, with no ``.f8`` twin."""
     out = chain_run
     grids = sorted(out.rglob("*.grid"))
     assert {"truth.grid", "crop_map.grid"} <= {g.name for g in grids}
     assert len(grids) == 2 + 10 * 7
+    assert not list(out.rglob("*.f8"))
     for grid in grids:
-        digest, payload = grid.with_name(grid.name + ".f8").read_bytes().split(b"\n", 1)
-        text = grid.read_bytes()
-        assert digest == hashlib.sha256(text + payload).hexdigest().encode(), grid
-        values = np.array(text.decode().split("\n", 6)[6].split(), dtype=np.float64)
-        assert payload == values.astype("<f8").tobytes(), grid
+        *header, dtype, payload = grid.read_bytes().split(b"\n", 7)
+        fields = dict(line.decode().split() for line in header)
+        assert dtype.startswith(b"dtype "), grid
+        cells = int(fields["ncols"]) * int(fields["nrows"])
+        assert len(payload) == cells * np.dtype(dtype[6:].decode()).itemsize, grid
 
 
 def test_bbox_bounds_the_grid_and_not_the_map(chain_run, tmp_path):
@@ -864,7 +862,7 @@ def test_bbox_bounds_the_grid_and_not_the_map(chain_run, tmp_path):
     assert len((out / "grid.csv").read_text().splitlines()) < len(
         (run / "grid.csv").read_text().splitlines()
     )
-    for name in ("crop_map.grid", "crop_map.grid.f8", "crop_map.grid.legend", "evaluation.txt"):
+    for name in ("crop_map.grid", "crop_map.grid.legend", "evaluation.txt"):
         assert (out / name).read_bytes() == (run / name).read_bytes(), name
 
 

@@ -177,8 +177,8 @@ class TestGridIO:
         path.write_bytes(mutate_bytes(path.read_bytes(), edits))
         try:
             read_grid(path)
-        except DataValidationError:
-            pass
+        except GridFormatError as exc:
+            assert str(path) in str(exc)
 
 
 #: The value classes a grid file must carry exactly: signed zeros, short and
@@ -208,34 +208,50 @@ GRID_ROWS = st.one_of(grids_of(FLOAT_VALUES), grids_of(INTEGRAL_VALUES))
 
 
 def old_format_value(v):
-    """The per-value formatter grids were always written with."""
+    """The per-value formatter text grids were always written with."""
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
-def twin_of(path):
-    return path.with_name(path.name + ".f8")
+HEADER_LINES = 6
+
+
+def write_text_grid(grid, path):
+    """``grid`` as hand-made ESRI-ASCII text: its header, then one line per row."""
+    lines = [
+        f"ncols {grid.ncols}", f"nrows {grid.nrows}", f"xllcorner {old_format_value(grid.xll)}",
+        f"yllcorner {old_format_value(grid.yll)}", f"cellsize {old_format_value(grid.cellsize)}",
+        f"NODATA_value {old_format_value(grid.nodata)}",
+    ]
+    lines += [" ".join(old_format_value(v) for v in row) for row in grid.values]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def text_read(path, **kwargs):
-    """``read_grid`` of ``path`` with its twin set aside: the text parse."""
-    twin = twin_of(path)
-    saved = twin.read_bytes() if twin.exists() else None
-    twin.unlink(missing_ok=True)
-    try:
-        return read_grid(path, **kwargs)
-    finally:
-        if saved is not None:
-            twin.write_bytes(saved)
+    """``read_grid`` of the text twin of the binary grid at ``path``: the same
+    grid written by hand as ESRI-ASCII text next to it."""
+    twin = path.with_name(path.name + ".asc")
+    write_text_grid(read_grid(path), twin)
+    with mock.patch.object(rasterstack, "_payload_values", side_effect=AssertionError):
+        return read_grid(twin, **kwargs)
 
 
-def write_twin(path, payload):
-    """A twin for the text now at ``path`` whose digest matches, over ``payload``."""
+def stale_twin(path):
+    """Where an older writer left a ``.f8`` twin next to the grid at ``path``."""
+    return path.with_name(path.name + ".f8")
+
+
+def write_stale_twin(path, payload):
+    """An old-form twin of the grid at ``path``: a digest line, then ``payload``."""
     digest = hashlib.sha256(path.read_bytes() + payload).hexdigest().encode()
-    twin_of(path).write_bytes(digest + b"\n" + payload)
+    stale_twin(path).write_bytes(digest + b"\n" + payload)
 
 
-def payload_of(path):
-    return twin_of(path).read_bytes().split(b"\n", 1)[1]
+def split_grid(path):
+    """(header lines, dtype, payload) of the binary grid at ``path``."""
+    data = path.read_bytes()
+    *header, dtype, payload = data.split(b"\n", HEADER_LINES + 1)
+    assert dtype.startswith(b"dtype "), data[:80]
+    return [line.decode() for line in header], np.dtype(dtype[6:].decode()), payload
 
 
 def flip_byte(data, at):
@@ -250,38 +266,62 @@ def assert_same_grid(a, b):
     assert a.values.tobytes() == b.values.tobytes()
 
 
+def narrowest_dtype(values):
+    """The payload type the one form promises: the first of ``<i2``, ``<i4``
+    and ``<f8`` through which every value comes back as the same float."""
+    for dtype in ("<i2", "<i4"):
+        info = np.iinfo(dtype)
+        if all(float(v).is_integer() and info.min <= v <= info.max for v in values.flat):
+            return np.dtype(dtype)
+    return np.dtype("<f8")
+
+
 class TestGridTwin:
-    """The binary twin next to every written grid and its fallback to the text."""
+    """A binary grid against its text twin, the same grid written by hand as
+    ESRI-ASCII text, which ``read_grid`` parses through ``_parse_body``; and
+    the ``.f8`` twin an older writer left next to each grid, which no reader
+    opens now."""
 
     @settings(max_examples=200, deadline=None)
     @given(GRID_ROWS)
     def test_text_bytes_match_the_per_value_formatter(self, rows):
+        """The header lines are the text grid's header, byte for byte."""
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "g.grid"
-            write_grid(make_grid(rows, xll=-119.45, yll=35.42), path)
-            body = path.read_text().splitlines()[6:]
-        assert body == [" ".join(old_format_value(v) for v in row) for row in np.array(rows)]
+            path, twin = Path(tmp) / "g.grid", Path(tmp) / "g.asc"
+            grid = make_grid(rows, xll=-119.45, yll=35.42)
+            write_grid(grid, path)
+            write_text_grid(grid, twin)
+            header, _, _ = split_grid(path)
+            assert header == twin.read_text().splitlines()[:HEADER_LINES]
 
     @settings(max_examples=200, deadline=None)
     @given(GRID_ROWS)
     def test_twin_read_equals_text_read_bit_for_bit(self, rows):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "g.grid"
-            write_grid(make_grid(rows, xll=-119.45, yll=35.42), path)
+            path, twin = Path(tmp) / "g.grid", Path(tmp) / "g.asc"
+            grid = make_grid(rows, xll=-119.45, yll=35.42)
+            write_grid(grid, path)
+            write_text_grid(grid, twin)
             with mock.patch.object(rasterstack, "_parse_body", side_effect=AssertionError):
-                twin = read_grid(path)  # the body comes from the twin, not the text
-            assert_same_grid(twin, text_read(path))
+                binary = read_grid(path)  # the values come from the payload, not text
+            with mock.patch.object(rasterstack, "_payload_values", side_effect=AssertionError):
+                text = read_grid(twin)
+            assert_same_grid(binary, text)
 
     def test_twin_layout(self, tmp_path):
         path = tmp_path / "B4.grid"
         write_grid(make_grid([[-0.0, 0.5, -9999.0]]), path)
-        digest, payload = twin_of(path).read_bytes().split(b"\n", 1)
-        assert digest == hashlib.sha256(path.read_bytes() + payload).hexdigest().encode()
+        header, dtype, payload = split_grid(path)
+        assert header[:2] == ["ncols 3", "nrows 1"] and dtype == np.dtype("<f8")
         assert payload == np.array([0.0, 0.5, -9999.0], dtype="<f8").tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["B4.grid"]
 
     def write_pair(self, tmp_path):
+        """A text grid with an old-form ``.f8`` twin that matches it."""
         path = tmp_path / "g.grid"
-        write_grid(make_grid([[0.125, -9999.0, 3.0], [1.5, 0.25, -2.0]], xll=-119.45), path)
+        grid = make_grid([[0.125, -9999.0, 3.0], [1.5, 0.25, -2.0]], xll=-119.45)
+        write_text_grid(grid, path)
+        write_stale_twin(path, (grid.values + 0.0).astype("<f8").tobytes())
         return path
 
     @pytest.mark.parametrize(
@@ -303,15 +343,15 @@ class TestGridTwin:
     )
     def test_spoiled_twin_reads_the_text(self, tmp_path, spoil):
         path = self.write_pair(tmp_path)
-        expected = text_read(path)
-        spoil(twin_of(path))
+        expected = read_grid(path)
+        spoil(stale_twin(path))
         assert_same_grid(read_grid(path), expected)
+        np.testing.assert_array_equal(expected.values[0], [0.125, -9999.0, 3.0])
 
     def test_twin_of_another_grid_is_ignored(self, tmp_path):
-        path = self.write_pair(tmp_path)
-        other = tmp_path / "other.grid"
-        write_grid(make_grid([[9.0, 9.0, 9.0], [9.0, 9.0, 9.0]], xll=-119.45), other)
-        twin_of(path).write_bytes(twin_of(other).read_bytes())
+        path = tmp_path / "g.grid"
+        write_grid(make_grid([[0.125, -9999.0, 3.0], [1.5, 0.25, -2.0]], xll=-119.45), path)
+        write_stale_twin(path, np.full(6, 9.0).astype("<f8").tobytes())
         assert_same_grid(read_grid(path), text_read(path))
         np.testing.assert_array_equal(read_grid(path).values[0], [0.125, -9999.0, 3.0])
 
@@ -327,34 +367,40 @@ class TestGridTwin:
             read_grid(path)
 
     def test_malformed_header_raises_despite_the_twin(self, tmp_path):
-        path = self.write_pair(tmp_path)
-        payload = payload_of(path)
+        path = tmp_path / "g.grid"
+        write_grid(make_grid([[0.125, -9999.0, 3.0], [1.5, 0.25, -2.0]]), path)
         path.write_bytes(path.read_bytes().replace(b"ncols 3", b"ncols 3.5"))
-        write_twin(path, payload)
+        write_stale_twin(path, np.zeros(6).astype("<f8").tobytes())
         with pytest.raises(GridFormatError, match="ncols"):
             read_grid(path)
 
     @pytest.mark.parametrize("sep", ["\x0c", "\u2028", "\r\n", "\x85"])
-    @pytest.mark.parametrize("with_twin", [True, False])
-    def test_lines_break_where_str_splitlines_breaks_them(self, tmp_path, sep, with_twin):
-        path = self.write_pair(tmp_path)
-        expected, payload = text_read(path), payload_of(path)
-        path.write_bytes(path.read_text().replace("\n", sep).encode())
-        if with_twin:
-            write_twin(path, payload)
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_lines_break_where_str_splitlines_breaks_them(self, tmp_path, sep, binary):
+        """Header lines, and a text grid's rows, break where ``str.splitlines``
+        breaks them; a binary grid's ``dtype`` line starts after a newline."""
+        path = tmp_path / "g.grid"
+        write_grid(make_grid([[0.125, -9999.0, 3.0], [1.5, 0.25, -2.0]], xll=-119.45), path)
+        expected = read_grid(path)
+        if binary:
+            data = path.read_bytes()
+            head, tail = data.split(b"\ndtype ", 1)
+            path.write_bytes(head.decode().replace("\n", sep).encode() + b"\ndtype " + tail)
         else:
-            twin_of(path).unlink()
+            write_text_grid(expected, path)
+            path.write_bytes(path.read_text().replace("\n", sep).encode())
         assert_same_grid(read_grid(path), expected)
 
     def test_twin_of_another_size_is_ignored(self, tmp_path):
         path = self.write_pair(tmp_path)
-        write_twin(path, payload_of(path)[:-8])  # five values for six cells
-        assert_same_grid(read_grid(path), text_read(path))
+        write_stale_twin(path, np.zeros(5).astype("<f8").tobytes())  # five values, six cells
+        np.testing.assert_array_equal(read_grid(path).values[1], [1.5, 0.25, -2.0])
 
-    @pytest.mark.parametrize("with_twin", [True, False])
-    def test_values_are_writable(self, tmp_path, with_twin):
-        path = self.write_pair(tmp_path)
-        grid = read_grid(path) if with_twin else text_read(path)
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_values_are_writable(self, tmp_path, binary):
+        path = tmp_path / "g.grid"
+        write_grid(make_grid([[0.125, -9999.0, 3.0], [1.5, 0.25, -2.0]]), path)
+        grid = read_grid(path) if binary else text_read(path)
         grid.values[0, 0] = 1.0
         assert grid.values.flags.writeable
 
@@ -369,11 +415,117 @@ class TestGridTwin:
     )
     @given(BYTE_EDITS)
     def test_mutated_twin_reads_the_text(self, tmp_path, edits):
+        """A byte-edited text grid reads as a grid or raises ``GridFormatError``
+        naming it, whatever its stale ``.f8`` twin holds."""
         path = self.write_pair(tmp_path)
-        expected = text_read(path)
-        twin = twin_of(path)
-        twin.write_bytes(mutate_bytes(twin.read_bytes(), edits))
-        assert_same_grid(read_grid(path), expected)
+        path.write_bytes(mutate_bytes(path.read_bytes(), edits))
+        try:
+            read_grid(path)
+        except GridFormatError as exc:
+            assert str(path) in str(exc)
+
+
+def rewrite(path, edit):
+    """Replace the grid at ``path`` by ``edit(header, dtype line, payload)``."""
+    data = path.read_bytes()
+    cut = data.index(b"\ndtype ") + 1
+    end = data.index(b"\n", cut) + 1
+    path.write_bytes(edit(data[:cut], data[cut:end], data[end:]))
+
+
+class TestBinaryGrid:
+    """The one form: six header lines and a ``dtype`` line in ASCII, then the
+    values in the narrowest exact type, row-major and little-endian."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(GRID_ROWS)
+    def test_round_trip_is_bit_exact_in_the_narrowest_type(self, rows):
+        values = np.array(rows, dtype=np.float64)
+        nrows, ncols = values.shape
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.grid"
+            write_grid(make_grid(values, xll=-119.45, yll=35.42), path)
+            back = read_grid(path)
+            data = path.read_bytes()
+            names = sorted(p.name for p in Path(tmp).iterdir())
+        assert names == ["g.grid"]
+        assert back.values.tobytes() == (values + 0.0).tobytes()
+        dtype = narrowest_dtype(values)
+        header = data[: data.index(b"\ndtype ") + 1] + f"dtype {dtype.str}\n".encode()
+        assert data.startswith(header)
+        row_bytes = ncols * dtype.itemsize
+        assert len(data) == len(header) + nrows * row_bytes
+        for r in range(nrows):
+            at = len(header) + r * row_bytes
+            assert data[at : at + row_bytes] == (values[r] + 0.0).astype(dtype).tobytes()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda head, dtype, payload: head + dtype + payload[:-1], "payload holds 11 bytes"),
+            (lambda head, dtype, payload: head + dtype + payload + b"\0\0", "holds 14 bytes"),
+            (lambda head, dtype, payload: head + dtype, "payload holds 0 bytes"),
+            (lambda head, dtype, payload: head + b"dtype <u2\n" + payload, "bad dtype line"),
+            (lambda head, dtype, payload: head + b"dtype <i2" + payload, "bad dtype line"),
+            (lambda head, dtype, payload: head + b"dtype\n" + payload, "bad dtype line"),
+            (
+                lambda head, dtype, payload: head.replace(b"ncols 3", b"ncols 2") + dtype + payload,
+                "2 rows of 2 <i2 need 8",
+            ),
+            (
+                lambda head, dtype, payload: head.replace(b"nrows 2", b"nrows 3") + dtype + payload,
+                "3 rows of 3 <i2 need 18",
+            ),
+            (
+                lambda head, dtype, payload: head + b"nrows 2\n" + dtype + payload,
+                "between the header and its dtype line",
+            ),
+        ],
+        ids=[
+            "short", "long", "no-payload", "unknown-dtype", "unterminated-dtype", "dtype-no-type",
+            "ncols-disagrees", "nrows-disagrees", "extra-header-line",
+        ],
+    )
+    def test_payload_that_disagrees_with_the_header_is_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "g.grid"
+        write_grid(make_grid([[1.0, -9999.0, 3.0], [4.0, 5.0, -6.0]]), path)
+        rewrite(path, edit)
+        with pytest.raises(GridFormatError, match=re.escape(f"{path}: ") + ".*" + message):
+            read_grid(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_names_the_file(self, tmp_path, bad):
+        path = tmp_path / "g.grid"
+        write_grid(make_grid([[0.5, -9999.0]]), path)
+        last = np.float64(bad).tobytes()
+        rewrite(path, lambda head, dtype, payload: head + dtype + payload[:8] + last)
+        with pytest.raises(GridFormatError, match=re.escape(str(path))):
+            read_grid(path)
+
+    @pytest.mark.parametrize("dtype", ["<i2", "<i4", "<f8"])
+    @pytest.mark.parametrize("region", ["header", "dtype line", "payload"])
+    @settings(max_examples=60, deadline=None)
+    @given(edits=BYTE_EDITS)
+    def test_byte_edits_read_or_name_the_file(self, dtype, region, edits):
+        """Byte edits anywhere in a binary grid give a grid or a
+        ``GridFormatError`` naming the file, never another exception."""
+        values = {"<i2": [[7.0, -9999.0, 3.0]], "<i4": [[70000.0, -9999.0, 3.0]],
+                  "<f8": [[0.125, -9999.0, 3.0]]}[dtype]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.grid"
+            write_grid(make_grid(values * 2, xll=-119.45), path)
+            assert split_grid(path)[1] == np.dtype(dtype)
+
+            def edit(head, line, payload):
+                parts = {"header": head, "dtype line": line, "payload": payload}
+                parts[region] = mutate_bytes(parts[region], edits)
+                return b"".join(parts.values())
+
+            rewrite(path, edit)
+            try:
+                read_grid(path)
+            except GridFormatError as exc:
+                assert str(path) in str(exc)
 
 
 def one_scene_stack(tmp_path, nir, qa):

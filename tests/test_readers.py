@@ -36,8 +36,11 @@ from streetcrop.imagery import (
 from streetcrop.rasterstack import (
     BAND_NAMES,
     GridFormatError,
+    RasterGrid,
     SceneManifest,
+    read_grid,
     read_manifest,
+    write_grid,
     write_manifest,
 )
 from streetcrop.refgen import ReferencePoint, read_reference_csv, write_reference_csv
@@ -147,6 +150,23 @@ def manifest_case(d):
     return Written(path, spans, read_manifest, manifest, GridFormatError, where)
 
 
+def grid_header_case(d):
+    """The six header values of a grid, whose payload follows in binary."""
+    path = d / "g.grid"
+    write_grid(RasterGrid(3, 2, -119.45, 35.42, 0.001, -9999.0, np.arange(6.0).reshape(2, 3)), path)
+
+    def read(p):
+        g = read_grid(p)
+        return g.ncols, g.nrows, g.xll, g.yll, g.cellsize, g.nodata, g.values.tolist()
+
+    header = path.read_bytes().split(b"\ndtype ")[0].decode("ascii")
+    spans = [m.span(1) for m in re.finditer(r"(?m)^[A-Za-z_]+ (.+)$", header)]
+    assert len(spans) == 6
+    written = (3, 2, -119.45, 35.42, 0.001, -9999.0, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    where = lambda p, line: f"{p}: line {line}"  # noqa: E731
+    return Written(path, spans, read, written, GridFormatError, where)
+
+
 def sidecar_case(d):
     """The date token of a fixture's ``# date=`` header comment (the date a
     ``.meta`` sidecar held before it moved into the header)."""
@@ -203,6 +223,7 @@ CASES = {
     "catalog": catalog_case,
     "refs.csv": refs_csv_case,
     "manifest": manifest_case,
+    "grid header": grid_header_case,
     "sidecar": sidecar_case,
     "model header": model_case,
     "ppm header": ppm_case,
@@ -218,8 +239,9 @@ def test_reader_rejects_what_python_would_coerce(case, data):
         assert w.read(w.path) == w.value
         raw = w.path.read_bytes()
         start, end = data.draw(st.sampled_from(w.spans))
-        # the PPM header's fields are separated by blanks, so padding is no change there
-        token = data.draw(spoiled(raw[start:end].decode("ascii"), pad=case != "ppm header"))
+        # these headers' fields are separated by blanks, so padding is no change there
+        pad = case not in ("ppm header", "grid header")
+        token = data.draw(spoiled(raw[start:end].decode("ascii"), pad=pad))
         w.path.write_bytes(raw[:start] + token.encode() + raw[end:])
         with pytest.raises(w.error) as info:
             w.read(w.path)
