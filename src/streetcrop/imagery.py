@@ -25,13 +25,10 @@ fetch) holds its ``pixels``.
 from __future__ import annotations
 
 import datetime
-import http.client
 import io
 import math
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -374,6 +371,9 @@ def fetch_street_image(req: StreetRequest, source: str | Path) -> StreetImageRec
 
 
 def _fetch_live(req: StreetRequest) -> StreetImageRecord:
+    import http.client  # the network stack loads on the first live fetch
+    import urllib.error
+    import urllib.request
     key = req.api_key or os.environ.get(API_KEY_ENV)
     if not key:
         raise DataValidationError(f"live mode needs an API key ({API_KEY_ENV} or request field)")

@@ -34,17 +34,22 @@ Against the previous batch-first engine, probabilities, gradients and
 trained weights agree to about 1e-15 relative, because BLAS sums in
 another order.
 
-An inference forward (``train`` false, no ``stats``) of a same conv whose
-output columns see only padding under some kernel columns, as both pixel
-net convs do at one to three features, multiplies only the kernel columns
-that see input: the output columns that see input under the same kernel
-columns form a run, and each run is one GEMM per output row over those
-columns, its weights sliced from ``w`` on every call. A training forward
-keeps the full columns, as a weight gradient over fewer rows is not
-bit-identical. A network's own inference pass has such a conv write its
-columns and output into buffers the layer keeps (:meth:`_Layer.infer`),
-and rectifies each conv and dense output in place; a direct
-``layer.forward`` call gets new arrays and changes none it was given.
+A network's inference pass (``forward_batch`` with ``train`` false, as in
+:func:`predict_batch`) runs its leading same convs at most
+``BAND_WIDTH_PER_KERNEL_COLUMN`` (2) kernels wide, with their ReLUs and
+Dropouts, on a row-major ``(h, c * w, n)`` copy of its input. Each is a
+band (:meth:`_ConvLayer.forward_band`): a banded ``(f * w, k_h * c * w)``
+weight times overlapping views of ``k_h`` input rows in one batched GEMM,
+plus a GEMM per edge row. It does ``w / k_w`` times im2col's multiply-adds
+but copies nothing: on the default pixel net at its own batch and half
+that (one BLAS thread, 2 vCPUs) it beat im2col up to five features, tied
+at six and lost from seven on (+14% to +47%). A Dense next takes the rows
+with its weight columns permuted. A pass builds each band from ``w``, which ``train``
+updates in place, and one output buffer per band (fresh ones per batch
+cost 5.3k page faults per 16k pixels at one feature), and keeps neither.
+Training, ``kink_margin`` and a direct ``layer.forward`` keep im2col, so
+trained weights do not move and probabilities only by a few 1e-16; a
+direct call gets new arrays and changes none it was given.
 
 Inference runs in batches sized from the network, not from the input:
 ``Network.inference_batch`` is ``INFERENCE_BUDGET_BYTES`` (8 MiB) over
@@ -72,6 +77,7 @@ against central finite differences (:func:`gradient_check`).
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -97,12 +103,12 @@ PROB_FLOOR = 1e-12
 INFERENCE_BUDGET_BYTES = 8 * 2**20
 
 #: A conv's train-mode forward keeps im2col columns up to this size for its
-#: weight gradient; larger ones are rebuilt there from the saved input. A
-#: rebuild costs a pixel-net step 5-10% (its conv2 columns take 0.37 MB per
-#: feature at batch 32), while the image net's conv1 and conv2 columns
-#: (6.2 MB each at batch 32) would otherwise stay alive from forward to
-#: backward.
+#: weight gradient; larger ones (the image net's conv1 and conv2) are rebuilt
+#: there from the saved input, as a rebuild would slow the small pixel-net step.
 SAVED_COLUMNS_MAX_BYTES = 4 * 2**20
+
+#: A same conv infers as a band while ``ow <= BAND_WIDTH_PER_KERNEL_COLUMN * k_w``.
+BAND_WIDTH_PER_KERNEL_COLUMN = 2
 
 
 class ShapeMismatchError(DataValidationError):
@@ -261,12 +267,6 @@ class _Layer:
         """Floats per sample of the largest array ``forward`` builds."""
         return math.prod(self.out_shape)
 
-    def infer(self, x):
-        """The inference output in a network's own pass. That pass holds no
-        output past its next batch, so a layer may give it in a buffer its
-        next ``infer`` overwrites; by default it is ``forward``'s new array."""
-        return self.forward(x, False, None, None)
-
 
 class _ParamLayer(_Layer):
     """A layer with weights ``w`` of shape ``w_shape`` and one bias per row.
@@ -307,76 +307,57 @@ class _ConvLayer(_ParamLayer):
             pt, pl = (spec.kernel_h - 1) // 2, (spec.kernel_w - 1) // 2
         else:
             if spec.kernel_h > h or spec.kernel_w > w:
-                raise ShapeMismatchError(
-                    f"{spec.kernel_h}x{spec.kernel_w} kernel exceeds {h}x{w} input"
-                )
-            oh = h - spec.kernel_h + 1
-            ow = w - spec.kernel_w + 1
+                raise ShapeMismatchError(f"{spec.kernel_h}x{spec.kernel_w} kernel exceeds "
+                                         f"{h}x{w} input")
+            oh, ow = h - spec.kernel_h + 1, w - spec.kernel_w + 1
             pt = pl = 0
         if oh < 1 or ow < 1:
             raise ShapeMismatchError(f"conv output collapsed to {oh}x{ow}")
         w_shape = (spec.filters, c, spec.kernel_h, spec.kernel_w)
         super().__init__(spec, in_shape, (spec.filters, oh, ow), w_shape)
         self._pt, self._pl = pt, pl
-        self._taps, self._pads = self._plan(0, ow, 0, spec.kernel_w)
-        # output column o sees input under kernel columns [pl - o, w + pl - o);
-        # where some column sees only padding under some kernel column, an
-        # inference forward runs one GEMM per run of output columns that see
-        # input under the same kernel columns
-        live = [(max(0, pl - o), min(spec.kernel_w, w + pl - o)) for o in range(ow)]
-        self._runs = []
-        self._run_floats = 0  # per sample, in the largest run's columns
-        if any(j1 - j0 < spec.kernel_w for j0, j1 in live):
-            for (j0, j1), run in itertools.groupby(range(ow), key=live.__getitem__):
-                o0, *rest = run
-                o1 = o0 + 1 + len(rest)
-                self._runs.append((o0, o1, j0, j1, *self._plan(o0, o1, j0, j1)))
-                floats = c * spec.kernel_h * (j1 - j0) * oh * (o1 - o0)
-                self._run_floats = max(self._run_floats, floats)
-        self._cols_buf = self._out_buf = None
+        self._taps, self._pads = self._plan()
+        self.banded = spec.same_padding and ow <= BAND_WIDTH_PER_KERNEL_COLUMN * spec.kernel_w
+        if spec.same_padding:
+            # shift[j, o, q] is 1 where output column o sees input column q under kernel column j
+            self._shift = np.stack([np.eye(ow, w, j - pl) for j in range(spec.kernel_w)])
 
-    def _plan(self, o0, o1, j0, j1):
-        """``(taps, pads)`` that build the im2col columns of output columns
-        ``[o0, o1)`` over kernel columns ``[j0, j1)``, shaped ``(c, k_h, j1 -
-        j0, oh, o1 - o0, n)``. ``taps`` holds, per kernel tap that sees
-        input, the output window whose input under that tap lies inside the
-        unpadded input, and that input window. Outside that window a tap
-        sees padding, in the output rows its kernel row sees outside the
-        input or the output columns its kernel column does; ``pads`` holds
-        those rows per kernel row and those columns per kernel column."""
+    def _plan(self):
+        """``(taps, pads)`` that build the ``(c, k_h, k_w, oh, ow, n)`` im2col
+        columns: per kernel tap that sees input, its output window whose
+        input lies inside the unpadded input, and that input window; per
+        kernel row and column, the output rows and columns that see padding."""
         _, h, w = self.in_shape
-        _, oh, _ = self.out_shape
+        _, oh, ow = self.out_shape
         pt, pl = self._pt, self._pl
         # per kernel row, the output rows that see input under it; per kernel
-        # column, the run's columns that do, and the input column under run column 0
+        # column, the output columns that do
         rows = [(max(0, pt - i), min(oh, h + pt - i)) for i in range(self.w_shape[2])]
-        cols = [(max(o0, pl - j) - o0, min(o1, w + pl - j) - o0, o0 + j - pl)
-                for j in range(j0, j1)]
+        cols = [(max(0, pl - j), min(ow, w + pl - j)) for j in range(self.w_shape[3])]
         taps, pads = [], []
         for i, (r0, r1) in enumerate(rows):
             pads += [(slice(None), i, slice(None), win) for win in _outside(r0, r1, oh)]
-            for jj, (c0, c1, at) in enumerate(cols):
+            for j, (c0, c1) in enumerate(cols):
                 if r0 < r1 and c0 < c1:
-                    out_win = (slice(None), i, jj, slice(r0, r1), slice(c0, c1))
+                    out_win = (slice(None), i, j, slice(r0, r1), slice(c0, c1))
                     in_win = (slice(None), slice(r0 + i - pt, r1 + i - pt),
-                              slice(c0 + at, c1 + at))
+                              slice(c0 + j - pl, c1 + j - pl))
                     taps.append((out_win, in_win))
-        for jj, (c0, c1, _) in enumerate(cols):
-            pads += [(slice(None), slice(None), jj, slice(None), win)
-                     for win in _outside(c0, c1, o1 - o0)]
+        for j, (c0, c1) in enumerate(cols):
+            pads += [(slice(None), slice(None), j, slice(None), win)
+                     for win in _outside(c0, c1, ow)]
         return taps, pads
 
     def sample_floats(self) -> int:
         # the im2col columns: one row per weight of a filter, one column per output pixel
         return max(super().sample_floats(), math.prod(self.w_shape[1:] + self.out_shape[1:]))
 
-    @staticmethod
-    def _fill(cols, xb, taps, pads):
+    def _fill(self, cols, xb):
         """Write the im2col columns of batch-last ``xb`` into ``cols``: zeros
         in the padding, each tap's in-bounds input everywhere else."""
-        for win in pads:
+        for win in self._pads:
             cols[win] = 0.0
-        for out_win, in_win in taps:
+        for out_win, in_win in self._taps:
             cols[out_win] = xb[in_win]
 
     def _columns(self, xb):
@@ -385,55 +366,40 @@ class _ConvLayer(_ParamLayer):
         _, oh, ow = self.out_shape
         n = xb.shape[-1]
         cols = np.empty(self.w_shape[1:] + (oh, ow, n))
-        self._fill(cols, xb, self._taps, self._pads)
+        self._fill(cols, xb)
         return cols.reshape(-1, oh * ow * n)
 
-    def _scratch(self, name, floats):
-        """The first ``floats`` of this layer's buffer ``name``, grown to fit."""
-        buf = getattr(self, name)
-        if buf is None or buf.size < floats:
-            buf = np.empty(floats)
-            setattr(self, name, buf)
-        return buf[:floats]
+    def band(self, n):
+        """:meth:`forward_band` for a pass over batches of up to ``n``, with its
+        output buffer and ``(f * ow, k_h * c * w)`` band: row ``(f, o)`` holds
+        ``f``'s weight on each input ``(i, c, q)`` that column ``o`` sees, else 0."""
+        f, ow = self.w_shape[0], self.out_shape[2]
+        band = np.tensordot(self.w, self._shift, axes=(3, 0))  # (f, c, k_h, ow, w)
+        weights = band.transpose(0, 3, 2, 1, 4).reshape(f * ow, -1)
+        bias, buf = np.repeat(self.b, ow)[:, None], np.empty(n * math.prod(self.out_shape))
+        return functools.partial(self.forward_band, weights=weights, bias=bias, buf=buf)
 
-    def __getstate__(self):
-        # the scratch buffers hold nothing between calls, so a pickle leaves them out
-        return {**self.__dict__, "_cols_buf": None, "_out_buf": None}
-
-    def _forward_runs(self, x, out):
-        """The inference output for ``x``, written to the ``f * oh * ow * n``
-        floats of ``out``: per run of output columns, one GEMM over the kernel
-        columns that see input there. The run's weights are sliced from ``w``
-        on every call, as training updates ``w`` in place. Its columns go to
-        a buffer kept from call to call, laid out by output row, so that the
-        GEMM of each row writes that row's span of ``out``."""
-        xb = _batch_last_view(x)
-        f, oh, ow = self.out_shape
-        n = xb.shape[-1]
-        c, kh = self.w_shape[1:3]
-        out = out.reshape(f, oh, ow * n)
-        buf = self._scratch("_cols_buf", self._run_floats * n)
-        for o0, o1, j0, j1, taps, pads in self._runs:
-            k = c * kh * (j1 - j0)
-            cols = buf[: oh * k * (o1 - o0) * n]
-            self._fill(cols.reshape(oh, c, kh, j1 - j0, o1 - o0, n).transpose(1, 2, 3, 0, 4, 5),
-                       xb, taps, pads)
-            np.matmul(self.w[:, :, :, j0:j1].reshape(f, k), cols.reshape(oh, k, -1),
-                      out=out.transpose(1, 0, 2)[:, :, o0 * n : o1 * n])
-        out += self.b[:, None, None]
-        return _batch_first(out.reshape(f, oh, ow, n))
-
-    def infer(self, x):
-        if not self._runs:
-            return super().infer(x)
+    def forward_band(self, xr, weights, bias, buf):
+        """The output rows ``(h, f * ow, n)``, in ``buf``, of C-ordered input rows
+        ``(h, c * w, n)``: row ``r`` is ``weights`` times the span of input rows
+        ``[r - pt, r - pt + k_h)``, one batched GEMM for every whole span."""
         self._cache = None
-        out = self._scratch("_out_buf", math.prod(self.out_shape) * x.shape[0])
-        return self._forward_runs(x, out)
+        h, cw, n = xr.shape
+        kh, pt = self.w_shape[2], self._pt
+        inner = max(0, h - kh + 1)  # output rows pt, ..., pt + inner - 1 see whole windows
+        out = buf[: h * weights.shape[0] * n].reshape(h, weights.shape[0], n)
+        # strides from the shape: numpy may give a length-1 axis of a C-ordered array any stride
+        windows = np.lib.stride_tricks.as_strided(xr, (inner, kh * cw, n), (cw * n * 8, n * 8, 8))
+        np.matmul(weights, windows, out=out[pt : pt + inner])
+        for r in itertools.chain(range(min(pt, h)), range(pt + inner, h)):
+            i0, i1 = max(0, pt - r), min(kh, h + pt - r)
+            rows = xr[r - pt + i0 : r - pt + i1].reshape((i1 - i0) * cw, n)
+            np.matmul(weights[:, i0 * cw : i1 * cw], rows, out=out[r])
+        out += bias
+        return out
 
     def forward(self, x, train, rng, stats):
         self._cache = None
-        if self._runs and not train and stats is None:
-            return self._forward_runs(x, np.empty(math.prod(self.out_shape) * x.shape[0]))
         xb = _batch_last(x)
         n = xb.shape[-1]
         f, oh, ow = self.out_shape
@@ -550,9 +516,14 @@ class _DenseLayer(_ParamLayer):
 
     def forward(self, x, train, rng, stats):
         flat = _batch_last(x).reshape(self.w_shape[1], -1)
-        out = self.w @ flat
-        out += self.b[:, None]
         self._cache = flat if train else None
+        return self.affine(flat, self.w)
+
+    def affine(self, flat, w):
+        """``w`` times the C-ordered ``flat`` inputs plus the bias, batch-first;
+        ``w`` may be this layer's weights permuted to a conv's row order."""
+        out = w @ flat.reshape(w.shape[1], -1)
+        out += self.b[:, None]
         return _batch_first(out)
 
     def param_grads(self, dout):
@@ -616,20 +587,20 @@ class Network:
             isinstance(layer, _ReLULayer) and k > 0 and isinstance(self._run[k - 1], _ParamLayer)
             for k, layer in enumerate(self._run)
         ]
+        # an inference pass runs the leading banded convs, ReLUs and Dropouts on rows
+        on_rows = [getattr(layer, "banded", type(layer) in (_ReLULayer, _DropoutLayer))
+                   for layer in self._run]
+        lead = self._run[: on_rows.index(False)]  # the Softmax never runs on rows
+        self._rows = len(lead) if any(isinstance(layer, _ConvLayer) for layer in lead) else 0
 
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     @property
     def inference_batch(self) -> int:
         """Samples per inference batch: ``INFERENCE_BUDGET_BYTES`` over the
         bytes one sample takes in the largest array a train-mode forward
-        builds. An inference pass builds no larger one: a conv that
-        multiplies only its input-seeing kernel columns keeps buffers no
-        larger than the columns and output it would otherwise build."""
+        builds; a band builds only its output, no larger."""
         largest = 8 * max(layer.sample_floats() for layer in self.layers)
         return max(1, INFERENCE_BUDGET_BYTES // largest)
 
@@ -644,17 +615,45 @@ class Network:
         """Class probabilities ``(n, n_classes)`` for inputs ``(n, *input_shape)``.
 
         Dropout fires only when ``train`` (inverted scaling, so inference
-        needs no rescale) and then draws its masks from ``rng``. An
-        inference pass rectifies a conv or dense output in place.
+        needs no rescale) and then draws its masks from ``rng``. Inference
+        is one pass (:meth:`_steps`) over the whole of ``x``.
         """
+        if not train:
+            return self._infer(x, self._steps(len(x)))
         out = self._input(x)
-        for layer, in_place in zip(self._run, self._in_place):
-            if train:
-                out = layer.forward(out, True, rng, None)
-            elif in_place:
-                out = layer.rectify(out)
+        for layer in self._run:
+            out = layer.forward(out, True, rng, None)
+        return out
+
+    def _steps(self, n):
+        """Per layer, its step in an inference pass over batches of up to ``n``:
+        bands, then a step from rows (a Dense permutes its weights), then forwards."""
+        steps = [layer.rectify if in_place
+                 else functools.partial(layer.forward, train=False, rng=None, stats=None)
+                 for layer, in_place in zip(self._run, self._in_place)]
+        k = self._rows
+        if k:
+            steps[:k] = [layer.band(n) if isinstance(layer, _ConvLayer) else step
+                         for layer, step in zip(self._run[:k], steps)]
+            f, h, w = self._run[k - 1].out_shape
+            nxt = self._run[k]
+            if isinstance(nxt, _DenseLayer):
+                perm = nxt.w.reshape(-1, f, h, w).transpose(0, 2, 1, 3).reshape(nxt.w_shape)
+                steps[k] = functools.partial(nxt.affine, w=perm)
             else:
-                out = layer.infer(out)
+                steps[k] = lambda rows, step=steps[k]: step(
+                    _batch_first(rows.reshape(h, f, w, -1).transpose(1, 0, 2, 3)))
+        return steps
+
+    def _infer(self, x, steps):
+        """The inference probabilities of ``x`` in the pass of ``steps``;
+        every conv and dense output is rectified in place."""
+        out = self._input(x)
+        if self._rows:
+            c, h, w = self.spec.input_shape
+            out = np.ascontiguousarray(out.transpose(2, 1, 3, 0)).reshape(h, c * w, len(out))
+        for step in steps:
+            out = step(out)
         return out
 
     def backward_batch(self, dout):
@@ -749,17 +748,18 @@ def predict_batch(net: Network, x: np.ndarray, batch_size: int | None = None):
     """(labels, confidences) arrays: the argmax of the inference-mode
     probabilities and its probability; exact ties take the lowest class.
 
-    ``x`` is taken as :func:`train` takes its sets. It goes through the
-    network ``batch_size`` samples at a time, by default
-    ``net.inference_batch``, so its largest array stays within
-    ``INFERENCE_BUDGET_BYTES`` whatever ``len(x)``.
+    ``x`` is taken as :func:`train` takes its sets. It goes through one
+    inference pass (its bands and buffers built once) ``batch_size`` samples
+    at a time, by default ``net.inference_batch``, so its largest array
+    stays within ``INFERENCE_BUDGET_BYTES`` whatever ``len(x)``.
     """
     if batch_size is None:
         batch_size = net.inference_batch
     labels = np.empty(len(x), dtype=np.int64)
     confs = np.empty(len(x))
+    steps = net._steps(min(batch_size, len(x)))
     for start in range(0, len(x), batch_size):
-        probs = net.forward_batch(x[start : start + batch_size])
+        probs = net._infer(x[start : start + batch_size], steps)
         labels[start : start + probs.shape[0]] = probs.argmax(axis=1)
         confs[start : start + probs.shape[0]] = probs.max(axis=1)
     return labels, confs

@@ -2,10 +2,12 @@ import datetime
 import http.client
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import types
 import urllib.error
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import BYTE_EDITS, mutate_bytes
 
+import streetcrop
 from streetcrop.errors import DataValidationError
 from streetcrop.geocore import METERS_PER_DEGREE, GeoPoint, Heading, geo_distance, offset_point
 from streetcrop.imagery import (
@@ -343,6 +346,18 @@ class _FakeResponse(io.BytesIO):
 
 
 class TestLiveMode:
+    def test_importing_the_cli_loads_no_network_stack(self):
+        """Only a live fetch needs the network modules, and it imports them
+        itself, so a fresh ``import streetcrop.cli`` loads none of them."""
+        src = str(Path(streetcrop.__file__).resolve().parents[1])
+        code = ("import sys, streetcrop.cli; "
+                "print(sorted({'http.client', 'urllib.request', 'ssl'} & set(sys.modules)))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
     def test_missing_key(self, monkeypatch):
         monkeypatch.delenv("STREETCROP_API_KEY", raising=False)
         with pytest.raises(DataValidationError):

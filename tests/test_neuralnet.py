@@ -256,6 +256,12 @@ class TestConvOracle:
         # two and three columns wide, as the pixel net at two and three features
         "two-column": (Conv2D(3, 3, 3, same_padding=True), (2, 5, 2), (1, 1, 1, 1)),
         "three-column": (Conv2D(3, 3, 3, same_padding=True), (2, 5, 3), (1, 1, 1, 1)),
+        # fewer rows than the kernel, and than its top padding: no row sees a whole window
+        "short": (Conv2D(3, 5, 3, same_padding=True), (2, 2, 3), (2, 2, 1, 1)),
+        # an even kernel each way, wider than it
+        "even-kernel": (Conv2D(3, 4, 2, same_padding=True), (2, 6, 5), (1, 2, 0, 1)),
+        # wider than the band rule takes: a network infers it through im2col
+        "wide": (Conv2D(3, 3, 3, same_padding=True), (2, 5, 11), (1, 1, 1, 1)),
     }
 
     @pytest.mark.parametrize("spec,in_shape,pads", list(CASES.values()), ids=list(CASES))
@@ -297,19 +303,23 @@ class TestConvOracle:
 
     @pytest.mark.parametrize("spec,in_shape,pads", list(CASES.values()), ids=list(CASES))
     def test_inference_matches_direct_loops(self, spec, in_shape, pads):
-        """An inference forward of a same conv multiplies only the kernel
-        columns that see input; ``infer``, a network's call, does so into
-        buffers it keeps, here grown by a batch and then reused by a smaller
-        one."""
+        """An inference forward matches the loops, and so does a same conv's
+        band, in the row-major layout, its pass buffer sized by the largest
+        batch and reused by the others."""
         rng = np.random.default_rng(33)
         layer = nn._ConvLayer(spec, in_shape)
         layer.w = rng.normal(size=layer.w_shape)
         layer.b = rng.normal(size=layer.w_shape[0])
-        assert bool(layer._runs) == spec.same_padding
+        f, oh, ow = layer.out_shape
+        step = layer.band(7) if spec.same_padding else None
         for n in (5, 7, 2):
             x = rng.normal(size=(n,) + in_shape)
             expected, _ = loop_conv(x, layer.w, layer.b, pads, np.zeros((n,) + layer.out_shape))
-            for out in (layer.forward(x, False, None, None), layer.infer(x)):
+            out = layer.forward(x, False, None, None)
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+            if step is not None:
+                rows = np.ascontiguousarray(x.transpose(2, 1, 3, 0)).reshape(in_shape[1], -1, n)
+                out = step(rows).reshape(oh, f, ow, n).transpose(3, 1, 0, 2)
                 np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
             assert layer._cache is None
 
@@ -317,8 +327,7 @@ class TestConvOracle:
     def test_columns_write_every_cell(self, spec, in_shape, pads):
         """Columns filled over NaN are the padded input's im2col byte for
         byte: every padding cell is written zero, every other one the input
-        under its tap. So are the columns of each inference run, and the
-        kernel columns a run leaves out see only padding there."""
+        under its tap."""
         rng = np.random.default_rng(34)
         layer = nn._ConvLayer(spec, in_shape)
         c, kh, kw = layer.w_shape[1:]
@@ -333,14 +342,9 @@ class TestConvOracle:
                 want[:, i, j] = xp[:, i : i + oh, j : j + ow]
         xb = nn._batch_last(x)
         cols = np.full(want.shape, np.nan)
-        layer._fill(cols, xb, layer._taps, layer._pads)
+        layer._fill(cols, xb)
         assert cols.tobytes() == want.tobytes()
         assert layer._columns(xb).tobytes() == want.tobytes()
-        for o0, o1, j0, j1, taps, run_pads in layer._runs:
-            cols = np.full((c, kh, j1 - j0, oh, o1 - o0, 3), np.nan)
-            layer._fill(cols, xb, taps, run_pads)
-            assert cols.tobytes() == want[:, :, j0:j1, :, o0:o1].tobytes()
-            assert not np.delete(want[..., o0:o1, :], np.s_[j0:j1], axis=2).any()
 
 
 class TestInference:
@@ -400,36 +404,38 @@ class TestInference:
 
 
 class TestPixelInference:
-    """A network's inference pass multiplies a same conv's input-seeing
-    kernel columns only, into buffers each conv keeps, and rectifies conv
-    and dense outputs in place."""
+    """A network's inference pass runs the pixel net's same convs as bands
+    over the time rows and rectifies conv and dense outputs in place."""
 
     @staticmethod
     def im2col_forward(net, x):
-        """Probabilities from each layer's ``forward`` in run order; a
-        ``stats`` list keeps every conv on its single im2col GEMM."""
+        """Probabilities from each layer's ``forward`` in run order, which
+        keeps every conv on its single im2col GEMM."""
         out = x
         for layer in net._run:
-            out = layer.forward(out, False, None, [])
+            out = layer.forward(out, False, None, None)
         return out
 
-    @pytest.mark.parametrize("features", [1, 2, 3])
+    @pytest.mark.parametrize("features", [1, 2, 3, 4])
     def test_default_net_predicts_as_im2col(self, features):
         spec = nn.default_pixel_spec(10, features, 5)
         net = nn.build_network(spec, seed=5)
-        assert all(layer._runs for layer in net.layers if isinstance(layer, nn._ConvLayer))
+        assert all(layer.banded for layer in net.layers if isinstance(layer, nn._ConvLayer))
         x = np.random.default_rng(6).random((364,) + spec.input_shape)
+        assert net.forward_batch(x[:0]).shape == (0, 5)
         for batch in (1, 7, 97, 182, 364):
             starts = range(0, len(x), batch)
             probs = np.concatenate([net.forward_batch(x[s : s + batch]) for s in starts])
             want = np.concatenate([self.im2col_forward(net, x[s : s + batch]) for s in starts])
             np.testing.assert_array_equal(probs.argmax(axis=1), want.argmax(axis=1))
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-15)
+            labels, confs = nn.predict_batch(net, x, batch)
+            np.testing.assert_array_equal(labels, want.argmax(axis=1))
+            np.testing.assert_allclose(confs, want.max(axis=1), rtol=0, atol=1e-15)
 
     def test_predictions_follow_weights_trained_in_place(self):
-        """``train`` updates the weights in place, so a conv must read each
-        run's weights from them on every call, not keep slices of the first.
-        At two features every run's weight slice is a copy, not a view."""
+        """``train`` updates the weights in place, so each pass builds its
+        bands from them, and keeps none from the pass before."""
         spec = nn.default_pixel_spec(10, 2, 3)
         net = nn.build_network(spec, seed=7)
         rng = np.random.default_rng(8)
@@ -444,10 +450,33 @@ class TestPixelInference:
         np.testing.assert_array_equal(labels, want.argmax(axis=1))
         np.testing.assert_allclose(confs, want.max(axis=1), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("features", range(1, 13))
+    def test_the_rule_picks_the_path_it_states(self, features, monkeypatch):
+        """A same conv infers as a band while its output is at most
+        ``BAND_WIDTH_PER_KERNEL_COLUMN`` kernels wide, else through im2col,
+        as a valid conv always does; a network's pass takes the path its
+        convs state."""
+        spec = nn.default_pixel_spec(10, features, 3)
+        net = nn.build_network(spec, seed=18)
+        convs = [layer for layer in net.layers if isinstance(layer, nn._ConvLayer)]
+        banded = features <= nn.BAND_WIDTH_PER_KERNEL_COLUMN * 3
+        assert [conv.banded for conv in convs] == [banded, banded]
+        assert not nn._ConvLayer(Conv2D(2, 3, 3), (1, 10, features + 2)).banded
+        calls = {"band": 0, "im2col": 0}
+        for name, path in (("forward_band", "band"), ("forward", "im2col")):
+            def counted(self, *args, _method=getattr(nn._ConvLayer, name), _path=path, **kwargs):
+                calls[_path] += 1
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(nn._ConvLayer, name, counted)
+        nn.predict_batch(net, np.random.default_rng(19).random((30,) + spec.input_shape), 16)
+        assert calls == ({"band": 4, "im2col": 0} if banded else {"band": 0, "im2col": 4})
+
     def test_inference_peaks_below_the_columns_it_replaces(self):
-        """A cold pass at the default batch, which allocates every buffer,
-        peaks at about 5.1 MB of traced allocations (0.25 MB warm); conv2's
-        im2col columns alone take 8.4 MB, and the im2col pass peaked at 10.3."""
+        """A pass at the default batch peaks at about 2.3 MB of traced
+        allocations, its two band output buffers (0.93 MB each) among them;
+        conv2's im2col columns alone take 8.4 MB, and the im2col pass peaked
+        at 10.3."""
         spec = nn.default_pixel_spec(10, 2, 7)
         net = nn.build_network(spec, seed=10)
         assert net.inference_batch == 364
@@ -464,8 +493,8 @@ class TestPixelInference:
 
     def test_direct_forward_callers_keep_their_arrays(self):
         """``gradient_check`` and the bench engine keep each layer's inference
-        output as the next layer's input; network passes, which reuse the
-        convs' buffers and rectify in place, leave those arrays alone."""
+        output as the next layer's input; network passes, which rectify in
+        place, leave those arrays alone."""
         spec = nn.default_pixel_spec(10, 2, 5)
         net = nn.build_network(spec, seed=12)
         rng = np.random.default_rng(13)
@@ -485,22 +514,23 @@ class TestPixelInference:
         x = np.random.default_rng(15).random(net.spec.input_shape)
         margin = net.kink_margin(x)
 
-        def refuse(self, x, out):
-            raise AssertionError("inference path taken")
+        def refuse(*args, **kwargs):
+            raise AssertionError("band path taken")
 
-        monkeypatch.setattr(nn._ConvLayer, "_forward_runs", refuse)
+        monkeypatch.setattr(nn._ConvLayer, "forward_band", refuse)
         assert net.kink_margin(x) == margin
-        with pytest.raises(AssertionError, match="inference path"):
+        with pytest.raises(AssertionError, match="band path"):
             net.forward_batch(x[None])
 
     def test_a_pickle_leaves_the_buffers_behind(self):
+        """A pass leaves neither its bands nor its buffers on the network:
+        the network pickles to the same bytes after it as before."""
         net = nn.build_network(nn.default_pixel_spec(10, 2, 5), seed=16)
         x = np.random.default_rng(17).random((40,) + net.spec.input_shape)
+        before = pickle.dumps(net)
         probs = net.forward_batch(x)
-        copy = pickle.loads(pickle.dumps(net))
-        convs = [layer for layer in copy.layers if isinstance(layer, nn._ConvLayer)]
-        assert all(conv._cols_buf is None and conv._out_buf is None for conv in convs)
-        assert copy.forward_batch(x).tobytes() == probs.tobytes()
+        assert pickle.dumps(net) == before
+        assert pickle.loads(before).forward_batch(x).tobytes() == probs.tobytes()
 
 
 @contextlib.contextmanager
